@@ -177,7 +177,8 @@ def _cmd_check_quadrature(args) -> int:
         f"nodes checked: {int(computed.sum())} / {cloud.n_points}  "
         f"max residual: {float(np.nanmax(family.residual)):.3e}  "
         f"neighbor range: [{int(family.n_neighbors[computed].min())}, "
-        f"{int(family.n_neighbors[computed].max())}]"
+        f"{int(family.n_neighbors[computed].max())}]  "
+        f"fallbacks: {int(family.fallback.sum())}"
     )
     return EXIT_OK
 

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import AssemblyError, ConfigError
-from .pointcloud import Neighborhoods, PointCloud
+from .pointcloud import Neighborhoods, PointCloud, dilatation_nodes
 from .quadrature import QuadratureFamily
 
 __all__ = [
@@ -353,7 +353,7 @@ def assemble_system(
     """Build the sparse block system with collar data folded into the RHS.
 
     Momentum rows are written for present interior nodes; dilatation
-    rows for every present node within one horizon of the unit square.
+    rows for every present node of ``dilatation_nodes``.
     Displacements of collar nodes come from ``dirichlet`` (evaluated at
     their perturbed positions), which must be finite wherever it is
     referenced.
@@ -361,9 +361,7 @@ def assemble_system(
     n = cloud.n_points
     present = bonds.present
     u_unknown = cloud.interior & present
-    theta_mask = (
-        (cloud.center_distance_to_domain() <= cloud.delta * (1.0 + 1e-12)) & present
-    )
+    theta_mask = dilatation_nodes(cloud, nbrs) & present
     if not np.all(family.computed[theta_mask]):
         raise AssemblyError("a dilatation node is missing quadrature weights")
     if not np.all(correction.computed[theta_mask]):

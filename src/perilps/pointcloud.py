@@ -29,6 +29,7 @@ __all__ = [
     "Neighborhoods",
     "generate_perturbed_lattice",
     "build_neighborhoods",
+    "dilatation_nodes",
     "uniformity_metrics",
 ]
 
@@ -241,58 +242,35 @@ def generate_perturbed_lattice(
     )
 
 
-def build_neighborhoods(cloud: PointCloud) -> Neighborhoods:
-    """Find all node pairs within the horizon using a uniform cell grid.
+def _pairs_within(pos: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Directed pairs ``(i, j)`` with ``0 < |x_j - x_i| <= radius``, sorted.
 
-    Cells have side ``delta``, so every neighbor of a node lies in the
-    3 x 3 block of cells around it and the search costs O(N) for
-    quasi-uniform clouds.  The radius test is inclusive and coincident
-    nodes (zero distance) are excluded along with the node itself.
+    The k-d tree's candidate pairs are taken with a slightly enlarged
+    radius and then filtered by the exact test on ``x_j - x_i``, so the
+    result does not depend on how the tree rounds distances.  Kept apart
+    from ``build_neighborhoods`` so that the candidate arrays are freed
+    before the bond vectors are formed.
+    """
+    i, j = cKDTree(pos).query_pairs(radius * (1.0 + 1e-9), output_type="ndarray").T
+    diff = pos[j] - pos[i]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    hit = (d2 <= radius * radius) & (d2 > 0.0)
+    i_arr = np.concatenate([i[hit], j[hit]])
+    j_arr = np.concatenate([j[hit], i[hit]])
+    perm = np.lexsort((j_arr, i_arr))
+    return i_arr[perm], j_arr[perm]
+
+
+def build_neighborhoods(cloud: PointCloud) -> Neighborhoods:
+    """Find all node pairs within the horizon using a k-d tree.
+
+    The radius test is inclusive and coincident nodes (zero distance)
+    are excluded along with the node itself.
     """
     pos = cloud.positions
     n = pos.shape[0]
     radius = cloud.delta
-    r2 = radius * radius
-
-    origin = pos.min(axis=0)
-    cell = np.floor((pos - origin) / radius).astype(np.int64)
-    ncell = cell.max(axis=0) + 1
-    cid = cell[:, 0] * ncell[1] + cell[:, 1]
-
-    order = np.argsort(cid, kind="stable")
-    sorted_cid = cid[order]
-    uniq, starts = np.unique(sorted_cid, return_index=True)
-    starts = np.append(starts, n)
-    lookup = {int(c): k for k, c in enumerate(uniq)}
-
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    for k in range(len(uniq)):
-        ci, cj = divmod(int(uniq[k]), int(ncell[1]))
-        members = order[starts[k]:starts[k + 1]]
-        blocks = []
-        for di in (-1, 0, 1):
-            if not 0 <= ci + di < ncell[0]:
-                continue
-            for dj in (-1, 0, 1):
-                if not 0 <= cj + dj < ncell[1]:
-                    continue
-                kk = lookup.get((ci + di) * int(ncell[1]) + (cj + dj))
-                if kk is not None:
-                    blocks.append(order[starts[kk]:starts[kk + 1]])
-        cand = np.concatenate(blocks)
-        diff = pos[cand][None, :, :] - pos[members][:, None, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        hit = (d2 <= r2) & (d2 > 0.0)
-        mi, mj = np.nonzero(hit)
-        rows.append(members[mi])
-        cols.append(cand[mj])
-
-    i_arr = np.concatenate(rows)
-    j_arr = np.concatenate(cols)
-    perm = np.lexsort((j_arr, i_arr))
-    i_arr = i_arr[perm]
-    j_arr = j_arr[perm]
+    i_arr, j_arr = _pairs_within(pos, radius)
 
     counts = np.bincount(i_arr, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
@@ -307,6 +285,19 @@ def build_neighborhoods(cloud: PointCloud) -> Neighborhoods:
         distances=distances,
         delta=radius,
     )
+
+
+def dilatation_nodes(cloud: PointCloud, nbrs: Neighborhoods) -> np.ndarray:
+    """Nodes that carry a dilatation: those within one horizon of the square.
+
+    That is every node whose unperturbed center lies within ``delta`` of
+    the unit square, plus every neighbor of an interior node: under
+    jitter above about a third of ``h`` a momentum row can reach a node
+    whose center lies just beyond ``delta``.
+    """
+    near = cloud.center_distance_to_domain() <= cloud.delta * (1.0 + 1e-12)
+    near[nbrs.indices[cloud.interior[nbrs.row_index]]] = True
+    return near
 
 
 def uniformity_metrics(cloud: PointCloud, refine: int = 4) -> tuple[float, float]:

@@ -6,8 +6,16 @@ horizon ball of every function in a small reproducing family: quadratic
 polynomials in the bond vector, the singular bond-force integrands they
 induce through the kernel, and the dilatation integrands.  Among all
 weight vectors satisfying those constraints, the minimum Euclidean norm
-solution is selected, which a rank-truncated least squares solve yields
-directly.
+solution is selected.
+
+The 36 constraint rows hold 22 distinct functions, three of which are
+sums of others, so 19 rows (15 without dilatation) span the same row
+space and give the same least-norm solution.  Those rows are solved
+for blocks of nodes at once, through a zero-padded batched Gram system
+on bond vectors scaled by the horizon.  Every node is certified against
+the full constraint set; a node whose batched weights fail that
+certificate is solved again by a rank-truncated least squares solve
+(``least_norm_weights``) and counted in ``QuadratureFamily.fallback``.
 
 All reproducing functions have the form ``z1**a * z2**b / |z|**s``, so
 their ball integrals reduce to a radial power times a trigonometric
@@ -17,12 +25,12 @@ moment with a closed form (odd exponents integrate to zero).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import QuadratureError
-from .pointcloud import Neighborhoods, PointCloud
+from .pointcloud import Neighborhoods, PointCloud, dilatation_nodes
 
 __all__ = [
     "KernelSpec",
@@ -65,9 +73,6 @@ class KernelSpec:
     def weighted_volume(self) -> float:
         """The kernel-weighted ball volume ``int_B |z|^2 / |z| dz``."""
         return 2.0 * math.pi * self.delta**3 / 3.0
-
-    def kernel(self, r: np.ndarray) -> np.ndarray:
-        return 1.0 / r
 
 
 def _double_factorial(n: int) -> int:
@@ -228,7 +233,8 @@ class QuadratureFamily:
 
     ``weights`` matches ``nbrs.indices`` entry for entry; nodes outside
     the computed set hold NaN there.  The diagnostics arrays are indexed
-    by node.
+    by node; ``fallback`` marks the nodes whose weights came from the
+    per-node ``least_norm_weights`` solve instead of the batched one.
     """
 
     weights: np.ndarray
@@ -238,10 +244,8 @@ class QuadratureFamily:
     min_weight: np.ndarray
     max_weight: np.ndarray
     n_neighbors: np.ndarray
+    fallback: np.ndarray
     basis: ConstraintBasis
-
-    def weights_of(self, i: int, nbrs: Neighborhoods) -> np.ndarray:
-        return self.weights[nbrs.pair_slice(i)]
 
     def weight_sums(self, nbrs: Neighborhoods) -> np.ndarray:
         """Total weight per node (NaN where weights were not computed)."""
@@ -249,6 +253,86 @@ class QuadratureFamily:
         total = np.bincount(nbrs.row_index, weights=w, minlength=nbrs.n_points)
         total[~self.computed] = np.nan
         return total
+
+
+def _solve_set(
+    basis: ConstraintBasis,
+) -> tuple[list[MomentDescriptor], np.ndarray, np.ndarray]:
+    """Reduce the constraint rows to an independent set with the same row space.
+
+    Returns the distinct functions ``z1^a z2^b / |z|^s`` of the basis,
+    the index of each basis row into them, and the indices of the
+    distinct functions that are solved for.  A dilatation function
+    ``z1^a z2^b / |z|`` is left out of the solve when
+    ``z1^(a+2) z2^b / |z|^3`` and ``z1^a z2^(b+2) / |z|^3`` are present,
+    because ``|z|^2 = z1^2 + z2^2`` makes it their sum.
+    """
+    funcs: list[MomentDescriptor] = []
+    position: dict[tuple[int, int, int], int] = {}
+    row_of = []
+    for d in basis.descriptors:
+        key = (d.a, d.b, d.s)
+        if key not in position:
+            position[key] = len(funcs)
+            funcs.append(d)
+        row_of.append(position[key])
+    solve = [
+        k
+        for k, f in enumerate(funcs)
+        if not (
+            f.s == 1
+            and (f.a + 2, f.b, 3) in position
+            and (f.a, f.b + 2, 3) in position
+        )
+    ]
+    return funcs, np.array(row_of), np.array(solve)
+
+
+def _evaluate_functions(
+    funcs: list[MomentDescriptor], z: np.ndarray, r: np.ndarray
+) -> np.ndarray:
+    """Every function of ``funcs`` at the bond vectors ``z``, as (n, F).
+
+    Each power of ``z1``, ``z2`` and ``1/|z|`` is formed once and shared,
+    so a function costs two products.
+    """
+    powers = []
+    for col, top in (
+        (z[:, 0], max(f.a for f in funcs)),
+        (z[:, 1], max(f.b for f in funcs)),
+        (1.0 / r, max(f.s for f in funcs)),
+    ):
+        p = [np.ones_like(r)]
+        for _ in range(top):
+            p.append(p[-1] * col)
+        powers.append(p)
+    out = np.empty((len(funcs), r.shape[0]))
+    for k, f in enumerate(funcs):
+        np.multiply(powers[0][f.a], powers[1][f.b], out=out[k])
+        out[k] *= powers[2][f.s]
+    return out.T
+
+
+def _gram_weights(S: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Least-norm solutions of ``B w = g`` for a stack ``S`` of ``B^T``.
+
+    Solves ``B B^T lam = g`` and returns ``w = B^T lam``, shaped
+    (nodes, neighbors).  If a Gram matrix of the stack is exactly
+    singular, every weight comes back NaN.
+    """
+    gram = S.transpose(0, 2, 1) @ S
+    rhs = np.broadcast_to(g[:, None], (S.shape[0], g.size, 1))
+    try:
+        lam = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:
+        return np.full(S.shape[:2], np.nan)
+    return (S @ lam)[:, :, 0]
+
+
+#: Nodes per batched weight solve.  A block's padded
+#: (nodes, neighbors, functions) arrays take a few MB; one block over all
+#: nodes of an n=96 cloud adds about 270 MB to the peak RSS.
+_BLOCK_NODES = 256
 
 
 def compute_family(
@@ -263,16 +347,22 @@ def compute_family(
     """Solve the per-node weight problems for every node that needs them.
 
     Weights are consumed by momentum rows, dilatation rows and damage
-    sums, all of which live on nodes within one horizon of the unit
-    square; those nodes have full balls by the collar construction, so
-    the full-ball constraints are consistent there.  Outer collar nodes
-    are skipped (their truncated balls cannot match full-ball moments
-    and none of their weights are ever referenced).
+    sums, all of which live on the nodes of ``dilatation_nodes``; those
+    nodes have full balls by the collar construction, so the full-ball
+    constraints are consistent there.  Outer collar nodes are skipped
+    (their truncated balls cannot match full-ball moments and none of
+    their weights are ever referenced).
+
+    Nodes are solved in blocks of ``_BLOCK_NODES``, each gathered into a
+    zero-padded array (zero columns leave the least-norm solution
+    unchanged).  A node whose batched weights fail the full-set
+    certificate is solved again by ``least_norm_weights``, which then
+    supplies its rank and residual.
 
     Parameters
     ----------
     needed : (N,) bool array, optional
-        Override the default "within one horizon of the domain" node set.
+        Override the default node set, ``dilatation_nodes``.
 
     Raises
     ------
@@ -283,34 +373,74 @@ def compute_family(
     if spec is None:
         spec = KernelSpec(delta=cloud.delta)
     if needed is None:
-        needed = cloud.center_distance_to_domain() <= cloud.delta * (1.0 + 1e-12)
+        needed = dilatation_nodes(cloud, nbrs)
 
     basis = exact_ball_moments(spec, include_dilatation=include_dilatation)
+    funcs, row_of, solve = _solve_set(basis)
     n = cloud.n_points
     weights = np.full(nbrs.n_pairs, np.nan)
     residual = np.full(n, np.nan)
     rank = np.zeros(n, dtype=np.int64)
     wmin = np.full(n, np.nan)
     wmax = np.full(n, np.nan)
+    fallback = np.zeros(n, dtype=bool)
     counts = np.diff(nbrs.indptr)
 
-    for i in np.nonzero(needed)[0]:
-        sl = nbrs.pair_slice(i)
-        if sl.start == sl.stop:
-            raise QuadratureError(f"node {i} has an empty neighborhood")
-        B, g = assemble_constraints(basis, nbrs.offsets[sl], nbrs.distances[sl])
-        w, diag = least_norm_weights(B, g, rank_tol=rank_tol)
-        if diag["residual"] > residual_tol:
-            raise QuadratureError(
-                f"node {i} failed the exactness certificate: relative residual "
-                f"{diag['residual']:.3e} exceeds {residual_tol:g} "
-                f"({sl.stop - sl.start} neighbors, rank {diag['rank']})"
-            )
-        weights[sl] = w
-        residual[i] = diag["residual"]
-        rank[i] = diag["rank"]
-        wmin[i] = diag["min_weight"]
-        wmax[i] = diag["max_weight"]
+    nodes = np.nonzero(needed)[0]
+    empty = nodes[counts[nodes] == 0]
+    if empty.size:
+        raise QuadratureError(f"node {empty[0]} has an empty neighborhood")
+
+    g = basis.moments
+    g_norm = np.linalg.norm(g)
+    # z1^a z2^b / |z|^s is homogeneous of degree a + b - s, so scaling
+    # row r by delta^-(a+b-s) evaluates it at z / delta.
+    row_scale = np.array(
+        [spec.delta ** -(funcs[k].a + funcs[k].b - funcs[k].s) for k in solve]
+    )
+    g_solve = np.array([funcs[k].moment for k in solve]) * row_scale
+
+    for start in range(0, nodes.size, _BLOCK_NODES):
+        block = nodes[start:start + _BLOCK_NODES]
+        c = counts[block]
+        first = np.cumsum(c) - c
+        owner = np.repeat(np.arange(block.size), c)
+        slot = np.arange(c.sum()) - first[owner]
+        pairs = nbrs.indptr[block][owner] + slot
+
+        A = np.zeros((block.size, c.max(), len(funcs)))
+        A[owner, slot] = _evaluate_functions(
+            funcs, nbrs.offsets[pairs], nbrs.distances[pairs]
+        )
+
+        w = _gram_weights(A[:, :, solve] * row_scale, g_solve)
+
+        fit = (w[:, None, :] @ A)[:, 0, row_of]
+        res = np.linalg.norm(fit - g, axis=1) / g_norm
+        wflat = w[owner, slot]
+        weights[pairs] = wflat
+        residual[block] = res
+        rank[block] = solve.size
+        wmin[block] = np.minimum.reduceat(wflat, first)
+        wmax[block] = np.maximum.reduceat(wflat, first)
+
+        # Non-finite weights give a NaN residual, which fails this test too.
+        for i in block[~(res <= residual_tol)]:
+            sl = nbrs.pair_slice(i)
+            B, gi = assemble_constraints(basis, nbrs.offsets[sl], nbrs.distances[sl])
+            wi, diag = least_norm_weights(B, gi, rank_tol=rank_tol)
+            if diag["residual"] > residual_tol:
+                raise QuadratureError(
+                    f"node {i} failed the exactness certificate: relative residual "
+                    f"{diag['residual']:.3e} exceeds {residual_tol:g} "
+                    f"({sl.stop - sl.start} neighbors, rank {diag['rank']})"
+                )
+            weights[sl] = wi
+            residual[i] = diag["residual"]
+            rank[i] = diag["rank"]
+            wmin[i] = diag["min_weight"]
+            wmax[i] = diag["max_weight"]
+            fallback[i] = True
 
     return QuadratureFamily(
         weights=weights,
@@ -320,6 +450,7 @@ def compute_family(
         min_weight=wmin,
         max_weight=wmax,
         n_neighbors=counts,
+        fallback=fallback,
         basis=basis,
     )
 

@@ -287,7 +287,9 @@ def test_cli_check_quadrature(tmp_path, capsys):
     lines = (tmp_path / "quadrature_check.csv").read_text().splitlines()
     assert lines[0] == "node,x,y,n_neighbors,residual,rank,min_weight,max_weight"
     assert len(lines) > 1
-    assert "max residual" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "max residual" in out
+    assert "fallbacks: 0" in out
 
 
 def test_cli_sweep(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from perilps import (
     ConfigError,
@@ -126,6 +128,26 @@ def test_neighborhoods_match_brute_force():
     # both orderings are (i, j) lexicographic
     order = np.lexsort((expected[:, 1], expected[:, 0]))
     np.testing.assert_array_equal(got, expected[order])
+
+
+@given(
+    n=st.integers(11, 16),
+    seed=st.integers(0, 2**32 - 1),
+    perturb=st.floats(0.0, 0.45, exclude_max=True),
+    delta_factor=st.floats(3.0, 5.0),
+)
+# On an unjittered grid with an integer horizon factor many pairs sit
+# exactly on the horizon, where a binned search can round them away.
+@example(n=13, seed=0, perturb=0.0, delta_factor=3.0)
+def test_neighborhoods_match_brute_force_everywhere(n, seed, perturb, delta_factor):
+    cloud = generate_perturbed_lattice(
+        n, delta_factor=delta_factor, perturb_frac=perturb, seed=seed
+    )
+    nbrs = build_neighborhoods(cloud)
+    expected = brute_force_pairs(cloud.positions, cloud.delta)
+    np.testing.assert_array_equal(
+        np.column_stack([nbrs.row_index, nbrs.indices]), expected
+    )
 
 
 def test_neighborhoods_are_symmetric():

@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate
 
 from perilps import (
     KernelSpec,
+    Neighborhoods,
     QuadratureError,
     assemble_constraints,
     build_neighborhoods,
@@ -18,7 +21,17 @@ from perilps import (
     least_norm_weights,
     verify_family,
 )
-from perilps.quadrature import ball_monomial_moment
+from perilps import quadrature
+from perilps.driver import RunConfig, run_case
+from perilps.errors import EXIT_QUADRATURE
+from perilps.pointcloud import dilatation_nodes
+from perilps.quadrature import RESIDUAL_TOL, ball_monomial_moment
+
+CONFIGS = dict(
+    seed=st.integers(0, 2**32 - 1),
+    perturb=st.floats(0.0, 0.45, exclude_max=True),
+    delta_factor=st.floats(3.0, 5.0),
+)
 
 
 def numeric_ball_moment(a, b, s, delta):
@@ -257,8 +270,90 @@ def test_truncated_ball_raises():
     needed = np.zeros(cloud.n_points, dtype=bool)
     corner = int(np.argmax(cloud.center_distance_to_domain()))
     needed[corner] = True
-    with pytest.raises(QuadratureError):
+    with pytest.raises(QuadratureError, match=f"node {corner} failed the exactness"):
         compute_family(cloud, nbrs, needed=needed)
+
+
+def test_empty_neighborhood_raises():
+    """Caught before the block gather, which would read the next node's pairs."""
+    cloud = generate_perturbed_lattice(8, seed=3)
+    nbrs = build_neighborhoods(cloud)
+    lonely = int(np.nonzero(cloud.interior)[0][0])
+    keep = nbrs.row_index != lonely
+    counts = np.bincount(nbrs.row_index[keep], minlength=cloud.n_points)
+    stripped = Neighborhoods(
+        indptr=np.concatenate([[0], np.cumsum(counts)]),
+        indices=nbrs.indices[keep],
+        offsets=nbrs.offsets[keep],
+        distances=nbrs.distances[keep],
+        delta=nbrs.delta,
+    )
+    needed = np.zeros(cloud.n_points, dtype=bool)
+    needed[[lonely, lonely + 1]] = True
+    with pytest.raises(QuadratureError, match=f"node {lonely} has an empty neighborhood"):
+        compute_family(cloud, stripped, needed=needed)
+
+
+def test_failed_batched_node_is_solved_again_and_counted(small_family, monkeypatch):
+    cloud, nbrs, family = small_family
+    assert not family.fallback.any()
+    victim = int(np.nonzero(family.computed)[0][3])
+    solve = quadrature._gram_weights
+    spoiled = []
+
+    def spoil_first_block(S, g):
+        w = solve(S, g)
+        if not spoiled:
+            w[3] = np.nan
+            spoiled.append(True)
+        return w
+
+    monkeypatch.setattr(quadrature, "_gram_weights", spoil_first_block)
+    again = compute_family(cloud, nbrs)
+    assert np.nonzero(again.fallback)[0].tolist() == [victim]
+    sl = nbrs.pair_slice(victim)
+    np.testing.assert_allclose(again.weights[sl], family.weights[sl], rtol=1e-10)
+    assert again.residual[victim] <= RESIDUAL_TOL
+    assert again.rank[victim] == family.rank[victim]
+
+
+@given(**CONFIGS, include_dilatation=st.booleans())
+def test_batched_weights_match_per_node_lstsq(
+    seed, perturb, delta_factor, include_dilatation
+):
+    """Batched weights equal the per-node least-norm solve, or both fail."""
+    cloud = generate_perturbed_lattice(
+        12, delta_factor=delta_factor, perturb_frac=perturb, seed=seed
+    )
+    nbrs = build_neighborhoods(cloud)
+    basis = exact_ball_moments(KernelSpec(cloud.delta), include_dilatation)
+    needed = dilatation_nodes(cloud, nbrs)
+    reference = {}
+    for i in np.nonzero(needed)[0]:
+        sl = nbrs.pair_slice(i)
+        B, g = assemble_constraints(basis, nbrs.offsets[sl], nbrs.distances[sl])
+        reference[i] = least_norm_weights(B, g)
+    try:
+        family = compute_family(cloud, nbrs, include_dilatation=include_dilatation)
+    except QuadratureError as exc:
+        assert exc.exit_code == EXIT_QUADRATURE
+        assert max(diag["residual"] for _, diag in reference.values()) > RESIDUAL_TOL
+        return
+    assert family.residual[needed].max() <= RESIDUAL_TOL
+    for i, (w, diag) in reference.items():
+        got = family.weights[nbrs.pair_slice(i)]
+        assert np.linalg.norm(got - w) <= 1e-10 * np.linalg.norm(w), i
+        assert family.rank[i] == diag["rank"], i
+
+
+@given(**CONFIGS)
+def test_patch_exact_across_configurations(seed, perturb, delta_factor):
+    result = run_case(
+        RunConfig(
+            case="patch", n=12, seed=seed, perturb=perturb, delta_factor=delta_factor
+        )
+    )
+    assert result.rms_error <= 1e-10
 
 
 def test_needed_mask_controls_scope(small_family):
