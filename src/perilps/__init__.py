@@ -27,13 +27,21 @@ from .analytic import (
     moduli_from_E_nu,
     moduli_from_K_nu,
 )
-from .driver import ConvergenceReport, RunConfig, RunResult, convergence_ladder, run_case, sweep_contrast
+from .driver import (
+    ConvergenceReport,
+    RunConfig,
+    RunResult,
+    build_discretization,
+    convergence_ladder,
+    run_case,
+    sweep_contrast,
+)
 from .errors import AssemblyError, ConfigError, PerilpsError, QuadratureError, SolveError
 from .model import (
     BlockSystem,
     BondSet,
     DilatationCorrection,
-    LpsConstants,
+    Discretization,
     MaterialField,
     apply_operator,
     assemble_system,
@@ -41,7 +49,6 @@ from .model import (
     hole_removal_mask,
     compute_moment_tensors,
     damage_field,
-    harmonic_pair,
 )
 from .pointcloud import (
     Disk,

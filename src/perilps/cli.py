@@ -154,23 +154,21 @@ def _cmd_check_quadrature(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    lines = ["node,x,y,n_neighbors,residual,rank,min_weight,max_weight"]
-    for i in np.nonzero(family.computed)[0]:
-        lines.append(
-            ",".join(
-                [
-                    str(int(i)),
-                    repr(float(cloud.positions[i, 0])),
-                    repr(float(cloud.positions[i, 1])),
-                    str(int(family.n_neighbors[i])),
-                    repr(float(family.residual[i])),
-                    str(int(family.rank[i])),
-                    repr(float(family.min_weight[i])),
-                    repr(float(family.max_weight[i])),
-                ]
-            )
-        )
-    (out / "quadrature_check.csv").write_text("\n".join(lines) + "\n")
+    ids = np.nonzero(family.computed)[0]
+    driver.write_csv(
+        out / "quadrature_check.csv",
+        "node,x,y,n_neighbors,residual,rank,min_weight,max_weight",
+        [
+            ids,
+            cloud.positions[ids, 0],
+            cloud.positions[ids, 1],
+            family.n_neighbors[ids],
+            family.residual[ids],
+            family.rank[ids],
+            family.min_weight[ids],
+            family.max_weight[ids],
+        ],
+    )
 
     computed = family.computed
     print(
@@ -184,14 +182,7 @@ def _cmd_check_quadrature(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = driver.RunConfig(
-        case="inclusion",
-        n=args.n,
-        delta_factor=args.delta_factor,
-        perturb=args.perturb,
-        grid=args.grid,
-        seed=args.seed,
-    )
+    config = _config_from(args, "inclusion", args.n)
     out = driver.sweep_contrast(config, args.ratios, out=args.out)
     for entry in out["entries"]:
         print(

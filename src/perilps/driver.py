@@ -1,9 +1,13 @@
 """Benchmark orchestration: single runs, convergence ladders, sweeps.
 
 A run is configuration in, certified solution plus error report out,
-with optional CSV/JSON artifacts.  All randomness flows from the single
-seed in the configuration, and the output writers format numbers with
-``repr``, so identical configurations produce byte-identical files.
+with optional CSV/JSON artifacts.  It has two steps: a material-free
+geometry step (:func:`build_discretization`: cloud, neighborhoods,
+weights, bonds, moment tensors, damage) and a physics step (material,
+assembly, solve, error).  A contrast sweep builds the geometry once and
+runs only the physics step per ratio.  All randomness flows from the
+single seed in the configuration, and the output writers format numbers
+with ``repr``, so identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .analytic import AnalyticCase, ElasticModuli, HoleParams, InclusionParams
 from .errors import ConfigError
 from .model import (
     BondSet,
-    LpsConstants,
+    Discretization,
     MaterialField,
     assemble_system,
     break_bonds_crossing_circle,
@@ -36,7 +40,7 @@ from .pointcloud import (
     build_neighborhoods,
     generate_perturbed_lattice,
 )
-from .quadrature import KernelSpec, compute_family
+from .quadrature import compute_family
 from .solver import SolveReport, rms_norm, solve
 
 __all__ = [
@@ -44,6 +48,7 @@ __all__ = [
     "RunConfig",
     "RunResult",
     "ConvergenceReport",
+    "build_discretization",
     "run_case",
     "convergence_ladder",
     "sweep_contrast",
@@ -97,7 +102,6 @@ class RunConfig:
     k2: float = 1.0
     mu_ratio: float | None = None
     strict_vh: bool = False
-    solver_method: str = "direct"
 
     def __post_init__(self):
         if self.case not in CASES:
@@ -199,14 +203,12 @@ def reference_errors(config: RunConfig) -> dict[str, float]:
     return {str(n): v for n, v in sorted(table.items())}
 
 
-def run_case(config: RunConfig, out: Path | str | None = None) -> RunResult:
-    """Execute one benchmark: cloud, weights, system, solve, errors.
+def build_discretization(config: RunConfig, spec: DomainSpec) -> Discretization:
+    """The material-free geometry step: everything that the cloud alone fixes.
 
-    With ``out`` set, writes ``fields.csv`` (interior nodes) and
-    ``summary.json`` into that directory.
+    Depends on the resolution, horizon factor, jitter, seed, domain and
+    ``strict_vh`` of ``config``, never on its material.
     """
-    t0 = time.perf_counter()
-    case, spec = _build_case(config)
     cloud = generate_perturbed_lattice(
         n=config.n,
         delta_factor=config.delta_factor,
@@ -215,50 +217,65 @@ def run_case(config: RunConfig, out: Path | str | None = None) -> RunResult:
         spec=spec,
     )
     nbrs = build_neighborhoods(cloud)
-    kernel = KernelSpec(delta=cloud.delta)
-    family = compute_family(
-        cloud, nbrs, kernel, include_dilatation=not config.strict_vh
-    )
+    family = compute_family(cloud, nbrs, include_dilatation=not config.strict_vh)
 
     bonds = BondSet.intact(nbrs)
     if spec.hole is not None:
         bonds = break_bonds_crossing_circle(bonds, nbrs, cloud, spec.hole)
         bonds = bonds.with_present(~hole_removal_mask(cloud, spec.hole))
+    weights = bonds.modified_weights(family, nbrs)
 
-    constants = LpsConstants.plane_strain()
-    material = MaterialField.from_case(case, cloud)
-    correction = compute_moment_tensors(cloud, nbrs, family, bonds, constants)
-
-    positions = cloud.positions
-    u_exact = case.displacement(positions)
-    forcing = case.forcing(positions)
-    system = assemble_system(
-        cloud, nbrs, family, bonds, material, constants, correction,
-        dirichlet=u_exact, forcing=forcing,
+    return Discretization(
+        cloud=cloud,
+        nbrs=nbrs,
+        family=family,
+        bonds=bonds,
+        weights=weights,
+        correction=compute_moment_tensors(nbrs, family, weights),
+        damage=damage_field(family, nbrs, weights),
     )
-    report = solve(system, method=config.solver_method)
 
+
+def _run_physics(
+    config: RunConfig, case: AnalyticCase, disc: Discretization, t0: float
+) -> RunResult:
+    """The physics step: material, assembly, solve, error; wall time from ``t0``."""
+    cloud = disc.cloud
+    u_exact = case.displacement(cloud.positions)
+    system = assemble_system(
+        disc,
+        MaterialField.from_case(case, cloud),
+        dirichlet=u_exact,
+        forcing=case.forcing(cloud.positions),
+    )
+    report = solve(system)
     u = system.extract_u(report.x)
-    theta = system.extract_theta(report.x)
-    damage = damage_field(bonds, family, nbrs)
 
-    mask = cloud.interior & bonds.present
-    rms_error = rms_norm(u[mask] - u_exact[mask])
-    wall = time.perf_counter() - t0
-
-    result = RunResult(
+    mask = cloud.interior & disc.bonds.present
+    return RunResult(
         config=config,
         case=case,
         cloud=cloud,
         u=u,
-        theta=theta,
-        damage=damage,
+        theta=system.extract_theta(report.x),
+        damage=disc.damage,
         u_exact=u_exact,
         report_mask=mask,
-        rms_error=rms_error,
+        rms_error=rms_norm(u[mask] - u_exact[mask]),
         solve_report=report,
-        wall_time=wall,
+        wall_time=time.perf_counter() - t0,
     )
+
+
+def run_case(config: RunConfig, out: Path | str | None = None) -> RunResult:
+    """Execute one benchmark: cloud, weights, system, solve, errors.
+
+    With ``out`` set, writes ``fields.csv`` (interior nodes) and
+    ``summary.json`` into that directory.
+    """
+    t0 = time.perf_counter()
+    case, spec = _build_case(config)
+    result = _run_physics(config, case, build_discretization(config, spec), t0)
     if out is not None:
         out = Path(out)
         out.mkdir(parents=True, exist_ok=True)
@@ -324,9 +341,11 @@ def sweep_contrast(
 ) -> dict:
     """Inclusion runs over a range of shear contrasts, with profiles.
 
-    For each ratio the inclusion case is solved at the configured
-    resolution and the x-displacement along the lattice row nearest the
-    horizontal centerline is extracted next to its analytic overlay.
+    The geometry is built once and shared by every ratio, which only
+    changes the material.  For each ratio the inclusion case is solved
+    at the configured resolution and the x-displacement along the
+    lattice row nearest the horizontal centerline is extracted next to
+    its analytic overlay.
 
     Returns a dict with per-ratio profile arrays and summary numbers.
     """
@@ -336,16 +355,20 @@ def sweep_contrast(
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
 
+    configs = [replace(config, case="inclusion", mu_ratio=float(r)) for r in ratios]
+    cases = [_build_case(cfg) for cfg in configs]
+    # Every ratio has the same inclusion domain.
+    disc = build_discretization(config, cases[0][1])
+
     entries = []
-    for ratio in ratios:
-        cfg = replace(config, case="inclusion", mu_ratio=float(ratio))
-        result = run_case(cfg)
+    for cfg, (case, _) in zip(configs, cases):
+        result = _run_physics(cfg, case, disc, time.perf_counter())
         profile = _centerline_profile(result)
         err = rms_norm(profile["ux"] - profile["ux_exact"])
         scale = float(np.abs(result.u_exact[result.report_mask]).max())
         entries.append(
             {
-                "ratio": float(ratio),
+                "ratio": cfg.mu_ratio,
                 "profile": profile,
                 "profile_rms": err,
                 "max_abs_u": scale,
@@ -353,8 +376,9 @@ def sweep_contrast(
             }
         )
         if out_path is not None:
-            name = f"profile_ratio_{float(ratio)!r}.csv"
-            _write_profile(out_path / name, profile)
+            name = f"profile_ratio_{cfg.mu_ratio!r}.csv"
+            columns = [profile[c] for c in ("x", "y", "ux", "ux_exact")]
+            write_csv(out_path / name, "x,y,ux,ux_exact", columns)
 
     summary = {
         "case": "inclusion-sweep",
@@ -395,34 +419,23 @@ def _centerline_profile(result: RunResult) -> dict[str, np.ndarray]:
 # output writers (repr-formatted, so reruns are byte-identical)
 
 
-def _fmt(v) -> str:
-    return repr(float(v))
+def write_csv(path: Path, header: str, columns) -> None:
+    """Write equal-length columns under ``header``, each value as its ``repr``.
+
+    Columns are converted with ``tolist()``, so float columns print as
+    Python floats and integer columns as Python ints.
+    """
+    rows = zip(*(np.asarray(col).tolist() for col in columns))
+    lines = [header, *(",".join(map(repr, row)) for row in rows)]
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _write_fields(path: Path, result: RunResult) -> None:
     idx = np.nonzero(result.report_mask)[0]
-    err = np.hypot(
-        result.u[idx, 0] - result.u_exact[idx, 0],
-        result.u[idx, 1] - result.u_exact[idx, 1],
-    )
-    lines = [FIELDS_HEADER]
-    for row, i in enumerate(idx):
-        lines.append(
-            ",".join(
-                [
-                    _fmt(result.cloud.positions[i, 0]),
-                    _fmt(result.cloud.positions[i, 1]),
-                    _fmt(result.u[i, 0]),
-                    _fmt(result.u[i, 1]),
-                    _fmt(result.theta[i]),
-                    _fmt(result.damage[i]),
-                    _fmt(result.u_exact[i, 0]),
-                    _fmt(result.u_exact[i, 1]),
-                    _fmt(err[row]),
-                ]
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
+    pos, u, u_exact = result.cloud.positions[idx], result.u[idx], result.u_exact[idx]
+    err = np.hypot(u[:, 0] - u_exact[:, 0], u[:, 1] - u_exact[:, 1])
+    columns = [*pos.T, *u.T, result.theta[idx], result.damage[idx], *u_exact.T, err]
+    write_csv(path, FIELDS_HEADER, columns)
 
 
 def _write_summary(path: Path, result: RunResult, slope: float | None = None) -> None:
@@ -444,20 +457,8 @@ def _write_summary(path: Path, result: RunResult, slope: float | None = None) ->
 
 
 def _write_convergence(path: Path, report: ConvergenceReport) -> None:
-    lines = [CONVERGENCE_HEADER]
-    for n, h, ni, err in zip(
-        report.n_values, report.h_values, report.n_interior, report.rms_errors
-    ):
-        lines.append(f"{n},{_fmt(h)},{ni},{_fmt(err)}")
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_profile(path: Path, profile: dict[str, np.ndarray]) -> None:
-    lines = ["x,y,ux,ux_exact"]
-    for k in range(len(profile["x"])):
-        lines.append(
-            ",".join(
-                _fmt(profile[c][k]) for c in ("x", "y", "ux", "ux_exact")
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
+    write_csv(
+        path,
+        CONVERGENCE_HEADER,
+        [report.n_values, report.h_values, report.n_interior, report.rms_errors],
+    )

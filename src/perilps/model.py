@@ -1,5 +1,13 @@
 """Discrete state-based peridynamic solid model on a point cloud.
 
+The model splits into material-free geometry and physics.  A
+``Discretization`` holds everything that depends on the point cloud
+alone: neighborhoods, quadrature weights, broken bonds and removed
+nodes, the surviving pair weights, the dilatation correction and the
+damage.  The material enters only through the pair moduli of
+``assemble_system`` and ``apply_operator``, so one discretization
+serves any number of materials on the same cloud.
+
 The unknowns are the displacements of interior nodes plus a nonlocal
 dilatation value at every node within one horizon of the unit square.
 Momentum balance couples a dilatation (volumetric) force term with a
@@ -16,7 +24,6 @@ the identity and the correction is a no-op.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,15 +31,17 @@ import scipy.sparse as sp
 
 from .errors import AssemblyError, ConfigError
 from .pointcloud import Neighborhoods, PointCloud, dilatation_nodes
-from .quadrature import QuadratureFamily
+from .quadrature import KernelSpec, QuadratureFamily
 
 __all__ = [
-    "LpsConstants",
+    "C_ALPHA",
+    "C_BETA",
+    "DIM",
     "MaterialField",
     "BondSet",
     "DilatationCorrection",
+    "Discretization",
     "BlockSystem",
-    "harmonic_pair",
     "break_bonds_crossing_circle",
     "damage_field",
     "compute_moment_tensors",
@@ -45,32 +54,11 @@ __all__ = [
 MOMENT_COND_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class LpsConstants:
-    """Dimension-dependent scaling constants of the solid model.
-
-    ``c_alpha`` scales the dilatation force term, ``c_beta`` the bond
-    force term, and ``weighted_volume`` is the kernel-weighted ball
-    volume m(delta).  The 3D set is kept as data for reference; only
-    the 2D plane-strain geometry is implemented.
-    """
-
-    c_alpha: float
-    c_beta: float
-    dim: int
-
-    @classmethod
-    def plane_strain(cls) -> "LpsConstants":
-        return cls(c_alpha=2.0, c_beta=16.0, dim=2)
-
-    @classmethod
-    def three_dimensional(cls) -> "LpsConstants":
-        return cls(c_alpha=3.0, c_beta=30.0, dim=3)
-
-    def weighted_volume(self, delta: float) -> float:
-        if self.dim == 2:
-            return 2.0 * math.pi * delta**3 / 3.0
-        return math.pi * delta**4
+#: Plane-strain scaling of the dilatation force term and of the bond
+#: force term, and the spatial dimension.
+C_ALPHA = 2.0
+C_BETA = 16.0
+DIM = 2
 
 
 @dataclass
@@ -92,15 +80,8 @@ class MaterialField:
         return cls(lam=np.asarray(lam, dtype=float), mu=np.asarray(mu, dtype=float))
 
 
-def harmonic_pair(a: float, b: float) -> float:
-    """Harmonic mean of two positive moduli, ``2 / (1/a + 1/b)``."""
-    if a <= 0.0 or b <= 0.0:
-        raise ConfigError(f"harmonic pairing needs positive moduli, got {a}, {b}")
-    return 2.0 * a * b / (a + b)
-
-
 def _harmonic_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Vector version; tolerates zeros (limit value 0) for lam fields.
+    # 2 / (1/a + 1/b), with the limit value 0 where a modulus is 0 (lam).
     s = a + b
     out = np.zeros_like(s)
     np.divide(2.0 * a * b, s, out=out, where=s > 0.0)
@@ -131,9 +112,9 @@ class BondSet:
         return BondSet(broken=self.broken.copy(), present=present.copy())
 
     def modified_weights(self, family: QuadratureFamily, nbrs: Neighborhoods) -> np.ndarray:
-        w = np.where(np.isnan(family.weights), 0.0, family.weights)
         alive = (~self.broken) & self.present[nbrs.row_index] & self.present[nbrs.indices]
-        return np.where(alive, w, 0.0)
+        # Rows of nodes without computed weights hold NaN; they become 0.
+        return np.where(alive & family.computed[nbrs.row_index], family.weights, 0.0)
 
 
 def break_bonds_crossing_circle(
@@ -185,21 +166,18 @@ def hole_removal_mask(cloud: PointCloud, circle) -> np.ndarray:
 
 
 def damage_field(
-    bonds: BondSet, family: QuadratureFamily, nbrs: Neighborhoods
+    family: QuadratureFamily, nbrs: Neighborhoods, weights: np.ndarray
 ) -> np.ndarray:
     """Per-node damage: one minus the surviving share of quadrature weight.
 
-    Uses the ratio of summed post-break weights to summed intact
-    weights.  Nodes without computed weights report NaN; a node whose
-    intact weights sum to zero is fully damaged by convention.
+    ``weights`` are the surviving pair weights (``BondSet.modified_weights``).
+    Nodes without computed weights report NaN; a node whose intact
+    weights sum to zero is fully damaged by convention.
     """
-    w = np.where(np.isnan(family.weights), 0.0, family.weights)
-    wt = bonds.modified_weights(family, nbrs)
-    total = np.bincount(nbrs.row_index, weights=w, minlength=nbrs.n_points)
-    alive = np.bincount(nbrs.row_index, weights=wt, minlength=nbrs.n_points)
-    damage = np.where(total != 0.0, 1.0 - alive / np.where(total != 0.0, total, 1.0), 1.0)
-    damage[~family.computed] = np.nan
-    return damage
+    total = family.weight_sums(nbrs)
+    alive = np.bincount(nbrs.row_index, weights=weights, minlength=nbrs.n_points)
+    nonzero = total != 0.0
+    return np.where(nonzero, 1.0 - alive / np.where(nonzero, total, 1.0), 1.0)
 
 
 @dataclass
@@ -213,28 +191,26 @@ class DilatationCorrection:
 
 
 def compute_moment_tensors(
-    cloud: PointCloud,
     nbrs: Neighborhoods,
     family: QuadratureFamily,
-    bonds: BondSet,
-    constants: LpsConstants,
+    weights: np.ndarray,
     needed: np.ndarray | None = None,
 ) -> DilatationCorrection:
     """Assemble ``M_i = (d/m) sum_j K z (x) z w~`` for the needed nodes.
 
-    On a full intact ball the moment constraints force ``M_i`` to the
-    identity.  With bonds missing, ``M_i`` deviates and its inverse
-    restores affine exactness of the dilatation.  Tensors whose
-    smallest singular value falls below ``MOMENT_COND_TOL`` times the
-    largest get a pseudo-inverse instead and are flagged.
+    ``weights`` are the surviving pair weights ``w~``.  On a full intact
+    ball the moment constraints force ``M_i`` to the identity.  With
+    bonds missing, ``M_i`` deviates and its inverse restores affine
+    exactness of the dilatation.  Tensors whose smallest singular value
+    falls below ``MOMENT_COND_TOL`` times the largest get a
+    pseudo-inverse instead and are flagged.
     """
-    n = cloud.n_points
+    n = nbrs.n_points
     if needed is None:
         needed = family.computed
-    wt = bonds.modified_weights(family, nbrs)
     i_pair = nbrs.row_index
     z = nbrs.offsets
-    fac = constants.dim / constants.weighted_volume(cloud.delta) * wt / nbrs.distances
+    fac = DIM / KernelSpec(delta=nbrs.delta).weighted_volume * weights / nbrs.distances
 
     M = np.zeros((n, 2, 2))
     M[:, 0, 0] = np.bincount(i_pair, weights=fac * z[:, 0] * z[:, 0], minlength=n)
@@ -264,6 +240,24 @@ def compute_moment_tensors(
     return DilatationCorrection(
         tensors=M, inverses=inv, invertible=invertible, computed=needed.copy()
     )
+
+
+@dataclass
+class Discretization:
+    """The material-free geometry of one point cloud.
+
+    ``weights`` are the surviving pair weights, ``bonds.modified_weights``
+    of ``family``, computed once; ``correction`` and ``damage`` are built
+    from them.  Any material on this cloud is assembled from this record.
+    """
+
+    cloud: PointCloud
+    nbrs: Neighborhoods
+    family: QuadratureFamily
+    bonds: BondSet
+    weights: np.ndarray
+    correction: DilatationCorrection
+    damage: np.ndarray
 
 
 @dataclass
@@ -304,15 +298,7 @@ class BlockSystem:
         return th
 
 
-def _pair_coefficients(
-    cloud: PointCloud,
-    nbrs: Neighborhoods,
-    family: QuadratureFamily,
-    bonds: BondSet,
-    material: MaterialField,
-    constants: LpsConstants,
-    correction: DilatationCorrection,
-):
+def _pair_coefficients(disc: Discretization, material: MaterialField):
     """Per-bond coefficient arrays shared by assembly and application.
 
     Returns the dilatation-force vector ``A`` (scales theta_i + theta_j),
@@ -320,33 +306,31 @@ def _pair_coefficients(
     ``s_fac * z (x) z`` acting on ``u_j - u_i``, and the corrected
     dilatation row vector ``c`` (so theta_i = sum_j c . (u_j - u_i)).
     """
-    wt = bonds.modified_weights(family, nbrs)
+    nbrs = disc.nbrs
+    wt = disc.weights
     i_pair = nbrs.row_index
     j_pair = nbrs.indices
     z = nbrs.offsets
     r = nbrs.distances
     kernel = 1.0 / r
-    m = constants.weighted_volume(cloud.delta)
+    m = KernelSpec(delta=disc.cloud.delta).weighted_volume
 
     lam_p = _harmonic_mean(material.lam[i_pair], material.lam[j_pair])
     mu_p = _harmonic_mean(material.mu[i_pair], material.mu[j_pair])
 
-    a_vec = (constants.c_alpha / m) * ((lam_p - mu_p) * kernel * wt)[:, None] * z
-    s_fac = (constants.c_beta / m) * mu_p * kernel * wt / r**2
+    a_vec = (C_ALPHA / m) * ((lam_p - mu_p) * kernel * wt)[:, None] * z
+    s_fac = (C_BETA / m) * mu_p * kernel * wt / r**2
 
-    c_fac = (constants.dim / m) * kernel * wt
-    c_vec = c_fac[:, None] * np.einsum("pab,pb->pa", correction.inverses[i_pair], z)
-    return wt, a_vec, s_fac, c_vec
+    c_fac = (DIM / m) * kernel * wt
+    c_vec = c_fac[:, None] * np.einsum(
+        "pab,pb->pa", disc.correction.inverses[i_pair], z
+    )
+    return a_vec, s_fac, c_vec
 
 
 def assemble_system(
-    cloud: PointCloud,
-    nbrs: Neighborhoods,
-    family: QuadratureFamily,
-    bonds: BondSet,
+    disc: Discretization,
     material: MaterialField,
-    constants: LpsConstants,
-    correction: DilatationCorrection,
     dirichlet: np.ndarray,
     forcing: np.ndarray,
 ) -> BlockSystem:
@@ -358,13 +342,14 @@ def assemble_system(
     their perturbed positions), which must be finite wherever it is
     referenced.
     """
+    cloud, nbrs = disc.cloud, disc.nbrs
     n = cloud.n_points
-    present = bonds.present
+    present = disc.bonds.present
     u_unknown = cloud.interior & present
     theta_mask = dilatation_nodes(cloud, nbrs) & present
-    if not np.all(family.computed[theta_mask]):
+    if not np.all(disc.family.computed[theta_mask]):
         raise AssemblyError("a dilatation node is missing quadrature weights")
-    if not np.all(correction.computed[theta_mask]):
+    if not np.all(disc.correction.computed[theta_mask]):
         raise AssemblyError("a dilatation node is missing its moment tensor")
 
     u_index = np.full(n, -1, dtype=np.int64)
@@ -375,14 +360,12 @@ def assemble_system(
     n_theta = int(theta_mask.sum())
     n_tot = 2 * n_u + n_theta
 
-    wt, a_vec, s_fac, c_vec = _pair_coefficients(
-        cloud, nbrs, family, bonds, material, constants, correction
-    )
+    a_vec, s_fac, c_vec = _pair_coefficients(disc, material)
     i_pair = nbrs.row_index
     j_pair = nbrs.indices
     z = nbrs.offsets
 
-    live = wt != 0.0
+    live = disc.weights != 0.0
     if np.any(live & ~(present[i_pair] & present[j_pair])):
         raise AssemblyError("a surviving bond references a removed node")
 
@@ -471,6 +454,9 @@ def assemble_system(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n_tot, n_tot),
     ).tocsr()
+    # Where lam = mu on both ends of a bond its theta coupling is exactly
+    # zero; stored zeros would still be ordered and filled by the LU.
+    matrix.eliminate_zeros()
 
     return BlockSystem(
         matrix=matrix,
@@ -483,14 +469,7 @@ def assemble_system(
 
 
 def apply_operator(
-    cloud: PointCloud,
-    nbrs: Neighborhoods,
-    family: QuadratureFamily,
-    bonds: BondSet,
-    material: MaterialField,
-    constants: LpsConstants,
-    correction: DilatationCorrection,
-    u_all: np.ndarray,
+    disc: Discretization, material: MaterialField, u_all: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply the discrete operator to a displacement given at all nodes.
 
@@ -504,10 +483,9 @@ def apply_operator(
     momentum : (N, 2) array, NaN at non-interior nodes
     theta : (N,) array, NaN where not computed
     """
+    cloud, nbrs, computed = disc.cloud, disc.nbrs, disc.family.computed
     n = cloud.n_points
-    wt, a_vec, s_fac, c_vec = _pair_coefficients(
-        cloud, nbrs, family, bonds, material, constants, correction
-    )
+    a_vec, s_fac, c_vec = _pair_coefficients(disc, material)
     i_pair = nbrs.row_index
     j_pair = nbrs.indices
     du = u_all[j_pair] - u_all[i_pair]
@@ -515,7 +493,7 @@ def apply_operator(
     theta = np.full(n, np.nan)
     contrib = np.einsum("pb,pb->p", c_vec, du)
     th = np.bincount(i_pair, weights=contrib, minlength=n)
-    theta[family.computed] = th[family.computed]
+    theta[computed] = th[computed]
 
     mom = np.full((n, 2), np.nan)
     # Dead bonds carry zero coefficients but may point at nodes with no
@@ -524,7 +502,7 @@ def apply_operator(
     th_sum = theta_fill[i_pair] + theta_fill[j_pair]
     z = nbrs.offsets
     sdu = s_fac * np.einsum("pb,pb->p", z, du)
-    live_int = cloud.interior & bonds.present
+    live_int = cloud.interior & disc.bonds.present
     for a in (0, 1):
         dil_term = np.bincount(i_pair, weights=a_vec[:, a] * th_sum, minlength=n)
         bond_term = np.bincount(i_pair, weights=z[:, a] * sdu, minlength=n)

@@ -1,10 +1,10 @@
 """Linear solve with a residual certificate, plus the error norm.
 
 The block systems are nonsymmetric and moderately conditioned (the
-near-incompressible cases push the dilatation coupling hard), so the
-default path is a sparse LU factorization.  Whatever backend produced
-the solution, the relative residual is recomputed from the original
-matrix and right-hand side and must pass a fixed certificate before the
+near-incompressible cases push the dilatation coupling hard), so they
+are solved by a sparse LU factorization (SuperLU).  The relative
+residual of the solution is then recomputed from the original matrix
+and right-hand side and must pass a fixed certificate before the
 solution is accepted.
 """
 
@@ -32,23 +32,15 @@ class SolveReport:
     n_unknowns: int
     nnz: int
     wall_time: float
-    method: str
 
 
-def solve(system: BlockSystem, method: str = "direct") -> SolveReport:
-    """Solve the block system and certify the residual.
-
-    Parameters
-    ----------
-    method : {"direct", "iterative"}
-        ``direct`` factorizes with SuperLU.  ``iterative`` runs GMRES
-        preconditioned by an incomplete LU; it exists for
-        experimentation and passes through the same certificate.
+def solve(system: BlockSystem) -> SolveReport:
+    """Solve the block system by sparse LU and certify the residual.
 
     Raises
     ------
     SolveError
-        On singular matrices, iteration breakdown, or a residual above
+        On an empty row, a failed factorization, or a residual above
         the certificate threshold.
     """
     A = system.matrix.tocsc()
@@ -59,23 +51,11 @@ def solve(system: BlockSystem, method: str = "direct") -> SolveReport:
     if zero_rows.size:
         raise SolveError(f"matrix has an empty row (first: {zero_rows[0]})")
 
-    if method == "direct":
-        try:
-            lu = spla.splu(A)
-        except RuntimeError as exc:
-            raise SolveError(f"sparse LU factorization failed: {exc}") from exc
-        x = lu.solve(b)
-    elif method == "iterative":
-        try:
-            prec = spla.spilu(A, drop_tol=1e-6, fill_factor=20.0)
-        except RuntimeError as exc:
-            raise SolveError(f"ILU preconditioner failed: {exc}") from exc
-        op = spla.LinearOperator(A.shape, prec.solve)
-        x, info = spla.gmres(A, b, M=op, rtol=1e-13, atol=0.0, maxiter=2000, restart=200)
-        if info != 0:
-            raise SolveError(f"GMRES did not converge (info={info})")
-    else:
-        raise SolveError(f"unknown solver method {method!r}")
+    try:
+        lu = spla.splu(A)
+    except RuntimeError as exc:
+        raise SolveError(f"sparse LU factorization failed: {exc}") from exc
+    x = lu.solve(b)
 
     wall = time.perf_counter() - t0
     bn = np.linalg.norm(b)
@@ -91,7 +71,6 @@ def solve(system: BlockSystem, method: str = "direct") -> SolveReport:
         n_unknowns=system.n_unknowns,
         nnz=system.matrix.nnz,
         wall_time=wall,
-        method=method,
     )
 
 

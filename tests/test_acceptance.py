@@ -15,12 +15,13 @@ from scipy.integrate import dblquad
 
 from perilps import (
     BondSet,
-    LpsConstants,
+    Discretization,
     MaterialField,
     apply_operator,
     build_neighborhoods,
     compute_family,
     compute_moment_tensors,
+    damage_field,
     generate_perturbed_lattice,
     verify_family,
 )
@@ -287,13 +288,13 @@ def test_quadrature_certificates():
 
 def test_dilatation_correction_exactness():
     t0 = time.perf_counter()
-    const = LpsConstants.plane_strain()
     cloud = generate_perturbed_lattice(16, perturb_frac=0.2, seed=3)
     nbrs = build_neighborhoods(cloud)
     family = compute_family(cloud, nbrs)
 
-    intact = BondSet.intact(nbrs)
-    corr = compute_moment_tensors(cloud, nbrs, family, intact, const)
+    corr = compute_moment_tensors(
+        nbrs, family, BondSet.intact(nbrs).modified_weights(family, nbrs)
+    )
     identity_gap = float(np.abs(corr.tensors[family.computed] - np.eye(2)).max())
 
     # Sever a random share of each node's bonds, up to half.
@@ -301,8 +302,18 @@ def test_dilatation_correction_exactness():
     frac = rng.uniform(0.0, 0.5, size=cloud.n_points)
     broken = rng.random(nbrs.n_pairs) < frac[nbrs.row_index]
     damaged = BondSet(broken=broken, present=np.ones(cloud.n_points, dtype=bool))
-    corr_d = compute_moment_tensors(cloud, nbrs, family, damaged, const)
+    weights = damaged.modified_weights(family, nbrs)
+    corr_d = compute_moment_tensors(nbrs, family, weights)
     assert corr_d.invertible[family.computed].all()
+    disc = Discretization(
+        cloud=cloud,
+        nbrs=nbrs,
+        family=family,
+        bonds=damaged,
+        weights=weights,
+        correction=corr_d,
+        damage=damage_field(family, nbrs, weights),
+    )
 
     mat = MaterialField(
         lam=np.full(cloud.n_points, 0.5), mu=np.full(cloud.n_points, 0.5)
@@ -312,7 +323,7 @@ def test_dilatation_correction_exactness():
         G = rng.uniform(-1.0, 1.0, size=(2, 2))
         shift = rng.uniform(-1.0, 1.0, size=2)
         u = cloud.positions @ G.T + shift
-        _, theta = apply_operator(cloud, nbrs, family, damaged, mat, const, corr_d, u)
+        _, theta = apply_operator(disc, mat, u)
         worst_affine = max(
             worst_affine, float(np.abs(theta[family.computed] - np.trace(G)).max())
         )

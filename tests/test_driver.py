@@ -1,12 +1,16 @@
 """Driver and CLI tests: configuration validation, artifact schemas,
 deterministic reruns, reference tables, and exit codes."""
 
+import importlib.util
 import json
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from perilps import ConfigError
+from perilps import ConfigError, cli, driver
 from perilps.cli import main
 from perilps.driver import (
     CONVERGENCE_HEADER,
@@ -98,6 +102,15 @@ def test_summary_json_schema(patch_run):
     assert summary["rms_error"] == result.rms_error
     assert summary["h"] == result.cloud.h
     assert summary["delta"] == result.cloud.delta
+
+
+def test_write_csv_matches_per_value_repr(tmp_path):
+    """Floats print as repr of the Python float, integer columns as ints."""
+    ids = np.array([3, 11])
+    vals = np.array([0.1, np.nan])
+    driver.write_csv(tmp_path / "t.csv", "i,v", [ids, vals])
+    expected = ["i,v"] + [f"{int(i)},{float(v)!r}" for i, v in zip(ids, vals)]
+    assert (tmp_path / "t.csv").read_text() == "\n".join(expected) + "\n"
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -234,6 +247,16 @@ def test_sweep_profile_row_near_centerline(tmp_path):
     assert np.all(np.abs(prof["y"] - 0.5) < 1.5 * (1.0 / 12.0))
 
 
+def test_sweep_matches_single_runs_exactly():
+    """The sweep's shared geometry gives the same errors as fresh runs."""
+    cfg = RunConfig(case="inclusion", n=12)
+    ratios = [0.5, 4.0]
+    out = sweep_contrast(cfg, ratios)
+    for entry, ratio in zip(out["entries"], ratios):
+        single = run_case(replace(cfg, case="inclusion", mu_ratio=ratio))
+        assert entry["rms_error"] == single.rms_error
+
+
 def test_sweep_requires_ratios():
     with pytest.raises(ConfigError):
         sweep_contrast(RunConfig(case="inclusion", n=12), [])
@@ -297,3 +320,42 @@ def test_cli_sweep(tmp_path, capsys):
     assert rc == 0
     assert (tmp_path / "sweep.json").exists()
     assert (tmp_path / "profile_ratio_1.0.csv").exists()
+
+
+def test_cli_sweep_honours_strict_vh(tmp_path):
+    rc = main(["sweep", "--ratios", "8", "--n", "12", "--strict-vh",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    written = json.loads((tmp_path / "sweep.json").read_text())["rms_error"]
+    cfg = RunConfig(case="inclusion", n=12)
+    strict = sweep_contrast(replace(cfg, strict_vh=True), [8.0])["summary"]["rms_error"]
+    loose = sweep_contrast(cfg, [8.0])["summary"]["rms_error"]
+    assert written == strict
+    assert written != loose
+
+
+def _load_benchmark_tracing(monkeypatch):
+    """perfbench/tracing.py, loaded by path without writing bytecode."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    # Its dataclasses look their module up by name while being defined.
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_trace_targets_fire_on_sweep(tmp_path, monkeypatch):
+    """Every layer the benchmark traces on its sweep workload is still
+    reached through the names it wraps, and the geometry is built once."""
+    tracing = _load_benchmark_tracing(monkeypatch)
+    tracer = tracing.Tracer({"cli": cli, "driver": driver})
+    with tracer.traced("sweep", "cli.sweep"):
+        rc = cli.main(["sweep", "--n", "12", "--ratios", "1,8", "--out", str(tmp_path)])
+    assert rc == 0
+    fired = {span.name for span in tracer.spans if span.parent}
+    assert fired == set(tracing.SPAN_NAMES) - {"model.bonds"}
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["pointcloud.calls"] == 1
+    assert metrics["quadrature.calls"] == 1

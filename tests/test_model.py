@@ -9,8 +9,9 @@ from perilps import (
     BondSet,
     ConfigError,
     Disk,
+    Discretization,
     DomainSpec,
-    LpsConstants,
+    KernelSpec,
     MaterialField,
     Neighborhoods,
     PointCloud,
@@ -22,7 +23,6 @@ from perilps import (
     compute_moment_tensors,
     damage_field,
     generate_perturbed_lattice,
-    harmonic_pair,
     hole_removal_mask,
     make_inclusion_case,
     make_patch_case,
@@ -30,8 +30,21 @@ from perilps import (
     moduli_from_K_nu,
 )
 from perilps.errors import AssemblyError
+from perilps.model import C_ALPHA, C_BETA, DIM
 
-CONST = LpsConstants.plane_strain()
+
+def _discretize(cloud, nbrs, family, bonds, needed=None):
+    """A Discretization over the given bonds, built as the driver's geometry step does."""
+    weights = bonds.modified_weights(family, nbrs)
+    return Discretization(
+        cloud=cloud,
+        nbrs=nbrs,
+        family=family,
+        bonds=bonds,
+        weights=weights,
+        correction=compute_moment_tensors(nbrs, family, weights, needed=needed),
+        damage=damage_field(family, nbrs, weights),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -54,29 +67,12 @@ def perturbed12():
 # constants and material fields
 
 
-def test_harmonic_pair_value():
-    assert harmonic_pair(2.0, 1.0) == pytest.approx(4.0 / 3.0)
-    assert harmonic_pair(3.0, 3.0) == pytest.approx(3.0)
-
-
-def test_harmonic_pair_rejects_nonpositive():
-    with pytest.raises(ConfigError):
-        harmonic_pair(0.0, 1.0)
-    with pytest.raises(ConfigError):
-        harmonic_pair(2.0, -1.0)
-
-
 def test_plane_strain_constants():
-    c = LpsConstants.plane_strain()
-    assert (c.c_alpha, c.c_beta, c.dim) == (2.0, 16.0, 2)
+    assert (C_ALPHA, C_BETA, DIM) == (2.0, 16.0, 2)
     delta = 0.35
-    assert c.weighted_volume(delta) == pytest.approx(2.0 * np.pi * delta**3 / 3.0)
-
-
-def test_three_dimensional_constants_are_data_only():
-    c = LpsConstants.three_dimensional()
-    assert (c.c_alpha, c.c_beta, c.dim) == (3.0, 30.0, 3)
-    assert c.weighted_volume(2.0) == pytest.approx(np.pi * 16.0)
+    assert KernelSpec(delta=delta).weighted_volume == pytest.approx(
+        2.0 * np.pi * delta**3 / 3.0
+    )
 
 
 def test_material_field_validation():
@@ -251,7 +247,8 @@ def test_hole_removal_mask_covers_strays():
 
 def test_damage_intact_and_uncomputed(perturbed12):
     cloud, nbrs, family = perturbed12
-    damage = damage_field(BondSet.intact(nbrs), family, nbrs)
+    weights = BondSet.intact(nbrs).modified_weights(family, nbrs)
+    damage = damage_field(family, nbrs, weights)
     np.testing.assert_allclose(damage[family.computed], 0.0, atol=1e-15)
     assert np.isnan(damage[~family.computed]).all()
 
@@ -263,8 +260,9 @@ def test_damage_ratios(perturbed12):
 
     broken = np.zeros(nbrs.n_pairs, dtype=bool)
     broken[sl] = True
+    present = np.ones(cloud.n_points, bool)
     all_gone = damage_field(
-        BondSet(broken=broken, present=np.ones(cloud.n_points, bool)), family, nbrs
+        family, nbrs, BondSet(broken=broken, present=present).modified_weights(family, nbrs)
     )
     assert all_gone[i] == pytest.approx(1.0)
 
@@ -273,7 +271,7 @@ def test_damage_ratios(perturbed12):
     one = np.zeros(nbrs.n_pairs, dtype=bool)
     one[sl.start] = True
     partial = damage_field(
-        BondSet(broken=one, present=np.ones(cloud.n_points, bool)), family, nbrs
+        family, nbrs, BondSet(broken=one, present=present).modified_weights(family, nbrs)
     )
     share = family.weights[sl.start] / family.weights[sl].sum()
     assert partial[i] == pytest.approx(share, rel=1e-12)
@@ -297,7 +295,7 @@ def test_moment_tensor_identity_on_intact_balls(fixture_name, request):
     lattices.
     """
     cloud, nbrs, family = request.getfixturevalue(fixture_name)
-    corr = compute_moment_tensors(cloud, nbrs, family, BondSet.intact(nbrs), CONST)
+    corr = _discretize(cloud, nbrs, family, BondSet.intact(nbrs)).correction
     dev = np.abs(corr.tensors[family.computed] - np.eye(2)).max()
     assert dev < 1e-12
     assert corr.invertible[family.computed].all()
@@ -308,9 +306,7 @@ def test_moment_tensor_needed_mask(perturbed12):
     cloud, nbrs, family = perturbed12
     needed = np.zeros(cloud.n_points, dtype=bool)
     needed[np.nonzero(family.computed)[0][:5]] = True
-    corr = compute_moment_tensors(
-        cloud, nbrs, family, BondSet.intact(nbrs), CONST, needed=needed
-    )
+    corr = _discretize(cloud, nbrs, family, BondSet.intact(nbrs), needed=needed).correction
     np.testing.assert_array_equal(corr.computed, needed)
     assert not corr.invertible[~needed].any()
 
@@ -327,13 +323,13 @@ def test_corrected_dilatation_affine_exact_with_damage(perturbed12):
         broken=rng.random(nbrs.n_pairs) < 0.3,
         present=np.ones(cloud.n_points, dtype=bool),
     )
-    corr = compute_moment_tensors(cloud, nbrs, family, bonds, CONST)
-    assert corr.invertible[family.computed].all()
+    disc = _discretize(cloud, nbrs, family, bonds)
+    assert disc.correction.invertible[family.computed].all()
 
     G = np.array([[0.3, -1.2], [0.7, 2.1]])
     u = cloud.positions @ G.T + np.array([0.4, -0.2])
     mat = MaterialField(lam=np.full(cloud.n_points, 0.5), mu=np.full(cloud.n_points, 0.5))
-    _, theta = apply_operator(cloud, nbrs, family, bonds, mat, CONST, corr, u)
+    _, theta = apply_operator(disc, mat, u)
     np.testing.assert_allclose(theta[family.computed], np.trace(G), atol=1e-12)
 
 
@@ -345,12 +341,11 @@ def test_operator_reproduces_patch_forcing(perturbed12):
     """Quadratic displacement: momentum equals the constant forcing (3, 12)
     and the dilatation equals the local divergence 2x + 8y."""
     cloud, nbrs, family = perturbed12
-    bonds = BondSet.intact(nbrs)
-    corr = compute_moment_tensors(cloud, nbrs, family, bonds, CONST)
+    disc = _discretize(cloud, nbrs, family, BondSet.intact(nbrs))
     case = make_patch_case()
     mat = MaterialField.from_case(case, cloud)
     u = case.displacement(cloud.positions)
-    mom, theta = apply_operator(cloud, nbrs, family, bonds, mat, CONST, corr, u)
+    mom, theta = apply_operator(disc, mat, u)
 
     f = case.forcing(cloud.positions)
     assert np.abs(mom[cloud.interior] - f[cloud.interior]).max() < 1e-11
@@ -362,11 +357,10 @@ def test_operator_reproduces_patch_forcing(perturbed12):
 
 def test_operator_annihilates_constants(perturbed12):
     cloud, nbrs, family = perturbed12
-    bonds = BondSet.intact(nbrs)
-    corr = compute_moment_tensors(cloud, nbrs, family, bonds, CONST)
+    disc = _discretize(cloud, nbrs, family, BondSet.intact(nbrs))
     mat = MaterialField(lam=np.full(cloud.n_points, 0.5), mu=np.full(cloud.n_points, 0.5))
     u = np.tile([0.7, -1.3], (cloud.n_points, 1))
-    mom, theta = apply_operator(cloud, nbrs, family, bonds, mat, CONST, corr, u)
+    mom, theta = apply_operator(disc, mat, u)
     np.testing.assert_allclose(mom[cloud.interior], 0.0, atol=1e-13)
     np.testing.assert_allclose(theta[family.computed], 0.0, atol=1e-13)
 
@@ -376,18 +370,15 @@ def test_assembly_matches_matrix_free_application(perturbed12):
     A x - b must equal the matrix-free momentum residual (and zero on
     the dilatation rows)."""
     cloud, nbrs, family = perturbed12
-    bonds = BondSet.intact(nbrs)
-    corr = compute_moment_tensors(cloud, nbrs, family, bonds, CONST)
+    disc = _discretize(cloud, nbrs, family, BondSet.intact(nbrs))
     case = make_smooth_case(moduli_from_K_nu(1.0, 0.25), frequency=2.0)
     mat = MaterialField.from_case(case, cloud)
     pos = cloud.positions
     w = np.column_stack([np.sin(3.0 * pos[:, 0]), np.cos(2.0 * pos[:, 1])])
     f = case.forcing(pos)
 
-    system = assemble_system(
-        cloud, nbrs, family, bonds, mat, CONST, corr, dirichlet=w, forcing=f
-    )
-    mom, theta = apply_operator(cloud, nbrs, family, bonds, mat, CONST, corr, w)
+    system = assemble_system(disc, mat, dirichlet=w, forcing=f)
+    mom, theta = apply_operator(disc, mat, w)
 
     x = np.zeros(system.n_unknowns)
     has_u = system.u_index >= 0
@@ -404,17 +395,24 @@ def test_assembly_matches_matrix_free_application(perturbed12):
     assert np.abs(residual - expected).max() < 1e-11
 
 
+def test_assembly_stores_no_zeros_when_lam_equals_mu(perturbed12):
+    """With lam = mu everywhere every u-theta coupling is exactly zero,
+    and none of those zeros may be stored in the matrix."""
+    cloud, nbrs, family = perturbed12
+    disc = _discretize(cloud, nbrs, family, BondSet.intact(nbrs))
+    mat = MaterialField(lam=np.full(cloud.n_points, 0.5), mu=np.full(cloud.n_points, 0.5))
+    u = np.zeros((cloud.n_points, 2))
+    system = assemble_system(disc, mat, dirichlet=u, forcing=u)
+    assert system.matrix.nnz == system.matrix.count_nonzero()
+
+
 def test_block_system_roundtrip(perturbed12):
     cloud, nbrs, family = perturbed12
-    bonds = BondSet.intact(nbrs)
-    corr = compute_moment_tensors(cloud, nbrs, family, bonds, CONST)
+    disc = _discretize(cloud, nbrs, family, BondSet.intact(nbrs))
     case = make_patch_case()
     mat = MaterialField.from_case(case, cloud)
     u = case.displacement(cloud.positions)
-    system = assemble_system(
-        cloud, nbrs, family, bonds, mat, CONST, corr,
-        dirichlet=u, forcing=case.forcing(cloud.positions),
-    )
+    system = assemble_system(disc, mat, dirichlet=u, forcing=case.forcing(cloud.positions))
     assert system.n_unknowns == 2 * system.n_u_points + system.n_theta
     assert system.n_u_points == cloud.n_interior
 
@@ -435,30 +433,20 @@ def test_assembly_rejects_missing_weights(perturbed12):
     """Weights restricted to the square interior cannot serve the collar
     dilatation rows."""
     cloud, nbrs, family = perturbed12
-    bonds = BondSet.intact(nbrs)
     small_family = compute_family(cloud, nbrs, needed=cloud.interior)
-    corr = compute_moment_tensors(cloud, nbrs, small_family, bonds, CONST)
+    disc = _discretize(cloud, nbrs, small_family, BondSet.intact(nbrs))
     case = make_patch_case()
     mat = MaterialField.from_case(case, cloud)
     u = case.displacement(cloud.positions)
     with pytest.raises(AssemblyError):
-        assemble_system(
-            cloud, nbrs, small_family, bonds, mat, CONST, corr,
-            dirichlet=u, forcing=case.forcing(cloud.positions),
-        )
+        assemble_system(disc, mat, dirichlet=u, forcing=case.forcing(cloud.positions))
 
 
 def test_assembly_rejects_missing_moment_tensors(perturbed12):
     cloud, nbrs, family = perturbed12
-    bonds = BondSet.intact(nbrs)
-    corr = compute_moment_tensors(
-        cloud, nbrs, family, bonds, CONST, needed=cloud.interior
-    )
+    disc = _discretize(cloud, nbrs, family, BondSet.intact(nbrs), needed=cloud.interior)
     case = make_patch_case()
     mat = MaterialField.from_case(case, cloud)
     u = case.displacement(cloud.positions)
     with pytest.raises(AssemblyError):
-        assemble_system(
-            cloud, nbrs, family, bonds, mat, CONST, corr,
-            dirichlet=u, forcing=case.forcing(cloud.positions),
-        )
+        assemble_system(disc, mat, dirichlet=u, forcing=case.forcing(cloud.positions))

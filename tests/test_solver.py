@@ -1,19 +1,16 @@
-"""Solve-path tests: norm definition, failure modes, backends, certificates."""
+"""Solve-path tests: norm definition, failure modes, certificates."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from perilps import (
-    BondSet,
-    LpsConstants,
+    DomainSpec,
     MaterialField,
+    RunConfig,
     SolveError,
     assemble_system,
-    build_neighborhoods,
-    compute_family,
-    compute_moment_tensors,
-    generate_perturbed_lattice,
+    build_discretization,
     make_patch_case,
     rms_norm,
     solve,
@@ -55,26 +52,17 @@ def test_singular_matrix_is_rejected():
         solve(_toy_system(dense, n_u_points=1, n_theta=0))
 
 
-def test_unknown_method_is_rejected():
-    dense = np.eye(2)
-    with pytest.raises(SolveError, match="unknown solver method"):
-        solve(_toy_system(dense, n_u_points=1, n_theta=0), method="nonsense")
-
-
 @pytest.fixture(scope="module")
 def patch_system():
-    cloud = generate_perturbed_lattice(12, perturb_frac=0.2, seed=3)
-    nbrs = build_neighborhoods(cloud)
-    family = compute_family(cloud, nbrs)
-    bonds = BondSet.intact(nbrs)
-    const = LpsConstants.plane_strain()
-    corr = compute_moment_tensors(cloud, nbrs, family, bonds, const)
+    disc = build_discretization(RunConfig(case="patch", n=12, seed=3), DomainSpec())
+    cloud = disc.cloud
     case = make_patch_case()
-    mat = MaterialField.from_case(case, cloud)
     u_true = case.displacement(cloud.positions)
     system = assemble_system(
-        cloud, nbrs, family, bonds, mat, const, corr,
-        dirichlet=u_true, forcing=case.forcing(cloud.positions),
+        disc,
+        MaterialField.from_case(case, cloud),
+        dirichlet=u_true,
+        forcing=case.forcing(cloud.positions),
     )
     return cloud, system, u_true
 
@@ -82,7 +70,6 @@ def patch_system():
 def test_direct_solve_is_certified(patch_system):
     _, system, _ = patch_system
     report = solve(system)
-    assert report.method == "direct"
     assert report.residual <= 1e-10
     assert report.n_unknowns == system.n_unknowns
     assert report.nnz == system.matrix.nnz
@@ -92,15 +79,6 @@ def test_direct_solve_is_certified(patch_system):
         system.rhs
     )
     assert report.residual == pytest.approx(manual, rel=1e-12)
-
-
-def test_iterative_solve_matches_direct(patch_system):
-    _, system, _ = patch_system
-    xd = solve(system, "direct").x
-    rep = solve(system, "iterative")
-    assert rep.method == "iterative"
-    assert rep.residual <= 1e-10
-    assert np.abs(rep.x - xd).max() < 1e-10
 
 
 def test_patch_system_reproduces_quadratic_displacement(patch_system):
