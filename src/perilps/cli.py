@@ -18,6 +18,7 @@ Exit codes: 0 on success, 2 bad configuration, 3 quadrature failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -43,13 +44,19 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_geometry(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta-factor", type=float, default=3.5,
                    help="horizon in units of h (default 3.5)")
     p.add_argument("--perturb", type=float, default=0.2,
                    help="jitter amplitude in units of h (default 0.2)")
     p.add_argument("--grid", choices=driver.GRIDS, default="perturbed")
     p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--strict-vh", action="store_true",
+                   help="drop the dilatation constraints from the quadrature")
+    p.add_argument("--out", type=Path, required=True)
+
+
+def _add_material(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nu", type=float, default=None,
                    help="Poisson ratio for single-phase cases")
     p.add_argument("--nu1", type=float, default=0.25)
@@ -60,27 +67,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="2D bulk modulus of the matrix phase")
     p.add_argument("--mu-ratio", type=float, default=None,
                    help="shear contrast mu2/mu1 (overrides k1/k2/nu1/nu2)")
-    p.add_argument("--strict-vh", action="store_true",
-                   help="drop the dilatation constraints from the quadrature")
-    p.add_argument("--out", type=Path, required=True)
 
 
 def _config_from(args: argparse.Namespace, case: str, n: int) -> driver.RunConfig:
-    return driver.RunConfig(
-        case=case,
-        n=n,
-        delta_factor=args.delta_factor,
-        perturb=args.perturb,
-        grid=args.grid,
-        seed=args.seed,
-        nu=args.nu,
-        nu1=args.nu1,
-        nu2=args.nu2,
-        k1=args.k1,
-        k2=args.k2,
-        mu_ratio=args.mu_ratio,
-        strict_vh=args.strict_vh,
-    )
+    """A config from the flags the subcommand takes; the others keep their defaults."""
+    names = {f.name for f in dataclasses.fields(driver.RunConfig)} - {"case", "n"}
+    flags = {name: value for name, value in vars(args).items() if name in names}
+    return driver.RunConfig(case=case, n=n, **flags)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,13 +86,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="solve one case at one resolution")
     p_run.add_argument("--case", choices=driver.CASES, required=True)
     p_run.add_argument("--n", type=int, required=True)
-    _add_common(p_run)
+    _add_geometry(p_run)
+    _add_material(p_run)
 
     p_conv = sub.add_parser("converge", help="run a resolution ladder")
     p_conv.add_argument("--case", choices=driver.CASES, required=True)
     p_conv.add_argument("--n-list", type=_int_list, required=True,
                         help="comma-separated resolutions, e.g. 24,48,96")
-    _add_common(p_conv)
+    _add_geometry(p_conv)
+    _add_material(p_conv)
 
     p_chk = sub.add_parser("check-quadrature",
                            help="dump per-node quadrature diagnostics")
@@ -115,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
                       default=[0.015625, 0.125, 1.0, 8.0, 64.0],
                       help="comma-separated mu2/mu1 values")
     p_sw.add_argument("--n", type=int, default=64)
-    _add_common(p_sw)
+    _add_geometry(p_sw)
 
     return parser
 

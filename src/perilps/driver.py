@@ -192,7 +192,9 @@ def reference_errors(config: RunConfig) -> dict[str, float]:
     """Published errors matching this configuration, keyed by resolution."""
     key = None
     if config.case == "inclusion":
-        if config.mu_ratio is None and abs(config.nu1 - 0.25) < 1e-12:
+        # The published tables are for k1 = 2 inside and k2 = 1 outside.
+        published = config.mu_ratio is None and (config.k1, config.k2) == (2.0, 1.0)
+        if published and abs(config.nu1 - 0.25) < 1e-12:
             for nu2 in (0.25, 0.49):
                 if abs(config.nu2 - nu2) < 1e-12:
                     key = ("inclusion", (config.grid, nu2))

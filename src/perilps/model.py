@@ -337,10 +337,12 @@ def assemble_system(
     """Build the sparse block system with collar data folded into the RHS.
 
     Momentum rows are written for present interior nodes; dilatation
-    rows for every present node of ``dilatation_nodes``.
-    Displacements of collar nodes come from ``dirichlet`` (evaluated at
-    their perturbed positions), which must be finite wherever it is
-    referenced.
+    rows for every present node of ``dilatation_nodes``.  Every value
+    has a column: the unknowns in ``BlockSystem`` order, then the
+    displacements of all other nodes.  The matrix is the unknowns'
+    columns; the others, applied to ``dirichlet`` (evaluated at the
+    perturbed positions), move to the RHS, so ``dirichlet`` must be
+    finite wherever they have an entry.
     """
     cloud, nbrs = disc.cloud, disc.nbrs
     n = cloud.n_points
@@ -352,114 +354,72 @@ def assemble_system(
     if not np.all(disc.correction.computed[theta_mask]):
         raise AssemblyError("a dilatation node is missing its moment tensor")
 
-    u_index = np.full(n, -1, dtype=np.int64)
-    u_index[u_unknown] = np.arange(int(u_unknown.sum()))
-    theta_index = np.full(n, -1, dtype=np.int64)
-    theta_index[theta_mask] = np.arange(int(theta_mask.sum()))
-    n_u = int(u_unknown.sum())
-    n_theta = int(theta_mask.sum())
+    n_u, n_theta = int(u_unknown.sum()), int(theta_mask.sum())
     n_tot = 2 * n_u + n_theta
+    u_index = np.full(n, -1, dtype=np.int64)
+    u_index[u_unknown] = np.arange(n_u)
+    theta_index = np.full(n, -1, dtype=np.int64)
+    theta_index[theta_mask] = np.arange(n_theta)
+    # Column of each node's ux (uy is the next one) and of its dilatation.
+    # int32, because the sparse constructor checks and copies int64 indices.
+    known = ~u_unknown
+    n_col = n_tot + 2 * (n - n_u)
+    u_col = np.empty(n, dtype=np.int32)
+    u_col[u_unknown] = np.arange(0, 2 * n_u, 2)
+    u_col[known] = np.arange(n_tot, n_col, 2)
+    theta_col = (2 * n_u + theta_index).astype(np.int32)
 
     a_vec, s_fac, c_vec = _pair_coefficients(disc, material)
-    i_pair = nbrs.row_index
-    j_pair = nbrs.indices
-    z = nbrs.offsets
+    i_pair, j_pair = nbrs.row_index, nbrs.indices
 
     live = disc.weights != 0.0
     if np.any(live & ~(present[i_pair] & present[j_pair])):
         raise AssemblyError("a surviving bond references a removed node")
 
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    rhs = np.zeros(n_tot)
+    # (rows, cols, values) triplets.  A bond's terms in its own node's
+    # columns are summed per node, so each node adds one entry there.
+    entries = []
 
     # ---- momentum rows -------------------------------------------------
     mom = live & u_unknown[i_pair]
     mi, mj = i_pair[mom], j_pair[mom]
     if np.any(theta_index[mj] < 0):
         raise AssemblyError("a momentum row references a node with no dilatation")
-    mrow_base = 2 * u_index[mi]
-    za = z[mom]
-    sf = s_fac[mom]
-    av = a_vec[mom]
-
-    sum_a = np.zeros((n, 2))
-    sum_s = np.zeros((n, 2, 2))
+    za, sf, av = nbrs.offsets[mom], s_fac[mom], a_vec[mom]
+    row_m, col_j, own = u_col[mi], u_col[mj], u_col[u_unknown]
     for a in (0, 1):
-        sum_a[:, a] = np.bincount(mi, weights=av[:, a], minlength=n)
-        for b in (0, 1):
-            sum_s[:, a, b] = np.bincount(mi, weights=sf * za[:, a] * za[:, b], minlength=n)
-
-    j_int = u_index[mj] >= 0
-    for a in (0, 1):
-        # theta_j coupling
-        rows.append(mrow_base + a)
-        cols.append(2 * n_u + theta_index[mj])
-        vals.append(av[:, a])
+        sum_a = np.bincount(mi, weights=av[:, a], minlength=n)
+        entries.append((row_m + a, theta_col[mj], av[:, a]))
+        entries.append((own + a, theta_col[u_unknown], sum_a[u_unknown]))
         for b in (0, 1):
             block = sf * za[:, a] * za[:, b]
-            rows.append(mrow_base[j_int] + a)
-            cols.append(2 * u_index[mj[j_int]] + b)
-            vals.append(block[j_int])
-            np.add.at(
-                rhs,
-                mrow_base[~j_int] + a,
-                -block[~j_int] * dirichlet[mj[~j_int], b],
-            )
-
-    int_ids = np.nonzero(u_unknown)[0]
-    base = 2 * u_index[int_ids]
-    for a in (0, 1):
-        # theta_i coupling (summed over the ball)
-        rows.append(base + a)
-        cols.append(2 * n_u + theta_index[int_ids])
-        vals.append(sum_a[int_ids, a])
-        for b in (0, 1):
-            rows.append(base + a)
-            cols.append(base + b)
-            vals.append(-sum_s[int_ids, a, b])
-        rhs[base + a] += forcing[int_ids, a]
+            sum_s = np.bincount(mi, weights=block, minlength=n)
+            entries.append((row_m + a, col_j + b, block))
+            entries.append((own + a, own + b, -sum_s[u_unknown]))
 
     # ---- dilatation rows ----------------------------------------------
     dil = live & theta_mask[i_pair]
-    di, dj = i_pair[dil], j_pair[dil]
-    drow = 2 * n_u + theta_index[di]
-    cv = c_vec[dil]
-
-    sum_c = np.zeros((n, 2))
+    di, dj, cv = i_pair[dil], j_pair[dil], c_vec[dil]
+    row_t, row_d, col_d = theta_col[theta_mask], theta_col[di], u_col[dj]
+    entries.append((row_t, row_t, np.ones(n_theta)))
     for b in (0, 1):
-        sum_c[:, b] = np.bincount(di, weights=cv[:, b], minlength=n)
+        sum_c = np.bincount(di, weights=cv[:, b], minlength=n)
+        entries.append((row_d, col_d + b, -cv[:, b]))
+        entries.append((row_t, u_col[theta_mask] + b, sum_c[theta_mask]))
 
-    j_int = u_index[dj] >= 0
-    for b in (0, 1):
-        rows.append(drow[j_int])
-        cols.append(2 * u_index[dj[j_int]] + b)
-        vals.append(-cv[j_int, b])
-        np.add.at(rhs, drow[~j_int], cv[~j_int, b] * dirichlet[dj[~j_int], b])
-
-    th_ids = np.nonzero(theta_mask)[0]
-    trow = 2 * n_u + theta_index[th_ids]
-    rows.append(trow)
-    cols.append(trow)
-    vals.append(np.ones(n_theta))
-    th_int = u_index[th_ids] >= 0
-    for b in (0, 1):
-        rows.append(trow[th_int])
-        cols.append(2 * u_index[th_ids[th_int]] + b)
-        vals.append(sum_c[th_ids[th_int], b])
-        rhs[trow[~th_int]] -= sum_c[th_ids[~th_int], b] * dirichlet[th_ids[~th_int], b]
-
-    matrix = sp.coo_matrix(
+    rows, cols, vals = zip(*entries)
+    full = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_tot, n_tot),
+        shape=(n_tot, n_col),
     ).tocsr()
     # Where lam = mu on both ends of a bond its theta coupling is exactly
     # zero; stored zeros would still be ordered and filled by the LU.
-    matrix.eliminate_zeros()
+    full.eliminate_zeros()
+    rhs = np.concatenate((forcing[u_unknown].ravel(), np.zeros(n_theta)))
+    rhs -= full[:, n_tot:] @ dirichlet[known].ravel()
 
     return BlockSystem(
-        matrix=matrix,
+        matrix=full[:, :n_tot],
         rhs=rhs,
         u_index=u_index,
         theta_index=theta_index,

@@ -61,13 +61,10 @@ class KernelSpec:
     """Horizon and kernel data for the singular influence function 1/r."""
 
     delta: float
-    dim: int = 2
 
     def __post_init__(self):
         if self.delta <= 0.0:
             raise QuadratureError(f"horizon must be positive, got {self.delta}")
-        if self.dim != 2:
-            raise QuadratureError("only the plane-strain 2D kernel is supported")
 
     @property
     def weighted_volume(self) -> float:
@@ -199,12 +196,10 @@ def assemble_constraints(
     return B, basis.moments
 
 
-def least_norm_weights(
-    B: np.ndarray, g: np.ndarray, rank_tol: float = RANK_TOL
-) -> tuple[np.ndarray, dict]:
+def least_norm_weights(B: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, dict]:
     """Minimum-norm solution of ``B w = g`` with singular value truncation.
 
-    Singular values below ``rank_tol`` times the largest are dropped;
+    Singular values below ``RANK_TOL`` times the largest are dropped;
     the residual of the returned solution certifies whether the dropped
     directions actually carried right-hand side content.
 
@@ -215,7 +210,7 @@ def least_norm_weights(
         ``rank``, ``residual`` (relative to ``|g|``), ``min_weight``,
         ``max_weight``.
     """
-    w, _, rank, _ = np.linalg.lstsq(B, g, rcond=rank_tol)
+    w, _, rank, _ = np.linalg.lstsq(B, g, rcond=RANK_TOL)
     scale = np.linalg.norm(g)
     residual = np.linalg.norm(B @ w - g) / (scale if scale > 0.0 else 1.0)
     diag = {
@@ -340,8 +335,6 @@ def compute_family(
     nbrs: Neighborhoods,
     spec: KernelSpec | None = None,
     include_dilatation: bool = True,
-    rank_tol: float = RANK_TOL,
-    residual_tol: float = RESIDUAL_TOL,
     needed: np.ndarray | None = None,
 ) -> QuadratureFamily:
     """Solve the per-node weight problems for every node that needs them.
@@ -368,7 +361,7 @@ def compute_family(
     ------
     QuadratureError
         If a needed node has no neighbors or its certified residual
-        exceeds ``residual_tol``.
+        exceeds ``RESIDUAL_TOL``.
     """
     if spec is None:
         spec = KernelSpec(delta=cloud.delta)
@@ -425,14 +418,14 @@ def compute_family(
         wmax[block] = np.maximum.reduceat(wflat, first)
 
         # Non-finite weights give a NaN residual, which fails this test too.
-        for i in block[~(res <= residual_tol)]:
+        for i in block[~(res <= RESIDUAL_TOL)]:
             sl = nbrs.pair_slice(i)
             B, gi = assemble_constraints(basis, nbrs.offsets[sl], nbrs.distances[sl])
-            wi, diag = least_norm_weights(B, gi, rank_tol=rank_tol)
-            if diag["residual"] > residual_tol:
+            wi, diag = least_norm_weights(B, gi)
+            if diag["residual"] > RESIDUAL_TOL:
                 raise QuadratureError(
                     f"node {i} failed the exactness certificate: relative residual "
-                    f"{diag['residual']:.3e} exceeds {residual_tol:g} "
+                    f"{diag['residual']:.3e} exceeds {RESIDUAL_TOL:g} "
                     f"({sl.stop - sl.start} neighbors, rank {diag['rank']})"
                 )
             weights[sl] = wi

@@ -211,6 +211,7 @@ def test_reference_errors_empty_when_unmatched():
     assert reference_errors(RunConfig(case="smooth", n=24, grid="uniform")) == {}
     assert reference_errors(RunConfig(case="inclusion", n=16, mu_ratio=2.0)) == {}
     assert reference_errors(RunConfig(case="inclusion", n=16, nu1=0.3)) == {}
+    assert reference_errors(RunConfig(case="inclusion", n=16, k2=5.0)) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +335,14 @@ def test_cli_sweep_honours_strict_vh(tmp_path):
     assert written != loose
 
 
+def test_cli_sweep_rejects_material_flags(tmp_path):
+    """The sweep fixes both phases per ratio, so it takes no material flag."""
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--ratios", "8", "--n", "12", "--nu2", "0.49",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
 def _load_benchmark_tracing(monkeypatch):
     """perfbench/tracing.py, loaded by path without writing bytecode."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -346,16 +355,27 @@ def _load_benchmark_tracing(monkeypatch):
     return module
 
 
-def test_benchmark_trace_targets_fire_on_sweep(tmp_path, monkeypatch):
-    """Every layer the benchmark traces on its sweep workload is still
-    reached through the names it wraps, and the geometry is built once."""
+@pytest.mark.parametrize(
+    "argv, bonds",
+    [
+        (["sweep", "--n", "12", "--ratios", "1,8"], False),
+        (["run", "--case", "hole", "--n", "16", "--nu", "0.495"], True),
+    ],
+    ids=["sweep", "hole"],
+)
+def test_benchmark_trace_targets_fire(argv, bonds, tmp_path, monkeypatch):
+    """Every layer the benchmark traces on a sweep and on a hole run is
+    still reached through the names it wraps, and the geometry is built
+    once.  Only the hole breaks bonds."""
     tracing = _load_benchmark_tracing(monkeypatch)
     tracer = tracing.Tracer({"cli": cli, "driver": driver})
-    with tracer.traced("sweep", "cli.sweep"):
-        rc = cli.main(["sweep", "--n", "12", "--ratios", "1,8", "--out", str(tmp_path)])
+    with tracer.traced(argv[0], f"cli.{argv[0]}"):
+        rc = cli.main([*argv, "--out", str(tmp_path)])
     assert rc == 0
     fired = {span.name for span in tracer.spans if span.parent}
-    assert fired == set(tracing.SPAN_NAMES) - {"model.bonds"}
+    untraced = set() if bonds else {"model.bonds"}
+    assert fired == set(tracing.SPAN_NAMES) - untraced
     metrics = tracing.layer_metrics(tracer.spans)
     assert metrics["pointcloud.calls"] == 1
     assert metrics["quadrature.calls"] == 1
+    assert (metrics["model.broken_bonds"] > 0) == bonds
