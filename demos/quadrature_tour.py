@@ -46,8 +46,8 @@ def main() -> None:
     print(f"quadrature weights computed for {int(computed.sum())} nodes "
           f"(those within one horizon of the square)")
     print(f"  worst constraint residual: {float(np.nanmax(family.residual)):.3e}")
-    print(f"  weight range: [{float(np.nanmin(family.min_weight)):.3e}, "
-          f"{float(np.nanmax(family.max_weight)):.3e}]")
+    print(f"  weight range: [{float(np.nanmin(family.weights)):.3e}, "
+          f"{float(np.nanmax(family.weights)):.3e}]")
 
     # Every node's weights integrate the constant function to the ball area.
     area = np.pi * cloud.delta**2

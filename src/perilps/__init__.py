@@ -61,7 +61,6 @@ from .pointcloud import (
 )
 from .quadrature import (
     ConstraintBasis,
-    KernelSpec,
     QuadratureFamily,
     assemble_constraints,
     ball_monomial_moment,
@@ -69,6 +68,7 @@ from .quadrature import (
     exact_ball_moments,
     least_norm_weights,
     verify_family,
+    weighted_volume,
 )
 from .solver import SolveReport, rms_norm, solve
 

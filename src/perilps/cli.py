@@ -49,11 +49,14 @@ def _add_geometry(p: argparse.ArgumentParser) -> None:
                    help="horizon in units of h (default 3.5)")
     p.add_argument("--perturb", type=float, default=0.2,
                    help="jitter amplitude in units of h (default 0.2)")
-    p.add_argument("--grid", choices=driver.GRIDS, default="perturbed")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--grid", choices=driver.GRIDS, default="perturbed",
+                   help="'uniform' sets the jitter to zero (default perturbed)")
+    p.add_argument("--seed", type=int, default=7,
+                   help="key of the jitter draw (default 7)")
     p.add_argument("--strict-vh", action="store_true",
                    help="drop the dilatation constraints from the quadrature")
-    p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--out", type=Path, required=True,
+                   help="directory the artifacts are written to")
 
 
 def _add_material(p: argparse.ArgumentParser) -> None:
@@ -99,11 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk = sub.add_parser("check-quadrature",
                            help="dump per-node quadrature diagnostics")
     p_chk.add_argument("--n", type=int, required=True)
-    p_chk.add_argument("--seed", type=int, default=7)
-    p_chk.add_argument("--delta-factor", type=float, default=3.5)
-    p_chk.add_argument("--perturb", type=float, default=0.2)
-    p_chk.add_argument("--strict-vh", action="store_true")
-    p_chk.add_argument("--out", type=Path, required=True)
+    _add_geometry(p_chk)
 
     p_sw = sub.add_parser("sweep", help="inclusion shear-contrast sweep")
     p_sw.add_argument("--ratios", type=_float_list,
@@ -138,18 +137,24 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_check_quadrature(args) -> int:
+    # The plain square: the domain of the patch case, with no hole or inclusion.
+    config = _config_from(args, "patch", args.n)
     cloud = generate_perturbed_lattice(
-        n=args.n,
-        delta_factor=args.delta_factor,
-        perturb_frac=args.perturb,
-        seed=args.seed,
+        n=config.n,
+        delta_factor=config.delta_factor,
+        perturb_frac=config.effective_perturb,
+        seed=config.seed,
     )
     nbrs = build_neighborhoods(cloud)
-    family = compute_family(cloud, nbrs, include_dilatation=not args.strict_vh)
+    family = compute_family(cloud, nbrs, include_dilatation=not config.strict_vh)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ids = np.nonzero(family.computed)[0]
+    # Every computed node has neighbors, so its weights are one nonempty run.
+    counts = np.diff(nbrs.indptr)[ids]
+    weights = family.weights[family.computed[nbrs.row_index]]
+    first = np.cumsum(counts) - counts
     driver.write_csv(
         out / "quadrature_check.csv",
         "node,x,y,n_neighbors,residual,rank,min_weight,max_weight",
@@ -157,20 +162,18 @@ def _cmd_check_quadrature(args) -> int:
             ids,
             cloud.positions[ids, 0],
             cloud.positions[ids, 1],
-            family.n_neighbors[ids],
+            counts,
             family.residual[ids],
             family.rank[ids],
-            family.min_weight[ids],
-            family.max_weight[ids],
+            np.minimum.reduceat(weights, first),
+            np.maximum.reduceat(weights, first),
         ],
     )
 
-    computed = family.computed
     print(
-        f"nodes checked: {int(computed.sum())} / {cloud.n_points}  "
+        f"nodes checked: {ids.size} / {cloud.n_points}  "
         f"max residual: {float(np.nanmax(family.residual)):.3e}  "
-        f"neighbor range: [{int(family.n_neighbors[computed].min())}, "
-        f"{int(family.n_neighbors[computed].max())}]  "
+        f"neighbor range: [{int(counts.min())}, {int(counts.max())}]  "
         f"fallbacks: {int(family.fallback.sum())}"
     )
     return EXIT_OK

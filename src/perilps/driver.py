@@ -3,7 +3,7 @@
 A run is configuration in, certified solution plus error report out,
 with optional CSV/JSON artifacts.  It has two steps: a material-free
 geometry step (:func:`build_discretization`: cloud, neighborhoods,
-weights, bonds, moment tensors, damage) and a physics step (material,
+bonds, weights, moment tensors, damage) and a physics step (material,
 assembly, solve, error).  A contrast sweep builds the geometry once and
 runs only the physics step per ratio.  All randomness flows from the
 single seed in the configuration, and the output writers format numbers
@@ -38,6 +38,7 @@ from .pointcloud import (
     DomainSpec,
     PointCloud,
     build_neighborhoods,
+    dilatation_nodes,
     generate_perturbed_lattice,
 )
 from .quadrature import compute_family
@@ -219,12 +220,17 @@ def build_discretization(config: RunConfig, spec: DomainSpec) -> Discretization:
         spec=spec,
     )
     nbrs = build_neighborhoods(cloud)
-    family = compute_family(cloud, nbrs, include_dilatation=not config.strict_vh)
-
     bonds = BondSet.intact(nbrs)
     if spec.hole is not None:
         bonds = break_bonds_crossing_circle(bonds, nbrs, cloud, spec.hole)
         bonds = bonds.with_present(~hole_removal_mask(cloud, spec.hole))
+    # Nodes removed from a hole get no weights, moment tensor or damage.
+    family = compute_family(
+        cloud,
+        nbrs,
+        include_dilatation=not config.strict_vh,
+        needed=dilatation_nodes(cloud, nbrs) & bonds.present,
+    )
     weights = bonds.modified_weights(family, nbrs)
 
     return Discretization(

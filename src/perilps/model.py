@@ -31,7 +31,7 @@ import scipy.sparse as sp
 
 from .errors import AssemblyError, ConfigError
 from .pointcloud import Neighborhoods, PointCloud, dilatation_nodes
-from .quadrature import KernelSpec, QuadratureFamily
+from .quadrature import QuadratureFamily, weighted_volume
 
 __all__ = [
     "C_ALPHA",
@@ -171,7 +171,8 @@ def damage_field(
     """Per-node damage: one minus the surviving share of quadrature weight.
 
     ``weights`` are the surviving pair weights (``BondSet.modified_weights``).
-    Nodes without computed weights report NaN; a node whose intact
+    Nodes without computed weights report NaN, among them the nodes
+    removed from a hole, which get no weights; a node whose intact
     weights sum to zero is fully damaged by convention.
     """
     total = family.weight_sums(nbrs)
@@ -210,7 +211,7 @@ def compute_moment_tensors(
         needed = family.computed
     i_pair = nbrs.row_index
     z = nbrs.offsets
-    fac = DIM / KernelSpec(delta=nbrs.delta).weighted_volume * weights / nbrs.distances
+    fac = DIM / weighted_volume(nbrs.delta) * weights / nbrs.distances
 
     M = np.zeros((n, 2, 2))
     M[:, 0, 0] = np.bincount(i_pair, weights=fac * z[:, 0] * z[:, 0], minlength=n)
@@ -270,7 +271,7 @@ class BlockSystem:
     node carries no unknown of that kind).
     """
 
-    matrix: sp.csr_matrix
+    matrix: sp.csc_matrix
     rhs: np.ndarray
     u_index: np.ndarray
     theta_index: np.ndarray
@@ -313,7 +314,7 @@ def _pair_coefficients(disc: Discretization, material: MaterialField):
     z = nbrs.offsets
     r = nbrs.distances
     kernel = 1.0 / r
-    m = KernelSpec(delta=disc.cloud.delta).weighted_volume
+    m = weighted_volume(disc.cloud.delta)
 
     lam_p = _harmonic_mean(material.lam[i_pair], material.lam[j_pair])
     mu_p = _harmonic_mean(material.mu[i_pair], material.mu[j_pair])
@@ -408,10 +409,12 @@ def assemble_system(
         entries.append((row_t, u_col[theta_mask] + b, sum_c[theta_mask]))
 
     rows, cols, vals = zip(*entries)
+    # Column-major: the unknowns' columns are a contiguous leading slice,
+    # and the sparse LU takes the matrix without a conversion.
     full = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n_tot, n_col),
-    ).tocsr()
+    ).tocsc()
     # Where lam = mu on both ends of a bond its theta coupling is exactly
     # zero; stored zeros would still be ordered and filled by the LU.
     full.eliminate_zeros()

@@ -53,14 +53,8 @@ class Disk:
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Unit-square domain with an optional hole or material interface.
+    """Unit-square domain with an optional hole or material interface."""
 
-    ``collar_width`` is the physical width of the boundary layer of data
-    nodes; it must be at least twice the horizon so that every node that
-    carries a dilatation unknown keeps a full neighborhood ball.
-    """
-
-    collar_width: float | None = None
     hole: Disk | None = None
     inclusion: Disk | None = None
 
@@ -97,9 +91,6 @@ class PointCloud:
     interior: np.ndarray
     hole_interior: np.ndarray
     lattice_index: np.ndarray
-    seed: int
-    perturb_frac: float
-    spec: DomainSpec
 
     @property
     def n_points(self) -> int:
@@ -175,14 +166,15 @@ def generate_perturbed_lattice(
     n : int
         Number of lattice cells per side of the unit square; ``h = 1/n``.
     delta_factor : float
-        Horizon in units of ``h``; the collar is two horizons wide.
+        Horizon in units of ``h``.  The collar of data nodes is two
+        horizons wide, so that every node that carries a dilatation
+        keeps a full neighborhood ball.
     perturb_frac : float
         Per-coordinate jitter amplitude in units of ``h``, in ``[0, 0.5)``.
     seed : int
         Philox key for the jitter draw.
     spec : DomainSpec, optional
-        Domain geometry.  A ``collar_width`` of None defaults to
-        ``2 * delta``.
+        Domain geometry; only its hole is read here.
 
     Returns
     -------
@@ -201,12 +193,7 @@ def generate_perturbed_lattice(
 
     h = 1.0 / n
     delta = delta_factor * h
-    collar_width = spec.collar_width if spec.collar_width is not None else 2.0 * delta
-    if collar_width < 2.0 * delta - 1e-12 * delta:
-        raise ConfigError(
-            f"collar width {collar_width:g} is narrower than two horizons "
-            f"({2 * delta:g}); dilatation nodes would lose full balls"
-        )
+    collar_width = 2.0 * delta
     layers = int(math.ceil(collar_width / h - 1e-12))
     if 2 * delta_factor >= n:
         raise ConfigError(
@@ -236,9 +223,6 @@ def generate_perturbed_lattice(
         interior=interior,
         hole_interior=hole_interior,
         lattice_index=lattice_index,
-        seed=seed,
-        perturb_frac=perturb_frac,
-        spec=spec,
     )
 
 

@@ -33,7 +33,7 @@ from .errors import QuadratureError
 from .pointcloud import Neighborhoods, PointCloud, dilatation_nodes
 
 __all__ = [
-    "KernelSpec",
+    "weighted_volume",
     "MomentDescriptor",
     "ConstraintBasis",
     "QuadratureFamily",
@@ -56,20 +56,9 @@ RESIDUAL_TOL = 1e-11
 _SHIFTED_MONOMIALS = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """Horizon and kernel data for the singular influence function 1/r."""
-
-    delta: float
-
-    def __post_init__(self):
-        if self.delta <= 0.0:
-            raise QuadratureError(f"horizon must be positive, got {self.delta}")
-
-    @property
-    def weighted_volume(self) -> float:
-        """The kernel-weighted ball volume ``int_B |z|^2 / |z| dz``."""
-        return 2.0 * math.pi * self.delta**3 / 3.0
+def weighted_volume(delta: float) -> float:
+    """The kernel-weighted ball volume ``int_B |z|^2 / |z| dz`` of the 1/r kernel."""
+    return 2.0 * math.pi * delta**3 / 3.0
 
 
 def _double_factorial(n: int) -> int:
@@ -136,8 +125,8 @@ class ConstraintBasis:
         return np.array([d.moment for d in self.descriptors])
 
 
-def exact_ball_moments(spec: KernelSpec, include_dilatation: bool = True) -> ConstraintBasis:
-    """Enumerate the reproducing family and its exact ball moments.
+def exact_ball_moments(delta: float, include_dilatation: bool = True) -> ConstraintBasis:
+    """Enumerate the reproducing family and its exact ball moments for horizon ``delta``.
 
     The family has three groups:
 
@@ -151,7 +140,8 @@ def exact_ball_moments(spec: KernelSpec, include_dilatation: bool = True) -> Con
       so leaving them out (``include_dilatation=False``) reverts to the
       smaller literal reproducing space.
     """
-    delta = spec.delta
+    if delta <= 0.0:
+        raise QuadratureError(f"horizon must be positive, got {delta}")
     rows: list[MomentDescriptor] = []
 
     for a, b in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]:
@@ -207,19 +197,12 @@ def least_norm_weights(B: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, dict]:
     -------
     w : (n,) array
     diag : dict
-        ``rank``, ``residual`` (relative to ``|g|``), ``min_weight``,
-        ``max_weight``.
+        ``rank`` and ``residual`` (relative to ``|g|``).
     """
     w, _, rank, _ = np.linalg.lstsq(B, g, rcond=RANK_TOL)
     scale = np.linalg.norm(g)
     residual = np.linalg.norm(B @ w - g) / (scale if scale > 0.0 else 1.0)
-    diag = {
-        "rank": int(rank),
-        "residual": float(residual),
-        "min_weight": float(w.min()) if w.size else math.nan,
-        "max_weight": float(w.max()) if w.size else math.nan,
-    }
-    return w, diag
+    return w, {"rank": int(rank), "residual": float(residual)}
 
 
 @dataclass
@@ -227,18 +210,16 @@ class QuadratureFamily:
     """Per-node quadrature weights, pair-aligned with a Neighborhoods.
 
     ``weights`` matches ``nbrs.indices`` entry for entry; nodes outside
-    the computed set hold NaN there.  The diagnostics arrays are indexed
-    by node; ``fallback`` marks the nodes whose weights came from the
-    per-node ``least_norm_weights`` solve instead of the batched one.
+    the computed set hold NaN there.  ``residual``, ``rank`` and
+    ``fallback`` are indexed by node; ``fallback`` marks the nodes whose
+    weights came from the per-node ``least_norm_weights`` solve instead
+    of the batched one.
     """
 
     weights: np.ndarray
     computed: np.ndarray
     residual: np.ndarray
     rank: np.ndarray
-    min_weight: np.ndarray
-    max_weight: np.ndarray
-    n_neighbors: np.ndarray
     fallback: np.ndarray
     basis: ConstraintBasis
 
@@ -333,7 +314,6 @@ _BLOCK_NODES = 256
 def compute_family(
     cloud: PointCloud,
     nbrs: Neighborhoods,
-    spec: KernelSpec | None = None,
     include_dilatation: bool = True,
     needed: np.ndarray | None = None,
 ) -> QuadratureFamily:
@@ -363,19 +343,15 @@ def compute_family(
         If a needed node has no neighbors or its certified residual
         exceeds ``RESIDUAL_TOL``.
     """
-    if spec is None:
-        spec = KernelSpec(delta=cloud.delta)
     if needed is None:
         needed = dilatation_nodes(cloud, nbrs)
 
-    basis = exact_ball_moments(spec, include_dilatation=include_dilatation)
+    basis = exact_ball_moments(cloud.delta, include_dilatation=include_dilatation)
     funcs, row_of, solve = _solve_set(basis)
     n = cloud.n_points
     weights = np.full(nbrs.n_pairs, np.nan)
     residual = np.full(n, np.nan)
     rank = np.zeros(n, dtype=np.int64)
-    wmin = np.full(n, np.nan)
-    wmax = np.full(n, np.nan)
     fallback = np.zeros(n, dtype=bool)
     counts = np.diff(nbrs.indptr)
 
@@ -389,7 +365,7 @@ def compute_family(
     # z1^a z2^b / |z|^s is homogeneous of degree a + b - s, so scaling
     # row r by delta^-(a+b-s) evaluates it at z / delta.
     row_scale = np.array(
-        [spec.delta ** -(funcs[k].a + funcs[k].b - funcs[k].s) for k in solve]
+        [cloud.delta ** -(funcs[k].a + funcs[k].b - funcs[k].s) for k in solve]
     )
     g_solve = np.array([funcs[k].moment for k in solve]) * row_scale
 
@@ -410,12 +386,9 @@ def compute_family(
 
         fit = (w[:, None, :] @ A)[:, 0, row_of]
         res = np.linalg.norm(fit - g, axis=1) / g_norm
-        wflat = w[owner, slot]
-        weights[pairs] = wflat
+        weights[pairs] = w[owner, slot]
         residual[block] = res
         rank[block] = solve.size
-        wmin[block] = np.minimum.reduceat(wflat, first)
-        wmax[block] = np.maximum.reduceat(wflat, first)
 
         # Non-finite weights give a NaN residual, which fails this test too.
         for i in block[~(res <= RESIDUAL_TOL)]:
@@ -431,8 +404,6 @@ def compute_family(
             weights[sl] = wi
             residual[i] = diag["residual"]
             rank[i] = diag["rank"]
-            wmin[i] = diag["min_weight"]
-            wmax[i] = diag["max_weight"]
             fallback[i] = True
 
     return QuadratureFamily(
@@ -440,9 +411,6 @@ def compute_family(
         computed=needed.copy(),
         residual=residual,
         rank=rank,
-        min_weight=wmin,
-        max_weight=wmax,
-        n_neighbors=counts,
         fallback=fallback,
         basis=basis,
     )

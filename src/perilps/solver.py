@@ -29,8 +29,6 @@ RESIDUAL_CERT = 1e-10
 class SolveReport:
     x: np.ndarray
     residual: float
-    n_unknowns: int
-    nnz: int
     wall_time: float
 
 
@@ -65,13 +63,7 @@ def solve(system: BlockSystem) -> SolveReport:
             f"solution residual {residual:.3e} violates the certificate "
             f"({RESIDUAL_CERT:g}); the system is singular or badly scaled"
         )
-    return SolveReport(
-        x=x,
-        residual=residual,
-        n_unknowns=system.n_unknowns,
-        nnz=system.matrix.nnz,
-        wall_time=wall,
-    )
+    return SolveReport(x=x, residual=residual, wall_time=wall)
 
 
 def rms_norm(values: np.ndarray) -> float:

@@ -32,7 +32,7 @@ from perilps.driver import (
     run_case,
     sweep_contrast,
 )
-from perilps.quadrature import KernelSpec, exact_ball_moments
+from perilps.quadrature import exact_ball_moments
 
 
 def _report(num: int, title: str, ok: bool, detail: str) -> None:
@@ -255,7 +255,7 @@ def test_quadrature_certificates():
 
     worst_residual = float(np.nanmax(family.residual[family.computed]))
 
-    basis = exact_ball_moments(KernelSpec(delta=cloud.delta))
+    basis = exact_ball_moments(cloud.delta)
     scale = math.pi * cloud.delta**2
     worst_moment = max(
         abs(d.moment - _polar_moment(d.a, d.b, d.s, cloud.delta)) / scale

@@ -10,7 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from perilps import ConfigError, cli, driver
+from perilps import (
+    ConfigError,
+    build_neighborhoods,
+    cli,
+    compute_family,
+    driver,
+    generate_perturbed_lattice,
+)
 from perilps.cli import main
 from perilps.driver import (
     CONVERGENCE_HEADER,
@@ -379,3 +386,27 @@ def test_benchmark_trace_targets_fire(argv, bonds, tmp_path, monkeypatch):
     assert metrics["pointcloud.calls"] == 1
     assert metrics["quadrature.calls"] == 1
     assert (metrics["model.broken_bonds"] > 0) == bonds
+
+
+def test_cli_check_quadrature_takes_geometry_flags(tmp_path, monkeypatch):
+    """check-quadrature takes every geometry flag, ``--grid`` included, and
+    reaches the three layers the benchmark traces through the CLI's names."""
+    tracing = _load_benchmark_tracing(monkeypatch)
+    tracer = tracing.Tracer({"cli": cli, "driver": driver})
+    argv = ["check-quadrature", "--n", "10", "--grid", "uniform", "--out", str(tmp_path)]
+    with tracer.traced("check-quadrature", "cli.check-quadrature"):
+        rc = cli.main(argv)
+    assert rc == 0
+    fired = {span.name for span in tracer.spans if span.parent}
+    assert fired == {"pointcloud.lattice", "pointcloud.neighbors", "quadrature.weights"}
+
+    rows = np.loadtxt(tmp_path / "quadrature_check.csv", delimiter=",", skiprows=1)
+    cloud = generate_perturbed_lattice(10, perturb_frac=0.0, seed=7)
+    nbrs = build_neighborhoods(cloud)
+    family = compute_family(cloud, nbrs)
+    ids = rows[:, 0].astype(int)
+    np.testing.assert_array_equal(ids, np.nonzero(family.computed)[0])
+    np.testing.assert_array_equal(rows[:, 1:3], cloud.positions[ids])
+    for i, row in zip(ids, rows):
+        w = family.weights[nbrs.pair_slice(i)]
+        assert (row[3], row[6], row[7]) == (w.size, w.min(), w.max())

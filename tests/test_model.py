@@ -4,6 +4,8 @@ the moment-tensor dilatation correction, and operator/assembly agreement.
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from perilps import (
     BondSet,
@@ -11,7 +13,6 @@ from perilps import (
     Disk,
     Discretization,
     DomainSpec,
-    KernelSpec,
     MaterialField,
     Neighborhoods,
     PointCloud,
@@ -30,6 +31,7 @@ from perilps import (
     make_patch_case,
     make_smooth_case,
     moduli_from_K_nu,
+    weighted_volume,
 )
 from perilps.errors import AssemblyError
 from perilps.model import C_ALPHA, C_BETA, DIM
@@ -72,7 +74,7 @@ def perturbed12():
 def test_plane_strain_constants():
     assert (C_ALPHA, C_BETA, DIM) == (2.0, 16.0, 2)
     delta = 0.35
-    assert KernelSpec(delta=delta).weighted_volume == pytest.approx(
+    assert weighted_volume(delta) == pytest.approx(
         2.0 * np.pi * delta**3 / 3.0
     )
 
@@ -189,9 +191,6 @@ def _two_node_geometry(p0, p1):
         interior=np.ones(2, dtype=bool),
         hole_interior=np.zeros(2, dtype=bool),
         lattice_index=np.zeros((2, 2), dtype=np.int64),
-        seed=0,
-        perturb_frac=0.0,
-        spec=DomainSpec(),
     )
     return cloud, nbrs
 
@@ -234,9 +233,6 @@ def test_hole_removal_mask_covers_strays():
         interior=np.ones(3, dtype=bool),
         hole_interior=np.array([True, False, False]),
         lattice_index=np.zeros((3, 2), dtype=np.int64),
-        seed=0,
-        perturb_frac=0.0,
-        spec=DomainSpec(),
     )
     np.testing.assert_array_equal(
         hole_removal_mask(cloud, circle), [True, True, False]
@@ -365,6 +361,33 @@ def test_operator_annihilates_constants(perturbed12):
     mom, theta = apply_operator(disc, mat, u)
     np.testing.assert_allclose(mom[cloud.interior], 0.0, atol=1e-13)
     np.testing.assert_allclose(theta[family.computed], 0.0, atol=1e-13)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    perturb=st.floats(0.0, 0.45, exclude_max=True),
+    delta_factor=st.floats(3.0, 5.0),
+    n=st.integers(16, 24),
+)
+def test_hole_geometry_skips_removed_nodes(seed, perturb, delta_factor, n):
+    """The geometry step gives removed hole nodes no weights, moment tensor
+    or damage, so no moment tensor needs a pseudo-inverse."""
+    spec = DomainSpec(hole=Disk(center=(0.5, 0.5), radius=0.2))
+    config = RunConfig(
+        case="hole", n=n, delta_factor=delta_factor, perturb=perturb, seed=seed
+    )
+    disc = build_discretization(config, spec)
+    removed = ~disc.bonds.present
+    assert removed.any()
+    assert not disc.family.computed[removed].any()
+    assert np.isnan(disc.damage[removed]).all()
+    corr = disc.correction
+    assert not (corr.computed & ~corr.invertible).any()
+    # Quadrature weights can be negative, so a node whose lost bonds carry
+    # negative weight reports damage below zero (-0.093 at n=16, delta/h=3,
+    # jitter 0.25, seed 0); no kept node loses all of its weight.
+    damage = disc.damage[disc.cloud.interior & disc.bonds.present]
+    assert np.all(np.isfinite(damage) & (damage < 1.0))
 
 
 @pytest.mark.parametrize("geometry", ["intact", "hole"])

@@ -87,12 +87,6 @@ def test_invalid_configurations_raise(kwargs):
         generate_perturbed_lattice(**kwargs)
 
 
-def test_narrow_collar_rejected():
-    spec = DomainSpec(collar_width=3.0 / 16)  # under 2 * delta = 7/16... at n=16
-    with pytest.raises(ConfigError):
-        generate_perturbed_lattice(16, spec=spec)
-
-
 def test_hole_and_inclusion_exclusive():
     with pytest.raises(ConfigError):
         DomainSpec(hole=Disk((0.5, 0.5), 0.2), inclusion=Disk((0.5, 0.5), 0.2))

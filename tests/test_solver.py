@@ -71,8 +71,6 @@ def test_direct_solve_is_certified(patch_system):
     _, system, _ = patch_system
     report = solve(system)
     assert report.residual <= 1e-10
-    assert report.n_unknowns == system.n_unknowns
-    assert report.nnz == system.matrix.nnz
     assert report.wall_time >= 0.0
     # The certificate is recomputed from the original operator.
     manual = np.linalg.norm(system.matrix @ report.x - system.rhs) / np.linalg.norm(
