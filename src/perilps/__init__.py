@@ -52,7 +52,6 @@ from .model import (
 )
 from .pointcloud import (
     Disk,
-    DomainSpec,
     Neighborhoods,
     PointCloud,
     build_neighborhoods,

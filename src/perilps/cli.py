@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -116,12 +117,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     config = _config_from(args, args.case, args.n)
+    t0 = time.perf_counter()
     result = driver.run_case(config, out=args.out)
+    seconds = time.perf_counter() - t0
     print(
         f"{config.case} n={config.n}: N_interior={result.n_interior} "
         f"rms_error={result.rms_error:.6e} "
         f"residual={result.solve_report.residual:.3e} "
-        f"({result.wall_time:.2f}s)"
+        f"({seconds:.2f}s)"
     )
     return EXIT_OK
 

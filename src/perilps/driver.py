@@ -3,18 +3,18 @@
 A run is configuration in, certified solution plus error report out,
 with optional CSV/JSON artifacts.  It has two steps: a material-free
 geometry step (:func:`build_discretization`: cloud, neighborhoods,
-bonds, weights, moment tensors, damage) and a physics step (material,
-assembly, solve, error).  A contrast sweep builds the geometry once and
-runs only the physics step per ratio.  All randomness flows from the
-single seed in the configuration, and the output writers format numbers
-with ``repr``, so identical configurations produce byte-identical files.
+bonds, weights, moment tensors, damage; the one place that cuts a
+hole) and a physics step (material, assembly, solve, error).  A
+contrast sweep builds the geometry once and runs only the physics step
+per ratio.  All randomness flows from the single seed in the
+configuration, and the output writers format numbers with ``repr``, so
+identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -35,7 +35,6 @@ from .model import (
 )
 from .pointcloud import (
     Disk,
-    DomainSpec,
     PointCloud,
     build_neighborhoods,
     dilatation_nodes,
@@ -129,7 +128,6 @@ class RunResult:
     report_mask: np.ndarray
     rms_error: float
     solve_report: SolveReport
-    wall_time: float
 
     @property
     def n_interior(self) -> int:
@@ -145,7 +143,6 @@ class ConvergenceReport:
     rms_errors: list[float]
     slope: float | None
     pair_orders: list[float]
-    wall_times: list[float]
     runs: list[RunResult] = field(default_factory=list)
 
 
@@ -163,29 +160,28 @@ def _inclusion_params(config: RunConfig) -> InclusionParams:
     return InclusionParams(inner=inner, outer=outer)
 
 
-def _build_case(config: RunConfig) -> tuple[AnalyticCase, DomainSpec]:
+def _build_case(config: RunConfig) -> tuple[AnalyticCase, Disk | None]:
+    """The analytic case of ``config`` and the hole it cuts, if any."""
     if config.case == "patch":
-        return analytic.make_patch_case(), DomainSpec()
+        return analytic.make_patch_case(), None
     if config.case == "smooth":
         moduli = ElasticModuli(lam=0.5, mu=0.5)
         case = analytic.make_smooth_case(moduli, frequency=math.pi)
-        return case, DomainSpec()
+        return case, None
     if config.case == "smooth-nearinc":
         nu = config.nu if config.nu is not None else 0.495
         moduli = analytic.moduli_from_E_nu(1.0, nu)
         case = analytic.make_smooth_case(
             moduli, tag="smooth-nearinc", frequency=math.pi
         )
-        return case, DomainSpec()
+        return case, None
     if config.case == "hole":
         nu = config.nu if config.nu is not None else 0.25
         params = HoleParams(moduli=analytic.moduli_from_E_nu(1.0, nu))
         disk = Disk(center=params.center, radius=params.radius)
-        return analytic.make_hole_case(params), DomainSpec(hole=disk)
+        return analytic.make_hole_case(params), disk
     if config.case == "inclusion":
-        params = _inclusion_params(config)
-        disk = Disk(center=params.center, radius=params.radius)
-        return analytic.make_inclusion_case(params), DomainSpec(inclusion=disk)
+        return analytic.make_inclusion_case(_inclusion_params(config)), None
     raise ConfigError(f"unknown case {config.case!r}")
 
 
@@ -206,24 +202,26 @@ def reference_errors(config: RunConfig) -> dict[str, float]:
     return {str(n): v for n, v in sorted(table.items())}
 
 
-def build_discretization(config: RunConfig, spec: DomainSpec) -> Discretization:
+def build_discretization(
+    config: RunConfig, hole: Disk | None = None
+) -> Discretization:
     """The material-free geometry step: everything that the cloud alone fixes.
 
-    Depends on the resolution, horizon factor, jitter, seed, domain and
-    ``strict_vh`` of ``config``, never on its material.
+    Depends on the resolution, horizon factor, jitter, seed and
+    ``strict_vh`` of ``config``, never on its material, and on ``hole``:
+    bonds crossing it break and the nodes inside it are removed.
     """
     cloud = generate_perturbed_lattice(
         n=config.n,
         delta_factor=config.delta_factor,
         perturb_frac=config.effective_perturb,
         seed=config.seed,
-        spec=spec,
     )
     nbrs = build_neighborhoods(cloud)
     bonds = BondSet.intact(nbrs)
-    if spec.hole is not None:
-        bonds = break_bonds_crossing_circle(bonds, nbrs, cloud, spec.hole)
-        bonds = bonds.with_present(~hole_removal_mask(cloud, spec.hole))
+    if hole is not None:
+        broken = break_bonds_crossing_circle(bonds, nbrs, cloud, hole).broken
+        bonds = BondSet(broken=broken, present=~hole_removal_mask(cloud, hole))
     # Nodes removed from a hole get no weights, moment tensor or damage.
     family = compute_family(
         cloud,
@@ -245,9 +243,9 @@ def build_discretization(config: RunConfig, spec: DomainSpec) -> Discretization:
 
 
 def _run_physics(
-    config: RunConfig, case: AnalyticCase, disc: Discretization, t0: float
+    config: RunConfig, case: AnalyticCase, disc: Discretization
 ) -> RunResult:
-    """The physics step: material, assembly, solve, error; wall time from ``t0``."""
+    """The physics step: material, assembly, solve, error."""
     cloud = disc.cloud
     u_exact = case.displacement(cloud.positions)
     system = assemble_system(
@@ -271,7 +269,6 @@ def _run_physics(
         report_mask=mask,
         rms_error=rms_norm(u[mask] - u_exact[mask]),
         solve_report=report,
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -281,9 +278,8 @@ def run_case(config: RunConfig, out: Path | str | None = None) -> RunResult:
     With ``out`` set, writes ``fields.csv`` (interior nodes) and
     ``summary.json`` into that directory.
     """
-    t0 = time.perf_counter()
-    case, spec = _build_case(config)
-    result = _run_physics(config, case, build_discretization(config, spec), t0)
+    case, hole = _build_case(config)
+    result = _run_physics(config, case, build_discretization(config, hole))
     if out is not None:
         out = Path(out)
         out.mkdir(parents=True, exist_ok=True)
@@ -334,7 +330,6 @@ def convergence_ladder(
         rms_errors=errs,
         slope=slope,
         pair_orders=pair_orders,
-        wall_times=[r.wall_time for r in runs],
         runs=runs,
     )
     if out_path is not None:
@@ -364,13 +359,12 @@ def sweep_contrast(
         out_path.mkdir(parents=True, exist_ok=True)
 
     configs = [replace(config, case="inclusion", mu_ratio=float(r)) for r in ratios]
-    cases = [_build_case(cfg) for cfg in configs]
-    # Every ratio has the same inclusion domain.
-    disc = build_discretization(config, cases[0][1])
+    cases = [_build_case(cfg)[0] for cfg in configs]
+    disc = build_discretization(config)
 
     entries = []
-    for cfg, (case, _) in zip(configs, cases):
-        result = _run_physics(cfg, case, disc, time.perf_counter())
+    for cfg, case in zip(configs, cases):
+        result = _run_physics(cfg, case, disc)
         profile = _centerline_profile(result)
         err = rms_norm(profile["ux"] - profile["ux_exact"])
         scale = float(np.abs(result.u_exact[result.report_mask]).max())

@@ -4,12 +4,14 @@ The model splits into material-free geometry and physics.  A
 ``Discretization`` holds everything that depends on the point cloud
 alone: neighborhoods, quadrature weights, broken bonds and removed
 nodes, the surviving pair weights, the dilatation correction and the
-damage.  The material enters only through the pair moduli of
+damage.  A hole is nothing but broken bonds and removed nodes on the
+shared cloud (``break_bonds_crossing_circle``, ``hole_removal_mask``).
+The material enters only through the pair moduli of
 ``assemble_system`` and ``apply_operator``, so one discretization
 serves any number of materials on the same cloud.
 
-The unknowns are the displacements of interior nodes plus a nonlocal
-dilatation value at every node within one horizon of the unit square.
+The unknowns are the displacements of present interior nodes plus a
+nonlocal dilatation value at every present node with quadrature weights.
 Momentum balance couples a dilatation (volumetric) force term with a
 bond-stretch (deviatoric) term; the dilatation itself is defined by a
 weighted bond sum and kept consistent through its own block of
@@ -30,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import AssemblyError, ConfigError
-from .pointcloud import Neighborhoods, PointCloud, dilatation_nodes
+from .pointcloud import Neighborhoods, PointCloud
 from .quadrature import QuadratureFamily, weighted_volume
 
 __all__ = [
@@ -108,9 +110,6 @@ class BondSet:
             present=np.ones(nbrs.n_points, dtype=bool),
         )
 
-    def with_present(self, present: np.ndarray) -> "BondSet":
-        return BondSet(broken=self.broken.copy(), present=present.copy())
-
     def modified_weights(self, family: QuadratureFamily, nbrs: Neighborhoods) -> np.ndarray:
         alive = (~self.broken) & self.present[nbrs.row_index] & self.present[nbrs.indices]
         # Rows of nodes without computed weights hold NaN; they become 0.
@@ -161,8 +160,8 @@ def hole_removal_mask(cloud: PointCloud, circle) -> np.ndarray:
     crosses the hole boundary and breaks, which leaves a zero stiffness
     row and a singular system.  Both kinds are removed.
     """
-    inside_position = circle.signed_distance(cloud.positions) < 0.0
-    return cloud.hole_interior | inside_position
+    inside_center = circle.signed_distance(cloud.unperturbed_centers()) < 0.0
+    return inside_center | (circle.signed_distance(cloud.positions) < 0.0)
 
 
 def damage_field(
@@ -195,9 +194,8 @@ def compute_moment_tensors(
     nbrs: Neighborhoods,
     family: QuadratureFamily,
     weights: np.ndarray,
-    needed: np.ndarray | None = None,
 ) -> DilatationCorrection:
-    """Assemble ``M_i = (d/m) sum_j K z (x) z w~`` for the needed nodes.
+    """Assemble ``M_i = (d/m) sum_j K z (x) z w~`` where weights were computed.
 
     ``weights`` are the surviving pair weights ``w~``.  On a full intact
     ball the moment constraints force ``M_i`` to the identity.  With
@@ -207,8 +205,7 @@ def compute_moment_tensors(
     pseudo-inverse instead and are flagged.
     """
     n = nbrs.n_points
-    if needed is None:
-        needed = family.computed
+    computed = family.computed
     i_pair = nbrs.row_index
     z = nbrs.offsets
     fac = DIM / weighted_volume(nbrs.delta) * weights / nbrs.distances
@@ -227,7 +224,7 @@ def compute_moment_tensors(
     eig_hi = half_tr + root
     smax = np.maximum(np.abs(eig_lo), np.abs(eig_hi))
     smin = np.minimum(np.abs(eig_lo), np.abs(eig_hi))
-    invertible = needed & (smax > 0.0) & (smin > MOMENT_COND_TOL * smax)
+    invertible = computed & (smax > 0.0) & (smin > MOMENT_COND_TOL * smax)
 
     inv = np.zeros_like(M)
     ok = invertible
@@ -235,11 +232,11 @@ def compute_moment_tensors(
     inv[ok, 1, 1] = a[ok] / det[ok]
     inv[ok, 0, 1] = -b[ok] / det[ok]
     inv[ok, 1, 0] = -b[ok] / det[ok]
-    for idx in np.nonzero(needed & ~invertible)[0]:
+    for idx in np.nonzero(computed & ~invertible)[0]:
         inv[idx] = np.linalg.pinv(M[idx], rcond=MOMENT_COND_TOL)
 
     return DilatationCorrection(
-        tensors=M, inverses=inv, invertible=invertible, computed=needed.copy()
+        tensors=M, inverses=inv, invertible=invertible, computed=computed.copy()
     )
 
 
@@ -338,7 +335,7 @@ def assemble_system(
     """Build the sparse block system with collar data folded into the RHS.
 
     Momentum rows are written for present interior nodes; dilatation
-    rows for every present node of ``dilatation_nodes``.  Every value
+    rows for every present node with quadrature weights.  Every value
     has a column: the unknowns in ``BlockSystem`` order, then the
     displacements of all other nodes.  The matrix is the unknowns'
     columns; the others, applied to ``dirichlet`` (evaluated at the
@@ -349,11 +346,7 @@ def assemble_system(
     n = cloud.n_points
     present = disc.bonds.present
     u_unknown = cloud.interior & present
-    theta_mask = dilatation_nodes(cloud, nbrs) & present
-    if not np.all(disc.family.computed[theta_mask]):
-        raise AssemblyError("a dilatation node is missing quadrature weights")
-    if not np.all(disc.correction.computed[theta_mask]):
-        raise AssemblyError("a dilatation node is missing its moment tensor")
+    theta_mask = disc.family.computed & present
 
     n_u, n_theta = int(u_unknown.sum()), int(theta_mask.sum())
     n_tot = 2 * n_u + n_theta

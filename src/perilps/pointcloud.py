@@ -5,7 +5,9 @@ cell centers cover the unit square plus a surrounding collar of boundary
 nodes.  Each node may be jittered by a uniform random offset of up to
 ``perturb_frac * h`` per coordinate.  Node roles (interior unknown versus
 collar data) are always assigned from the unperturbed cell center, so the
-number of interior nodes is deterministic for a given ``n``.
+number of interior nodes is deterministic for a given ``n``.  The cloud
+knows no hole or inclusion: every benchmark shares it, and a hole is cut
+from it later by breaking bonds (:mod:`perilps.model`).
 
 Random offsets come from a Philox counter-based generator, which is
 specified bit-for-bit by its key, so a (seed, n) pair reproduces the same
@@ -24,7 +26,6 @@ from .errors import ConfigError
 
 __all__ = [
     "Disk",
-    "DomainSpec",
     "PointCloud",
     "Neighborhoods",
     "generate_perturbed_lattice",
@@ -51,18 +52,6 @@ class Disk:
         return np.hypot(d[:, 0], d[:, 1]) - self.radius
 
 
-@dataclass(frozen=True)
-class DomainSpec:
-    """Unit-square domain with an optional hole or material interface."""
-
-    hole: Disk | None = None
-    inclusion: Disk | None = None
-
-    def __post_init__(self):
-        if self.hole is not None and self.inclusion is not None:
-            raise ConfigError("a domain cannot have both a hole and an inclusion")
-
-
 @dataclass
 class PointCloud:
     """Point positions plus the lattice metadata they were generated from.
@@ -77,9 +66,6 @@ class PointCloud:
         Interaction horizon used for neighbor search.
     interior : (N,) bool array
         True where the unperturbed center lies in the open unit square.
-    hole_interior : (N,) bool array
-        True where the unperturbed center lies strictly inside the hole
-        disk.  All False when the domain has no hole.
     lattice_index : (N, 2) int array
         Integer cell indices; interior nodes have both indices in
         ``[0, n)``, the collar uses negative and ``>= n`` values.
@@ -89,7 +75,6 @@ class PointCloud:
     h: float
     delta: float
     interior: np.ndarray
-    hole_interior: np.ndarray
     lattice_index: np.ndarray
 
     @property
@@ -157,7 +142,6 @@ def generate_perturbed_lattice(
     delta_factor: float = 3.5,
     perturb_frac: float = 0.2,
     seed: int = 0,
-    spec: DomainSpec | None = None,
 ) -> PointCloud:
     """Build the perturbed lattice covering the unit square and its collar.
 
@@ -173,15 +157,11 @@ def generate_perturbed_lattice(
         Per-coordinate jitter amplitude in units of ``h``, in ``[0, 0.5)``.
     seed : int
         Philox key for the jitter draw.
-    spec : DomainSpec, optional
-        Domain geometry; only its hole is read here.
 
     Returns
     -------
     PointCloud
     """
-    if spec is None:
-        spec = DomainSpec()
     if n < 8:
         raise ConfigError(f"lattice resolution n={n} is too coarse (need n >= 8)")
     if delta_factor <= 0.0:
@@ -211,17 +191,11 @@ def generate_perturbed_lattice(
 
     interior = np.all((lattice_index >= 0) & (lattice_index < n), axis=1)
 
-    if spec.hole is not None:
-        hole_interior = spec.hole.signed_distance(centers) < 0.0
-    else:
-        hole_interior = np.zeros(len(centers), dtype=bool)
-
     return PointCloud(
         positions=positions,
         h=h,
         delta=delta,
         interior=interior,
-        hole_interior=hole_interior,
         lattice_index=lattice_index,
     )
 

@@ -328,7 +328,9 @@ def compute_family(
 
     Nodes are solved in blocks of ``_BLOCK_NODES``, each gathered into a
     zero-padded array (zero columns leave the least-norm solution
-    unchanged).  A node whose batched weights fail the full-set
+    unchanged).  Every block is padded to the widest neighborhood of all
+    needed nodes, so a node's weights do not depend on which nodes share
+    its block.  A node whose batched weights fail the full-set
     certificate is solved again by ``least_norm_weights``, which then
     supplies its rank and residual.
 
@@ -368,6 +370,7 @@ def compute_family(
         [cloud.delta ** -(funcs[k].a + funcs[k].b - funcs[k].s) for k in solve]
     )
     g_solve = np.array([funcs[k].moment for k in solve]) * row_scale
+    width = counts[nodes].max(initial=0)
 
     for start in range(0, nodes.size, _BLOCK_NODES):
         block = nodes[start:start + _BLOCK_NODES]
@@ -377,7 +380,7 @@ def compute_family(
         slot = np.arange(c.sum()) - first[owner]
         pairs = nbrs.indptr[block][owner] + slot
 
-        A = np.zeros((block.size, c.max(), len(funcs)))
+        A = np.zeros((block.size, width, len(funcs)))
         A[owner, slot] = _evaluate_functions(
             funcs, nbrs.offsets[pairs], nbrs.distances[pairs]
         )

@@ -10,7 +10,6 @@ solution is accepted.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,6 @@ RESIDUAL_CERT = 1e-10
 class SolveReport:
     x: np.ndarray
     residual: float
-    wall_time: float
 
 
 def solve(system: BlockSystem) -> SolveReport:
@@ -43,7 +41,6 @@ def solve(system: BlockSystem) -> SolveReport:
     """
     A = system.matrix.tocsc()
     b = system.rhs
-    t0 = time.perf_counter()
 
     zero_rows = np.flatnonzero(np.abs(A).sum(axis=1).A1 == 0.0)
     if zero_rows.size:
@@ -55,7 +52,6 @@ def solve(system: BlockSystem) -> SolveReport:
         raise SolveError(f"sparse LU factorization failed: {exc}") from exc
     x = lu.solve(b)
 
-    wall = time.perf_counter() - t0
     bn = np.linalg.norm(b)
     residual = float(np.linalg.norm(A @ x - b) / (bn if bn > 0.0 else 1.0))
     if not np.isfinite(residual) or residual > RESIDUAL_CERT:
@@ -63,7 +59,7 @@ def solve(system: BlockSystem) -> SolveReport:
             f"solution residual {residual:.3e} violates the certificate "
             f"({RESIDUAL_CERT:g}); the system is singular or badly scaled"
         )
-    return SolveReport(x=x, residual=residual, wall_time=wall)
+    return SolveReport(x=x, residual=residual)
 
 
 def rms_norm(values: np.ndarray) -> float:

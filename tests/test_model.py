@@ -12,7 +12,6 @@ from perilps import (
     ConfigError,
     Disk,
     Discretization,
-    DomainSpec,
     MaterialField,
     Neighborhoods,
     PointCloud,
@@ -37,7 +36,7 @@ from perilps.errors import AssemblyError
 from perilps.model import C_ALPHA, C_BETA, DIM
 
 
-def _discretize(cloud, nbrs, family, bonds, needed=None):
+def _discretize(cloud, nbrs, family, bonds):
     """A Discretization over the given bonds, built as the driver's geometry step does."""
     weights = bonds.modified_weights(family, nbrs)
     return Discretization(
@@ -46,7 +45,7 @@ def _discretize(cloud, nbrs, family, bonds, needed=None):
         family=family,
         bonds=bonds,
         weights=weights,
-        correction=compute_moment_tensors(nbrs, family, weights, needed=needed),
+        correction=compute_moment_tensors(nbrs, family, weights),
         damage=damage_field(family, nbrs, weights),
     )
 
@@ -122,19 +121,6 @@ def test_intact_bondset_shapes(perturbed12):
     assert bonds.present.shape == (cloud.n_points,)
 
 
-def test_with_present_copies(perturbed12):
-    _, nbrs, _ = perturbed12
-    bonds = BondSet.intact(nbrs)
-    mask = bonds.present.copy()
-    mask[0] = False
-    out = bonds.with_present(mask)
-    out.broken[:] = True
-    out.present[1] = False
-    assert not bonds.broken.any()
-    assert bonds.present.all()
-    assert not out.present[0]
-
-
 def test_modified_weights_zero_broken_and_absent(perturbed12):
     cloud, nbrs, family = perturbed12
     bonds = BondSet.intact(nbrs)
@@ -189,7 +175,6 @@ def _two_node_geometry(p0, p1):
         h=1.0,
         delta=100.0,
         interior=np.ones(2, dtype=bool),
-        hole_interior=np.zeros(2, dtype=bool),
         lattice_index=np.zeros((2, 2), dtype=np.int64),
     )
     return cloud, nbrs
@@ -223,19 +208,32 @@ def test_break_bonds_idempotent(perturbed12):
 
 
 def test_hole_removal_mask_covers_strays():
-    """Removal drops center-inside nodes and position-inside strays alike."""
+    """Removal drops center-inside nodes and position-inside strays alike.
+
+    Centers are ``(lattice_index + 1/2) h``; each position lies within
+    ``h/2`` of its center per coordinate, as a jittered lattice's does.
+    """
     circle = Disk(center=(0.0, 0.0), radius=1.0)
-    pos = np.array([[0.2, 0.0], [0.9, 0.0], [2.0, 0.0]])
+    h = 0.5
+    index = np.array([[0, 0], [1, 0], [1, 1], [2, 0]])
+    pos = np.array(
+        [
+            [0.2, 0.1],  # center (0.25, 0.25) and position inside
+            [0.99, 0.3],  # center (0.75, 0.25) inside, position outside
+            [0.6, 0.6],  # stray: center (0.75, 0.75) outside, position inside
+            [1.3, 0.2],  # center (1.25, 0.25) and position outside
+        ]
+    )
+    assert np.abs(pos - (index + 0.5) * h).max() < h / 2
     cloud = PointCloud(
         positions=pos,
-        h=1.0,
-        delta=3.5,
-        interior=np.ones(3, dtype=bool),
-        hole_interior=np.array([True, False, False]),
-        lattice_index=np.zeros((3, 2), dtype=np.int64),
+        h=h,
+        delta=3.5 * h,
+        interior=np.ones(4, dtype=bool),
+        lattice_index=index,
     )
     np.testing.assert_array_equal(
-        hole_removal_mask(cloud, circle), [True, True, False]
+        hole_removal_mask(cloud, circle), [True, True, True, False]
     )
 
 
@@ -300,15 +298,6 @@ def test_moment_tensor_identity_on_intact_balls(fixture_name, request):
     assert not corr.computed[~family.computed].any()
 
 
-def test_moment_tensor_needed_mask(perturbed12):
-    cloud, nbrs, family = perturbed12
-    needed = np.zeros(cloud.n_points, dtype=bool)
-    needed[np.nonzero(family.computed)[0][:5]] = True
-    corr = _discretize(cloud, nbrs, family, BondSet.intact(nbrs), needed=needed).correction
-    np.testing.assert_array_equal(corr.computed, needed)
-    assert not corr.invertible[~needed].any()
-
-
 def test_corrected_dilatation_affine_exact_with_damage(perturbed12):
     """Randomly severing 30 percent of bonds leaves affine fields exact.
 
@@ -371,12 +360,12 @@ def test_operator_annihilates_constants(perturbed12):
 )
 def test_hole_geometry_skips_removed_nodes(seed, perturb, delta_factor, n):
     """The geometry step gives removed hole nodes no weights, moment tensor
-    or damage, so no moment tensor needs a pseudo-inverse."""
-    spec = DomainSpec(hole=Disk(center=(0.5, 0.5), radius=0.2))
+    or damage, so no moment tensor needs a pseudo-inverse, and the
+    assembled dilatation unknowns are exactly the nodes with weights."""
     config = RunConfig(
         case="hole", n=n, delta_factor=delta_factor, perturb=perturb, seed=seed
     )
-    disc = build_discretization(config, spec)
+    disc = build_discretization(config, Disk(center=(0.5, 0.5), radius=0.2))
     removed = ~disc.bonds.present
     assert removed.any()
     assert not disc.family.computed[removed].any()
@@ -388,6 +377,11 @@ def test_hole_geometry_skips_removed_nodes(seed, perturb, delta_factor, n):
     # jitter 0.25, seed 0); no kept node loses all of its weight.
     damage = disc.damage[disc.cloud.interior & disc.bonds.present]
     assert np.all(np.isfinite(damage) & (damage < 1.0))
+    ones, zeros = np.ones(disc.cloud.n_points), np.zeros((disc.cloud.n_points, 2))
+    system = assemble_system(
+        disc, MaterialField(lam=ones, mu=ones), dirichlet=zeros, forcing=zeros
+    )
+    np.testing.assert_array_equal(system.theta_index >= 0, disc.family.computed)
 
 
 @pytest.mark.parametrize("geometry", ["intact", "hole"])
@@ -400,8 +394,8 @@ def test_assembly_matches_matrix_free_application(geometry, perturbed12):
         cloud, nbrs, family = perturbed12
         disc = _discretize(cloud, nbrs, family, BondSet.intact(nbrs))
     else:
-        spec = DomainSpec(hole=Disk(center=(0.5, 0.5), radius=0.2))
-        disc = build_discretization(RunConfig(case="hole", n=24, seed=3), spec)
+        hole = Disk(center=(0.5, 0.5), radius=0.2)
+        disc = build_discretization(RunConfig(case="hole", n=24, seed=3), hole)
         assert disc.bonds.broken.any() and not disc.bonds.present.all()
     cloud = disc.cloud
     case = make_smooth_case(moduli_from_K_nu(1.0, 0.25), frequency=2.0)
@@ -474,12 +468,3 @@ def test_assembly_rejects_missing_weights(perturbed12):
     with pytest.raises(AssemblyError):
         assemble_system(disc, mat, dirichlet=u, forcing=case.forcing(cloud.positions))
 
-
-def test_assembly_rejects_missing_moment_tensors(perturbed12):
-    cloud, nbrs, family = perturbed12
-    disc = _discretize(cloud, nbrs, family, BondSet.intact(nbrs), needed=cloud.interior)
-    case = make_patch_case()
-    mat = MaterialField.from_case(case, cloud)
-    u = case.displacement(cloud.positions)
-    with pytest.raises(AssemblyError):
-        assemble_system(disc, mat, dirichlet=u, forcing=case.forcing(cloud.positions))

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from perilps import (
     ConfigError,
     Disk,
-    DomainSpec,
     build_neighborhoods,
     generate_perturbed_lattice,
+    hole_removal_mask,
     uniformity_metrics,
 )
 
@@ -87,11 +87,6 @@ def test_invalid_configurations_raise(kwargs):
         generate_perturbed_lattice(**kwargs)
 
 
-def test_hole_and_inclusion_exclusive():
-    with pytest.raises(ConfigError):
-        DomainSpec(hole=Disk((0.5, 0.5), 0.2), inclusion=Disk((0.5, 0.5), 0.2))
-
-
 def test_disk_requires_positive_radius():
     with pytest.raises(ConfigError):
         Disk((0.0, 0.0), 0.0)
@@ -106,12 +101,19 @@ def test_disk_signed_distance():
 
 
 def test_hole_flags_strict_interior_centers():
+    """A hole removes the nodes whose lattice center lies strictly inside
+    it, plus the jittered strays whose position does."""
     disk = Disk((0.5, 0.5), 0.2)
-    cloud = generate_perturbed_lattice(16, seed=2, spec=DomainSpec(hole=disk))
-    centers = cloud.unperturbed_centers()
-    expected = np.hypot(centers[:, 0] - 0.5, centers[:, 1] - 0.5) < 0.2
-    np.testing.assert_array_equal(cloud.hole_interior, expected)
-    assert cloud.hole_interior.any()
+    # At this jitter one node of each kind straddles the circle.
+    cloud = generate_perturbed_lattice(16, perturb_frac=0.45, seed=4)
+    centers = (cloud.lattice_index + 0.5) * cloud.h
+    by_center = np.hypot(centers[:, 0] - 0.5, centers[:, 1] - 0.5) < 0.2
+    pos = cloud.positions
+    by_position = np.hypot(pos[:, 0] - 0.5, pos[:, 1] - 0.5) < 0.2
+    assert (by_center & ~by_position).any() and (by_position & ~by_center).any()
+    np.testing.assert_array_equal(
+        hole_removal_mask(cloud, disk), by_center | by_position
+    )
 
 
 def test_neighborhoods_match_brute_force():

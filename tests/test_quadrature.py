@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import integrate
 
 from perilps import (
+    Disk,
     Neighborhoods,
     QuadratureError,
     assemble_constraints,
@@ -17,6 +18,7 @@ from perilps import (
     compute_family,
     exact_ball_moments,
     generate_perturbed_lattice,
+    hole_removal_mask,
     least_norm_weights,
     verify_family,
     weighted_volume,
@@ -343,6 +345,26 @@ def test_batched_weights_match_per_node_lstsq(
         got = family.weights[nbrs.pair_slice(i)]
         assert np.linalg.norm(got - w) <= 1e-10 * np.linalg.norm(w), i
         assert family.rank[i] == diag["rank"], i
+
+
+@given(**CONFIGS, n=st.integers(16, 24))
+# Found on a hole cloud: with each block padded to its own widest node,
+# skipping the removed nodes moved kept weights by up to 2.6e-15.
+@example(seed=3, perturb=0.45, delta_factor=3.0, n=24)
+def test_weights_do_not_depend_on_block_members(seed, perturb, delta_factor, n):
+    """A node's weights are bitwise the same whichever nodes share its
+    solve block: here with and without the nodes a hole removes."""
+    cloud = generate_perturbed_lattice(
+        n, delta_factor=delta_factor, perturb_frac=perturb, seed=seed
+    )
+    nbrs = build_neighborhoods(cloud)
+    needed = dilatation_nodes(cloud, nbrs)
+    kept = needed & ~hole_removal_mask(cloud, Disk((0.5, 0.5), 0.2))
+    full = compute_family(cloud, nbrs, needed=needed)
+    part = compute_family(cloud, nbrs, needed=kept)
+    sel = kept[nbrs.row_index]
+    np.testing.assert_array_equal(part.weights[sel], full.weights[sel])
+    np.testing.assert_array_equal(part.residual[kept], full.residual[kept])
 
 
 @given(**CONFIGS)

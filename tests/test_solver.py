@@ -5,7 +5,6 @@ import pytest
 import scipy.sparse as sp
 
 from perilps import (
-    DomainSpec,
     MaterialField,
     RunConfig,
     SolveError,
@@ -54,7 +53,7 @@ def test_singular_matrix_is_rejected():
 
 @pytest.fixture(scope="module")
 def patch_system():
-    disc = build_discretization(RunConfig(case="patch", n=12, seed=3), DomainSpec())
+    disc = build_discretization(RunConfig(case="patch", n=12, seed=3))
     cloud = disc.cloud
     case = make_patch_case()
     u_true = case.displacement(cloud.positions)
@@ -71,7 +70,6 @@ def test_direct_solve_is_certified(patch_system):
     _, system, _ = patch_system
     report = solve(system)
     assert report.residual <= 1e-10
-    assert report.wall_time >= 0.0
     # The certificate is recomputed from the original operator.
     manual = np.linalg.norm(system.matrix @ report.x - system.rhs) / np.linalg.norm(
         system.rhs
