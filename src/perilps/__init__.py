@@ -49,6 +49,7 @@ from .model import (
     hole_removal_mask,
     compute_moment_tensors,
     damage_field,
+    dissection_order,
 )
 from .pointcloud import (
     Disk,

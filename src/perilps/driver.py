@@ -3,8 +3,8 @@
 A run is configuration in, certified solution plus error report out,
 with optional CSV/JSON artifacts.  It has two steps: a material-free
 geometry step (:func:`build_discretization`: cloud, neighborhoods,
-bonds, weights, moment tensors, damage; the one place that cuts a
-hole) and a physics step (material, assembly, solve, error).  A
+bonds, weights, moment tensors, damage, the factor order; the one place
+that cuts a hole) and a physics step (material, assembly, solve, error).  A
 contrast sweep builds the geometry once and runs only the physics step
 per ratio.  All randomness flows from the single seed in the
 configuration, and the output writers format numbers with ``repr``, so
@@ -32,6 +32,7 @@ from .model import (
     hole_removal_mask,
     compute_moment_tensors,
     damage_field,
+    dissection_order,
 )
 from .pointcloud import (
     Disk,
@@ -239,6 +240,7 @@ def build_discretization(
         weights=weights,
         correction=compute_moment_tensors(nbrs, family, weights),
         damage=damage_field(family, nbrs, weights),
+        order=dissection_order(cloud.positions, cloud.delta)[0],
     )
 
 

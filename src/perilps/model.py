@@ -22,6 +22,10 @@ bond sums lose their full-ball symmetry.  A per-node first-moment
 tensor built from the surviving bonds restores exactness of the
 dilatation for affine deformations; on intact full balls that tensor is
 the identity and the correction is a no-op.
+
+Every bond is at most one horizon long, so the geometry also fixes a
+nested-dissection order of the nodes (``dissection_order``); the block
+system carries it as the order in which its unknowns are factored.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ __all__ = [
     "BlockSystem",
     "break_bonds_crossing_circle",
     "damage_field",
+    "dissection_order",
     "compute_moment_tensors",
     "assemble_system",
     "apply_operator",
@@ -55,6 +60,9 @@ __all__ = [
 #: pseudo-inverse (smallest singular value relative to the largest).
 MOMENT_COND_TOL = 1e-8
 
+
+#: Nested dissection stops splitting parts of at most this many nodes.
+DISSECTION_LEAF = 48
 
 #: Plane-strain scaling of the dilatation force term and of the bond
 #: force term, and the spatial dimension.
@@ -180,6 +188,43 @@ def damage_field(
     return np.where(nonzero, 1.0 - alive / np.where(nonzero, total, 1.0), 1.0)
 
 
+def dissection_order(
+    positions: np.ndarray, delta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Geometric nested-dissection order of the nodes at ``positions``.
+
+    A part of more than ``DISSECTION_LEAF`` nodes is cut at the median of
+    its longer axis.  The nodes within ``delta / 2`` of the cut form its
+    separator, so no bond (at most ``delta`` long) joins the two sides.
+    The left side is ordered first, then the right side, each by the same
+    rule, then the separator: eliminating in this order keeps the LU fill
+    of either side out of the other.
+
+    Returns the order and one row ``(start, mid, sep, end)`` per cut: the
+    left side is ``order[start:mid]``, the right side ``order[mid:sep]``
+    and the separator ``order[sep:end]``.
+    """
+    parts, cuts = [], []
+
+    def visit(nodes: np.ndarray, start: int) -> int:
+        if nodes.size > DISSECTION_LEAF:
+            p = positions[nodes]
+            axis = np.argmax(np.ptp(p, axis=0))
+            d = p[:, axis] - np.median(p[:, axis])
+            left, right = d < -0.5 * delta, d > 0.5 * delta
+            if left.any() and right.any():
+                mid = visit(nodes[left], start)
+                sep = visit(nodes[right], mid)
+                parts.append(nodes[~(left | right)])
+                cuts.append((start, mid, sep, sep + parts[-1].size))
+                return cuts[-1][-1]
+        parts.append(nodes)
+        return start + nodes.size
+
+    visit(np.arange(len(positions)), 0)
+    return np.concatenate(parts), np.array(cuts, dtype=np.int64).reshape(-1, 4)
+
+
 @dataclass
 class DilatationCorrection:
     """First-moment tensors of surviving bonds and their (pseudo)inverses."""
@@ -246,7 +291,8 @@ class Discretization:
 
     ``weights`` are the surviving pair weights, ``bonds.modified_weights``
     of ``family``, computed once; ``correction`` and ``damage`` are built
-    from them.  Any material on this cloud is assembled from this record.
+    from them.  ``order`` is the ``dissection_order`` of the nodes.  Any
+    material on this cloud is assembled from this record.
     """
 
     cloud: PointCloud
@@ -256,6 +302,7 @@ class Discretization:
     weights: np.ndarray
     correction: DilatationCorrection
     damage: np.ndarray
+    order: np.ndarray
 
 
 @dataclass
@@ -265,7 +312,9 @@ class BlockSystem:
     The first ``2 * n_u_points`` unknowns interleave (ux, uy) per
     interior node; the remaining ``n_theta`` are dilatation values.
     ``u_index`` and ``theta_index`` map node ids to slots (-1 where a
-    node carries no unknown of that kind).
+    node carries no unknown of that kind).  ``order`` is the order in
+    which the unknowns are factored: node by node in the discretization's
+    order, each node's (ux, uy, theta) together.
     """
 
     matrix: sp.csc_matrix
@@ -274,6 +323,7 @@ class BlockSystem:
     theta_index: np.ndarray
     n_u_points: int
     n_theta: int
+    order: np.ndarray
 
     @property
     def n_unknowns(self) -> int:
@@ -414,6 +464,12 @@ def assemble_system(
     rhs = np.concatenate((forcing[u_unknown].ravel(), np.zeros(n_theta)))
     rhs -= full[:, n_tot:] @ dirichlet[known].ravel()
 
+    # Each node's (ux, uy, theta) columns, -1 where it has no such unknown.
+    slots = np.column_stack((u_col, u_col + 1, theta_col))
+    slots[known, :2] = -1
+    slots[~theta_mask, 2] = -1
+    order = slots[disc.order].ravel()
+
     return BlockSystem(
         matrix=full[:, :n_tot],
         rhs=rhs,
@@ -421,6 +477,7 @@ def assemble_system(
         theta_index=theta_index,
         n_u_points=n_u,
         n_theta=n_theta,
+        order=order[order >= 0],
     )
 
 

@@ -24,6 +24,7 @@ from perilps import (
     compute_family,
     compute_moment_tensors,
     damage_field,
+    dissection_order,
     generate_perturbed_lattice,
     hole_removal_mask,
     make_inclusion_case,
@@ -47,6 +48,7 @@ def _discretize(cloud, nbrs, family, bonds):
         weights=weights,
         correction=compute_moment_tensors(nbrs, family, weights),
         damage=damage_field(family, nbrs, weights),
+        order=dissection_order(cloud.positions, cloud.delta)[0],
     )
 
 

@@ -1,8 +1,12 @@
-"""Solve-path tests: norm definition, failure modes, certificates."""
+"""Solve-path tests: norm definition, failure modes, certificates, the
+factor order and both solve paths."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from perilps import (
     MaterialField,
@@ -10,11 +14,14 @@ from perilps import (
     SolveError,
     assemble_system,
     build_discretization,
+    dissection_order,
     make_patch_case,
     rms_norm,
     solve,
 )
+from perilps.driver import _build_case
 from perilps.model import BlockSystem
+from perilps.solver import RESIDUAL_CERT
 
 
 def test_rms_norm_vector_field():
@@ -36,6 +43,7 @@ def _toy_system(dense, n_u_points, n_theta):
         theta_index=np.array([-1, 0]),
         n_u_points=n_u_points,
         n_theta=n_theta,
+        order=np.arange(n),
     )
 
 
@@ -84,3 +92,111 @@ def test_patch_system_reproduces_quadratic_displacement(patch_system):
     u = system.extract_u(solve(system).x)
     interior = cloud.interior
     assert np.abs(u[interior] - u_true[interior]).max() < 1e-12
+
+
+def _case_system(config):
+    """The driver's discretization and block system for ``config``."""
+    case, hole = _build_case(config)
+    disc = build_discretization(config, hole)
+    pos = disc.cloud.positions
+    system = assemble_system(
+        disc,
+        MaterialField.from_case(case, disc.cloud),
+        dirichlet=case.displacement(pos),
+        forcing=case.forcing(pos),
+    )
+    return disc, system
+
+
+def _factored_shapes(monkeypatch):
+    """Record the shape of every matrix the solver hands to the LU."""
+    shapes = []
+    splu = spla.splu
+
+    def spy(matrix, **kwargs):
+        shapes.append(matrix.shape)
+        return splu(matrix, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    return shapes
+
+
+#: Where pivoting on the diagonal with threshold 0 left a residual of
+#: 5.8e-12 (today's default LU: 3.3e-15); the pivot threshold must keep it
+#: at round-off.
+PIVOT_CORNER = dict(case="hole", nu=0.495, n=24, seed=2, perturb=0.45, delta_factor=3.0)
+
+
+@given(
+    case=st.sampled_from(["hole", "smooth-nearinc", "inclusion"]),
+    nu=st.sampled_from([0.25, 0.495]),
+    n=st.integers(16, 24),
+    seed=st.integers(0, 2**32 - 1),
+    perturb=st.floats(0.0, 0.45),
+    delta_factor=st.floats(3.0, 5.0),
+)
+@example(**PIVOT_CORNER)
+def test_dissection_solve_matches_default_lu(case, nu, n, seed, perturb, delta_factor):
+    """The node order is a bijection, no bond joins the two sides of any
+    separator, and the solve in that order with diagonal pivoting agrees
+    with SuperLU's default (COLAMD, partial pivoting) solve.  ``nu`` is
+    the Poisson ratio of the hole and smooth cases and of the inclusion's
+    outer phase."""
+    config = RunConfig(
+        case=case, n=n, seed=seed, perturb=perturb, delta_factor=delta_factor,
+        nu=nu, nu2=nu,
+    )
+    disc, system = _case_system(config)
+    n_points = disc.cloud.n_points
+    np.testing.assert_array_equal(np.sort(disc.order), np.arange(n_points))
+    np.testing.assert_array_equal(np.sort(system.order), np.arange(system.n_unknowns))
+
+    order, cuts = dissection_order(disc.cloud.positions, disc.cloud.delta)
+    np.testing.assert_array_equal(order, disc.order)
+    assert len(cuts) > 0
+    # Every pair within the horizon, so every live bond among them.
+    i, j = disc.nbrs.row_index, disc.nbrs.indices
+    for start, mid, sep, end in cuts:
+        side = np.zeros(n_points, dtype=np.int8)
+        side[order[start:mid]] = 1
+        side[order[mid:sep]] = 2
+        assert not np.any((side[i] == 1) & (side[j] == 2))
+
+    report = solve(system)
+    reference = spla.splu(system.matrix.tocsc()).solve(system.rhs)
+    assert np.linalg.norm(report.x - reference) <= 1e-10 * np.linalg.norm(reference)
+    assert report.residual <= RESIDUAL_CERT
+    if dict(case=case, nu=nu, n=n, seed=seed, perturb=perturb, delta_factor=delta_factor) == PIVOT_CORNER:
+        assert report.residual <= 1e-12
+
+
+def test_uncoupled_system_factors_the_displacement_block_alone(monkeypatch):
+    """With lam = mu no momentum row has a dilatation column: only the
+    2 n_u displacement unknowns are factored, and the dilatations then
+    satisfy their own rows to round-off."""
+    _, system = _case_system(RunConfig(case="smooth", n=24))
+    n_u = 2 * system.n_u_points
+    assert system.matrix[:n_u, n_u:].nnz == 0
+    shapes = _factored_shapes(monkeypatch)
+    report = solve(system)
+    assert shapes == [(n_u, n_u)]
+    theta_rows = system.matrix[n_u:] @ report.x - system.rhs[n_u:]
+    assert np.abs(theta_rows).max() <= 1e-14 * np.abs(report.x).max()
+
+
+def test_coupled_system_factors_all_unknowns(monkeypatch):
+    _, system = _case_system(RunConfig(case="hole", n=24, nu=0.495))
+    n_u = 2 * system.n_u_points
+    assert system.matrix[:n_u, n_u:].nnz > 0
+    shapes = _factored_shapes(monkeypatch)
+    report = solve(system)
+    assert shapes == [(system.n_unknowns, system.n_unknowns)]
+    assert report.residual <= RESIDUAL_CERT
+
+
+def test_dissection_order_fills_less_than_default_lu():
+    """The reported LU fill of the near-incompressible hole is below that
+    of SuperLU's default ordering (1.36M against 1.63M at seed 7)."""
+    _, system = _case_system(RunConfig(case="hole", n=32, nu=0.495))
+    report = solve(system)
+    assert report.lu_nnz < spla.splu(system.matrix.tocsc()).nnz
