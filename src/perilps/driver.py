@@ -3,7 +3,7 @@
 A run is configuration in, certified solution plus error report out,
 with optional CSV/JSON artifacts.  It has two steps: a material-free
 geometry step (:func:`build_discretization`: cloud, neighborhoods,
-bonds, weights, moment tensors, damage, the factor order; the one place
+bonds, weights, moment tensors, damage, the dissection tree; the one place
 that cuts a hole) and a physics step (material, assembly, solve, error).  A
 contrast sweep builds the geometry once and runs only the physics step
 per ratio.  All randomness flows from the single seed in the
@@ -232,6 +232,7 @@ def build_discretization(
     )
     weights = bonds.modified_weights(family, nbrs)
 
+    order, part_end, part_parent = dissection_order(cloud.positions, cloud.delta)
     return Discretization(
         cloud=cloud,
         nbrs=nbrs,
@@ -240,7 +241,9 @@ def build_discretization(
         weights=weights,
         correction=compute_moment_tensors(nbrs, family, weights),
         damage=damage_field(family, nbrs, weights),
-        order=dissection_order(cloud.positions, cloud.delta)[0],
+        order=order,
+        part_end=part_end,
+        part_parent=part_parent,
     )
 
 

@@ -24,8 +24,8 @@ dilatation for affine deformations; on intact full balls that tensor is
 the identity and the correction is a no-op.
 
 Every bond is at most one horizon long, so the geometry also fixes a
-nested-dissection order of the nodes (``dissection_order``); the block
-system carries it as the order in which its unknowns are factored.
+nested-dissection tree of the nodes (``dissection_order``); the block
+system carries it over its unknowns for the solver's fronts.
 """
 
 from __future__ import annotations
@@ -139,22 +139,23 @@ def break_bonds_crossing_circle(
     pos = cloud.positions
     i = nbrs.row_index
     j = nbrs.indices
-    di = circle.signed_distance(pos[i])
-    dj = circle.signed_distance(pos[j])
+    d = circle.signed_distance(pos)
+    di, dj = d[i], d[j]
     straddle = (di < 0.0) != (dj < 0.0)
 
-    # Double crossings: both endpoints outside, nearest segment point inside.
+    # Double crossings: both endpoints outside, nearest segment point
+    # inside.  That point lies within |z| of x_i, so it can only be
+    # inside when di < |z|; the margin keeps rounding at di = |z| from
+    # dropping a pair the exact test would flag.
+    margin = 1e-9 * (circle.radius + nbrs.delta)
+    near = np.flatnonzero((di > 0.0) & (dj > 0.0) & (di < nbrs.distances + margin))
     center = np.asarray(circle.center)
-    seg = nbrs.offsets
-    rel = center - pos[i]
-    seg2 = nbrs.distances**2
-    t = np.clip(np.einsum("pc,pc->p", rel, seg) / seg2, 0.0, 1.0)
-    nearest = pos[i] + t[:, None] * seg
-    dip = (
-        (di > 0.0)
-        & (dj > 0.0)
-        & (np.hypot(*(nearest - center).T) < circle.radius)
-    )
+    seg = nbrs.offsets[near]
+    rel = center - pos[i[near]]
+    t = np.clip(np.einsum("pc,pc->p", rel, seg) / nbrs.distances[near] ** 2, 0.0, 1.0)
+    nearest = pos[i[near]] + t[:, None] * seg
+    dip = np.zeros_like(straddle)
+    dip[near] = np.hypot(*(nearest - center).T) < circle.radius
 
     return BondSet(broken=bonds.broken | straddle | dip, present=bonds.present.copy())
 
@@ -175,22 +176,27 @@ def hole_removal_mask(cloud: PointCloud, circle) -> np.ndarray:
 def damage_field(
     family: QuadratureFamily, nbrs: Neighborhoods, weights: np.ndarray
 ) -> np.ndarray:
-    """Per-node damage: one minus the surviving share of quadrature weight.
+    """Per-node damage: one minus the surviving share of absolute quadrature weight.
 
     ``weights`` are the surviving pair weights (``BondSet.modified_weights``).
-    Nodes without computed weights report NaN, among them the nodes
-    removed from a hole, which get no weights; a node whose intact
-    weights sum to zero is fully damaged by convention.
+    Quadrature weights can be negative, so the share is taken of ``|w|``,
+    which keeps damage in [0, 1].  Nodes without computed weights report
+    NaN, among them the nodes removed from a hole, which get no weights;
+    a node whose weights are all zero is fully damaged by convention.
     """
-    total = family.weight_sums(nbrs)
-    alive = np.bincount(nbrs.row_index, weights=weights, minlength=nbrs.n_points)
+    row, n = nbrs.row_index, nbrs.n_points
+    w = np.where(family.computed[row], np.abs(family.weights), 0.0)
+    total = np.bincount(row, weights=w, minlength=n)
+    alive = np.bincount(row, weights=np.abs(weights), minlength=n)
     nonzero = total != 0.0
-    return np.where(nonzero, 1.0 - alive / np.where(nonzero, total, 1.0), 1.0)
+    damage = np.where(nonzero, 1.0 - alive / np.where(nonzero, total, 1.0), 1.0)
+    damage[~family.computed] = np.nan
+    return damage
 
 
 def dissection_order(
     positions: np.ndarray, delta: float
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Geometric nested-dissection order of the nodes at ``positions``.
 
     A part of more than ``DISSECTION_LEAF`` nodes is cut at the median of
@@ -200,29 +206,32 @@ def dissection_order(
     rule, then the separator: eliminating in this order keeps the LU fill
     of either side out of the other.
 
-    Returns the order and one row ``(start, mid, sep, end)`` per cut: the
-    left side is ``order[start:mid]``, the right side ``order[mid:sep]``
-    and the separator ``order[sep:end]``.
+    Returns the order and, per part (an uncut leaf or a separator, in
+    this postorder), its end offset in the order and its parent part:
+    part ``k`` is ``order[part_end[k - 1]:part_end[k]]``, and a cut's two
+    sides are the subtrees of its separator's two children.  The last
+    part is the root, with parent -1.
     """
-    parts, cuts = [], []
+    parts, parent = [], []
 
-    def visit(nodes: np.ndarray, start: int) -> int:
+    def visit(nodes: np.ndarray) -> int:
         if nodes.size > DISSECTION_LEAF:
             p = positions[nodes]
             axis = np.argmax(np.ptp(p, axis=0))
             d = p[:, axis] - np.median(p[:, axis])
             left, right = d < -0.5 * delta, d > 0.5 * delta
             if left.any() and right.any():
-                mid = visit(nodes[left], start)
-                sep = visit(nodes[right], mid)
-                parts.append(nodes[~(left | right)])
-                cuts.append((start, mid, sep, sep + parts[-1].size))
-                return cuts[-1][-1]
+                children = visit(nodes[left]), visit(nodes[right])
+                nodes = nodes[~(left | right)]
+                for child in children:
+                    parent[child] = len(parts)
         parts.append(nodes)
-        return start + nodes.size
+        parent.append(-1)
+        return len(parts) - 1
 
-    visit(np.arange(len(positions)), 0)
-    return np.concatenate(parts), np.array(cuts, dtype=np.int64).reshape(-1, 4)
+    visit(np.arange(len(positions)))
+    part_end = np.cumsum([part.size for part in parts], dtype=np.int64)
+    return np.concatenate(parts), part_end, np.array(parent, dtype=np.int64)
 
 
 @dataclass
@@ -291,8 +300,9 @@ class Discretization:
 
     ``weights`` are the surviving pair weights, ``bonds.modified_weights``
     of ``family``, computed once; ``correction`` and ``damage`` are built
-    from them.  ``order`` is the ``dissection_order`` of the nodes.  Any
-    material on this cloud is assembled from this record.
+    from them.  ``order``, ``part_end`` and ``part_parent`` are the
+    ``dissection_order`` of the nodes.  Any material on this cloud is
+    assembled from this record.
     """
 
     cloud: PointCloud
@@ -303,6 +313,8 @@ class Discretization:
     correction: DilatationCorrection
     damage: np.ndarray
     order: np.ndarray
+    part_end: np.ndarray
+    part_parent: np.ndarray
 
 
 @dataclass
@@ -314,7 +326,9 @@ class BlockSystem:
     ``u_index`` and ``theta_index`` map node ids to slots (-1 where a
     node carries no unknown of that kind).  ``order`` is the order in
     which the unknowns are factored: node by node in the discretization's
-    order, each node's (ux, uy, theta) together.
+    order, each node's (ux, uy, theta) together.  ``part_end`` and
+    ``part_parent`` are the discretization's dissection parts, with each
+    part's end offset counted in ``order``.
     """
 
     matrix: sp.csc_matrix
@@ -324,6 +338,8 @@ class BlockSystem:
     n_u_points: int
     n_theta: int
     order: np.ndarray
+    part_end: np.ndarray
+    part_parent: np.ndarray
 
     @property
     def n_unknowns(self) -> int:
@@ -453,13 +469,13 @@ def assemble_system(
 
     rows, cols, vals = zip(*entries)
     # Column-major: the unknowns' columns are a contiguous leading slice,
-    # and the sparse LU takes the matrix without a conversion.
+    # and the solver reads the matrix's columns without a conversion.
     full = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n_tot, n_col),
     ).tocsc()
     # Where lam = mu on both ends of a bond its theta coupling is exactly
-    # zero; stored zeros would still be ordered and filled by the LU.
+    # zero; stored zeros would still widen the solver's fronts.
     full.eliminate_zeros()
     rhs = np.concatenate((forcing[u_unknown].ravel(), np.zeros(n_theta)))
     rhs -= full[:, n_tot:] @ dirichlet[known].ravel()
@@ -469,6 +485,7 @@ def assemble_system(
     slots[known, :2] = -1
     slots[~theta_mask, 2] = -1
     order = slots[disc.order].ravel()
+    has = order >= 0
 
     return BlockSystem(
         matrix=full[:, :n_tot],
@@ -477,7 +494,9 @@ def assemble_system(
         theta_index=theta_index,
         n_u_points=n_u,
         n_theta=n_theta,
-        order=order[order >= 0],
+        order=order[has],
+        part_end=np.cumsum(np.r_[0, has])[3 * disc.part_end],
+        part_parent=disc.part_parent,
     )
 
 

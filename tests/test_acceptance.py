@@ -309,6 +309,7 @@ def test_dilatation_correction_exactness():
     weights = damaged.modified_weights(family, nbrs)
     corr_d = compute_moment_tensors(nbrs, family, weights)
     assert corr_d.invertible[family.computed].all()
+    order, part_end, part_parent = dissection_order(cloud.positions, cloud.delta)
     disc = Discretization(
         cloud=cloud,
         nbrs=nbrs,
@@ -317,7 +318,9 @@ def test_dilatation_correction_exactness():
         weights=weights,
         correction=corr_d,
         damage=damage_field(family, nbrs, weights),
-        order=dissection_order(cloud.positions, cloud.delta)[0],
+        order=order,
+        part_end=part_end,
+        part_parent=part_parent,
     )
 
     mat = MaterialField(

@@ -4,7 +4,7 @@ the moment-tensor dilatation correction, and operator/assembly agreement.
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from perilps import (
@@ -40,6 +40,7 @@ from perilps.model import C_ALPHA, C_BETA, DIM
 def _discretize(cloud, nbrs, family, bonds):
     """A Discretization over the given bonds, built as the driver's geometry step does."""
     weights = bonds.modified_weights(family, nbrs)
+    order, part_end, part_parent = dissection_order(cloud.positions, cloud.delta)
     return Discretization(
         cloud=cloud,
         nbrs=nbrs,
@@ -48,7 +49,9 @@ def _discretize(cloud, nbrs, family, bonds):
         weights=weights,
         correction=compute_moment_tensors(nbrs, family, weights),
         damage=damage_field(family, nbrs, weights),
-        order=dissection_order(cloud.positions, cloud.delta)[0],
+        order=order,
+        part_end=part_end,
+        part_parent=part_parent,
     )
 
 
@@ -200,6 +203,39 @@ def test_break_bonds_hand_cases(p0, p1, expect_broken):
     assert bonds.broken.tolist() == [expect_broken, expect_broken]
 
 
+def _crossing_oracle(nbrs, cloud, circle):
+    """The bond-breaking predicate evaluated on every pair."""
+    pos = cloud.positions
+    i, j = nbrs.row_index, nbrs.indices
+    di = circle.signed_distance(pos[i])
+    dj = circle.signed_distance(pos[j])
+    straddle = (di < 0.0) != (dj < 0.0)
+    center = np.asarray(circle.center)
+    seg = nbrs.offsets
+    rel = center - pos[i]
+    t = np.clip(np.einsum("pc,pc->p", rel, seg) / nbrs.distances**2, 0.0, 1.0)
+    nearest = pos[i] + t[:, None] * seg
+    dip = (di > 0.0) & (dj > 0.0) & (np.hypot(*(nearest - center).T) < circle.radius)
+    return straddle | dip
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    perturb=st.floats(0.0, 0.45),
+    delta_factor=st.floats(3.0, 5.0),
+)
+def test_break_bonds_matches_per_pair_predicate(seed, perturb, delta_factor):
+    """Testing for double crossings only where di < |z| loses no bond."""
+    cloud = generate_perturbed_lattice(
+        24, delta_factor=delta_factor, perturb_frac=perturb, seed=seed
+    )
+    nbrs = build_neighborhoods(cloud)
+    circle = Disk(center=(0.5, 0.5), radius=0.2)
+    bonds = break_bonds_crossing_circle(BondSet.intact(nbrs), nbrs, cloud, circle)
+    assert bonds.broken.any()
+    np.testing.assert_array_equal(bonds.broken, _crossing_oracle(nbrs, cloud, circle))
+
+
 def test_break_bonds_idempotent(perturbed12):
     cloud, nbrs, _ = perturbed12
     circle = Disk(center=(0.5, 0.5), radius=0.2)
@@ -271,7 +307,7 @@ def test_damage_ratios(perturbed12):
     partial = damage_field(
         family, nbrs, BondSet(broken=one, present=present).modified_weights(family, nbrs)
     )
-    share = family.weights[sl.start] / family.weights[sl].sum()
+    share = abs(family.weights[sl.start]) / np.abs(family.weights[sl]).sum()
     assert partial[i] == pytest.approx(share, rel=1e-12)
     j = int(nbrs.indices[sl.start])
     assert partial[j] == pytest.approx(0.0, abs=1e-15)
@@ -374,9 +410,7 @@ def test_hole_geometry_skips_removed_nodes(seed, perturb, delta_factor, n):
     assert np.isnan(disc.damage[removed]).all()
     corr = disc.correction
     assert not (corr.computed & ~corr.invertible).any()
-    # Quadrature weights can be negative, so a node whose lost bonds carry
-    # negative weight reports damage below zero (-0.093 at n=16, delta/h=3,
-    # jitter 0.25, seed 0); no kept node loses all of its weight.
+    # No kept node loses all of its weight.
     damage = disc.damage[disc.cloud.interior & disc.bonds.present]
     assert np.all(np.isfinite(damage) & (damage < 1.0))
     ones, zeros = np.ones(disc.cloud.n_points), np.zeros((disc.cloud.n_points, 2))
@@ -384,6 +418,23 @@ def test_hole_geometry_skips_removed_nodes(seed, perturb, delta_factor, n):
         disc, MaterialField(lam=ones, mu=ones), dirichlet=zeros, forcing=zeros
     )
     np.testing.assert_array_equal(system.theta_index >= 0, disc.family.computed)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    perturb=st.floats(0.0, 0.45),
+    delta_factor=st.floats(3.0, 5.0),
+    n=st.integers(16, 24),
+)
+@example(seed=0, perturb=0.25, delta_factor=3.0, n=16)
+def test_hole_damage_is_a_share(seed, perturb, delta_factor, n):
+    """Damage lies in [0, 1] on every kept node of a hole cloud, also
+    where lost bonds carry negative weight (the signed share gave -0.093
+    at the example)."""
+    config = RunConfig(case="hole", n=n, delta_factor=delta_factor, perturb=perturb, seed=seed)
+    disc = build_discretization(config, Disk(center=(0.5, 0.5), radius=0.2))
+    damage = disc.damage[disc.bonds.present & disc.family.computed]
+    assert np.all((damage >= 0.0) & (damage <= 1.0))
 
 
 @pytest.mark.parametrize("geometry", ["intact", "hole"])

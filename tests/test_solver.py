@@ -1,5 +1,5 @@
 """Solve-path tests: norm definition, failure modes, certificates, the
-factor order and both solve paths."""
+dissection tree and both solve paths."""
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from perilps import (
     rms_norm,
     solve,
 )
+from perilps import solver
 from perilps.driver import _build_case
 from perilps.model import BlockSystem
 from perilps.solver import RESIDUAL_CERT
@@ -34,7 +35,8 @@ def test_rms_norm_scalar_field():
     assert rms_norm(np.zeros(5)) == 0.0
 
 
-def _toy_system(dense, n_u_points, n_theta):
+def _toy_system(dense, n_u_points, n_theta, part_end=None, part_parent=None):
+    """A hand-built system, by default one part holding every unknown."""
     n = dense.shape[0]
     return BlockSystem(
         matrix=sp.csr_matrix(dense),
@@ -44,6 +46,8 @@ def _toy_system(dense, n_u_points, n_theta):
         n_u_points=n_u_points,
         n_theta=n_theta,
         order=np.arange(n),
+        part_end=np.array([n] if part_end is None else part_end),
+        part_parent=np.array([-1] if part_parent is None else part_parent),
     )
 
 
@@ -57,6 +61,29 @@ def test_singular_matrix_is_rejected():
     dense = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(SolveError):
         solve(_toy_system(dense, n_u_points=1, n_theta=0))
+
+
+def test_singular_pivot_block_is_rejected():
+    """Pivoting stays inside each front's pivot block, so a singular leaf
+    block fails even though the whole matrix (determinant -1) is regular."""
+    dense = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+    system = _toy_system(dense, n_u_points=1, n_theta=1, part_end=[2, 3], part_parent=[1, -1])
+    with pytest.raises(SolveError, match="singular"):
+        solve(system)
+
+
+def test_entry_joining_sibling_parts_is_rejected():
+    """Unknowns 0 and 1 are two leaves under the separator 2; the entry
+    (0, 1) joins them, so the tree is no dissection of the matrix."""
+    dense = np.array([[2.0, 1.0, 1.0], [0.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
+    system = _toy_system(
+        dense, n_u_points=1, n_theta=1, part_end=[1, 2, 3], part_parent=[2, 2, -1]
+    )
+    with pytest.raises(SolveError, match="sibling"):
+        solve(system)
+    dense[0, 1] = 0.0
+    report = solve(_toy_system(dense, 1, 1, part_end=[1, 2, 3], part_parent=[2, 2, -1]))
+    np.testing.assert_allclose(dense @ report.x, np.ones(3), atol=1e-15)
 
 
 @pytest.fixture(scope="module")
@@ -108,22 +135,22 @@ def _case_system(config):
     return disc, system
 
 
-def _factored_shapes(monkeypatch):
-    """Record the shape of every matrix the solver hands to the LU."""
-    shapes = []
-    splu = spla.splu
+def _factored_sizes(monkeypatch):
+    """Record the unknown count of every system the solver factors."""
+    sizes = []
+    factor = solver._multifrontal
 
-    def spy(matrix, **kwargs):
-        shapes.append(matrix.shape)
-        return splu(matrix, **kwargs)
+    def spy(A, b, order, part_end, part_parent):
+        sizes.append(order.size)
+        return factor(A, b, order, part_end, part_parent)
 
-    monkeypatch.setattr(spla, "splu", spy)
-    return shapes
+    monkeypatch.setattr(solver, "_multifrontal", spy)
+    return sizes
 
 
-#: Where pivoting on the diagonal with threshold 0 left a residual of
-#: 5.8e-12 (today's default LU: 3.3e-15); the pivot threshold must keep it
-#: at round-off.
+#: Where SuperLU pivoting on the diagonal with threshold 0 left a residual
+#: of 5.8e-12 (the default LU: 3.3e-15); pivoting inside each front's
+#: pivot block must keep it at round-off.
 PIVOT_CORNER = dict(case="hole", nu=0.495, n=24, seed=2, perturb=0.45, delta_factor=3.0)
 
 
@@ -137,11 +164,11 @@ PIVOT_CORNER = dict(case="hole", nu=0.495, n=24, seed=2, perturb=0.45, delta_fac
 )
 @example(**PIVOT_CORNER)
 def test_dissection_solve_matches_default_lu(case, nu, n, seed, perturb, delta_factor):
-    """The node order is a bijection, no bond joins the two sides of any
-    separator, and the solve in that order with diagonal pivoting agrees
-    with SuperLU's default (COLAMD, partial pivoting) solve.  ``nu`` is
-    the Poisson ratio of the hole and smooth cases and of the inclusion's
-    outer phase."""
+    """The node order is a bijection, the parts tile it in postorder, no
+    bond joins the two sides of any separator, and the multifrontal solve
+    over that tree agrees with SuperLU's default (COLAMD, partial
+    pivoting) solve.  ``nu`` is the Poisson ratio of the hole and smooth
+    cases and of the inclusion's outer phase."""
     config = RunConfig(
         case=case, n=n, seed=seed, perturb=perturb, delta_factor=delta_factor,
         nu=nu, nu2=nu,
@@ -151,15 +178,29 @@ def test_dissection_solve_matches_default_lu(case, nu, n, seed, perturb, delta_f
     np.testing.assert_array_equal(np.sort(disc.order), np.arange(n_points))
     np.testing.assert_array_equal(np.sort(system.order), np.arange(system.n_unknowns))
 
-    order, cuts = dissection_order(disc.cloud.positions, disc.cloud.delta)
+    order, part_end, part_parent = dissection_order(disc.cloud.positions, disc.cloud.delta)
     np.testing.assert_array_equal(order, disc.order)
+    assert part_end[-1] == n_points and np.all(np.diff(part_end) >= 0)
+    assert part_parent[-1] == -1
+    # Postorder: the subtrees of a separator's two sides tile the order
+    # just before it.  A subtree starts where its first leaf does.
+    start = np.r_[0, part_end[:-1]]
+    first = start.copy()
+    cuts = []
+    for k in range(len(part_end)):
+        kids = np.flatnonzero(part_parent == k)
+        if kids.size:
+            left, right = kids
+            assert part_end[left] == first[right] and part_end[right] == start[k]
+            first[k] = first[left]
+            cuts.append((first[left], part_end[left], part_end[right]))
     assert len(cuts) > 0
     # Every pair within the horizon, so every live bond among them.
     i, j = disc.nbrs.row_index, disc.nbrs.indices
-    for start, mid, sep, end in cuts:
+    for lo, mid, hi in cuts:
         side = np.zeros(n_points, dtype=np.int8)
-        side[order[start:mid]] = 1
-        side[order[mid:sep]] = 2
+        side[order[lo:mid]] = 1
+        side[order[mid:hi]] = 2
         assert not np.any((side[i] == 1) & (side[j] == 2))
 
     report = solve(system)
@@ -177,9 +218,9 @@ def test_uncoupled_system_factors_the_displacement_block_alone(monkeypatch):
     _, system = _case_system(RunConfig(case="smooth", n=24))
     n_u = 2 * system.n_u_points
     assert system.matrix[:n_u, n_u:].nnz == 0
-    shapes = _factored_shapes(monkeypatch)
+    sizes = _factored_sizes(monkeypatch)
     report = solve(system)
-    assert shapes == [(n_u, n_u)]
+    assert sizes == [n_u]
     theta_rows = system.matrix[n_u:] @ report.x - system.rhs[n_u:]
     assert np.abs(theta_rows).max() <= 1e-14 * np.abs(report.x).max()
 
@@ -188,9 +229,9 @@ def test_coupled_system_factors_all_unknowns(monkeypatch):
     _, system = _case_system(RunConfig(case="hole", n=24, nu=0.495))
     n_u = 2 * system.n_u_points
     assert system.matrix[:n_u, n_u:].nnz > 0
-    shapes = _factored_shapes(monkeypatch)
+    sizes = _factored_sizes(monkeypatch)
     report = solve(system)
-    assert shapes == [(system.n_unknowns, system.n_unknowns)]
+    assert sizes == [system.n_unknowns]
     assert report.residual <= RESIDUAL_CERT
 
 
