@@ -42,7 +42,9 @@ from .model import (
     BondSet,
     DilatationCorrection,
     Discretization,
+    FrontTree,
     MaterialField,
+    analyse_fronts,
     apply_operator,
     assemble_system,
     break_bonds_crossing_circle,
@@ -50,6 +52,7 @@ from .model import (
     compute_moment_tensors,
     damage_field,
     dissection_order,
+    front_tree,
 )
 from .pointcloud import (
     Disk,

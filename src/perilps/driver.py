@@ -3,11 +3,11 @@
 A run is configuration in, certified solution plus error report out,
 with optional CSV/JSON artifacts.  It has two steps: a material-free
 geometry step (:func:`build_discretization`: cloud, neighborhoods,
-bonds, weights, moment tensors, damage, the dissection tree; the one place
-that cuts a hole) and a physics step (material, assembly, solve, error).  A
-contrast sweep builds the geometry once and runs only the physics step
-per ratio.  All randomness flows from the single seed in the
-configuration, and the output writers format numbers with ``repr``, so
+bonds, weights, moment tensors, damage, and the solver's front tree over
+the dissection of the nodes; the one place that cuts a hole) and a
+physics step (material, assembly, solve, error).  A contrast sweep
+builds the geometry once and runs only the physics step per ratio.  All
+randomness flows from the single seed in the configuration, and the output writers format numbers with ``repr``, so
 identical configurations produce byte-identical files.
 """
 
@@ -32,7 +32,7 @@ from .model import (
     hole_removal_mask,
     compute_moment_tensors,
     damage_field,
-    dissection_order,
+    front_tree,
 )
 from .pointcloud import (
     Disk,
@@ -231,8 +231,6 @@ def build_discretization(
         needed=dilatation_nodes(cloud, nbrs) & bonds.present,
     )
     weights = bonds.modified_weights(family, nbrs)
-
-    order, part_end, part_parent = dissection_order(cloud.positions, cloud.delta)
     return Discretization(
         cloud=cloud,
         nbrs=nbrs,
@@ -241,9 +239,7 @@ def build_discretization(
         weights=weights,
         correction=compute_moment_tensors(nbrs, family, weights),
         damage=damage_field(family, nbrs, weights),
-        order=order,
-        part_end=part_end,
-        part_parent=part_parent,
+        fronts=front_tree(cloud, nbrs, bonds, weights),
     )
 
 

@@ -23,9 +23,18 @@ tensor built from the surviving bonds restores exactness of the
 dilatation for affine deformations; on intact full balls that tensor is
 the identity and the correction is a no-op.
 
-Every bond is at most one horizon long, so the geometry also fixes a
-nested-dissection tree of the nodes (``dissection_order``); the block
-system carries it over its unknowns for the solver's fronts.
+Every equation couples two nodes joined by a bond, or a node with
+itself.  So the block system stores one 3x3 block per directed bond,
+aligned with the neighbor lists, plus one diagonal block per node; the
+rows of a block are a node's (x-momentum, y-momentum, dilatation)
+equations and its columns the other node's (ux, uy, theta).  The
+assembly writes the blocks in place; a scalar sparse matrix exists only
+on request (``BlockSystem.matrix``).  Every bond is at most one horizon
+long, so the geometry also fixes a nested-dissection tree of the nodes
+(``dissection_order``) and, from the surviving bonds, the node-level
+symbolic structure of the solver's fronts over it (``front_tree``).
+Neither depends on the material, so one analysis serves every system
+assembled on the discretization.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import AssemblyError, ConfigError
+from .errors import AssemblyError, ConfigError, SolveError
 from .pointcloud import Neighborhoods, PointCloud
 from .quadrature import QuadratureFamily, weighted_volume
 
@@ -48,6 +57,9 @@ __all__ = [
     "DilatationCorrection",
     "Discretization",
     "BlockSystem",
+    "FrontTree",
+    "analyse_fronts",
+    "front_tree",
     "break_bonds_crossing_circle",
     "damage_field",
     "dissection_order",
@@ -56,8 +68,8 @@ __all__ = [
     "apply_operator",
 ]
 
-#: Condition threshold below which the moment tensor falls back to a
-#: pseudo-inverse (smallest singular value relative to the largest).
+#: Smallest singular value of a moment tensor, relative to its largest,
+#: below which the tensor is rejected as ill-conditioned.
 MOMENT_COND_TOL = 1e-8
 
 
@@ -235,8 +247,159 @@ def dissection_order(
 
 
 @dataclass
+class FrontTree:
+    """Node-level structure of the multifrontal LU over a dissection tree.
+
+    ``order``, ``part_end`` and ``part_parent`` are a ``dissection_order``:
+    part ``k`` pivots on the nodes ``order[part_end[k - 1]:part_end[k]]``.
+    Its front lists ``nodes[node_end[k - 1]:node_end[k]]``: those pivots,
+    then its boundary, the later nodes that its pairs and its children's
+    boundaries reach, in elimination order.  Below, an entry is an index
+    into ``nodes``.
+
+    ``pairs[pair_end[k - 1]:pair_end[k]]`` are the pairs whose blocks go
+    into front ``k``, the front of the earlier of their two nodes;
+    ``pair_rows`` and ``pair_cols`` are the entries of their row and
+    column nodes.  A node's diagonal block goes into its own part's front.
+
+    A boundary sits in the parent's front in runs of consecutive nodes,
+    each among the parent's pivots or among its boundary.  The columns
+    ``runs[:, run_end[k - 1]:run_end[k]]`` are part ``k``'s runs: the
+    entry of the first node in its own front and in the parent's, and
+    the run's length.
+    """
+
+    order: np.ndarray
+    part_end: np.ndarray
+    part_parent: np.ndarray
+    nodes: np.ndarray
+    node_end: np.ndarray
+    pairs: np.ndarray
+    pair_end: np.ndarray
+    pair_rows: np.ndarray
+    pair_cols: np.ndarray
+    runs: np.ndarray
+    run_end: np.ndarray
+
+
+def analyse_fronts(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    coupled: np.ndarray,
+    order: np.ndarray,
+    part_end: np.ndarray,
+    part_parent: np.ndarray,
+) -> FrontTree:
+    """The symbolic pass of the multifrontal LU, node by node.
+
+    ``indptr`` and ``indices`` are the neighbor lists; ``coupled`` marks
+    the pairs whose blocks may hold an entry of the system.  The result
+    depends on nothing else, so every material assembled on the same
+    bonds shares it.
+
+    Raises
+    ------
+    SolveError
+        If a pair joins two sibling subtrees, so that the order is no
+        nested dissection of the pairs.
+    """
+    n, n_parts = order.size, part_end.size
+    part_start = np.r_[0, part_end[:-1]]
+    n_piv = part_end - part_start
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    part_of = np.repeat(np.arange(n_parts), n_piv)
+
+    pairs = np.flatnonzero(coupled)
+    a = pos[np.repeat(np.arange(n), np.diff(indptr))[pairs]]
+    b = pos[indices[pairs]]
+    front = part_of[np.minimum(a, b)]
+    by_front = np.argsort(front, kind="stable")
+    pairs, a, b, front = pairs[by_front], a[by_front], b[by_front], front[by_front]
+
+    # Each front's reach beyond its own part, as sorted keys front * n + position.
+    far = np.maximum(a, b)
+    out = far >= part_end[front]
+    reach = np.unique(front[out] * n + far[out])
+    reach_end = np.searchsorted(reach, (np.arange(n_parts) + 1) * n)
+    children = [[] for _ in range(n_parts)]
+    for k, parent in enumerate(part_parent):
+        if parent >= 0:
+            children[parent].append(k)
+    # Boundaries as positions in the order, increasing.
+    boundary = []
+    for k, (s, e) in enumerate(zip(part_start, part_end)):
+        reached = [reach[(reach_end[k - 1] if k else 0) : reach_end[k]] - k * n]
+        for c in children[k]:
+            if boundary[c].size and boundary[c][0] < s:
+                raise SolveError(
+                    f"a pair joins part {c} to a sibling subtree of part {k}; "
+                    "the order is not a nested dissection of the pairs"
+                )
+            reached.append(boundary[c][boundary[c] >= e])
+        boundary.append(np.unique(np.concatenate(reached)))
+
+    # Every front lists increasing positions, so the keys front * n +
+    # position of all entries are sorted.
+    listed = [np.r_[s:e, bnd] for s, e, bnd in zip(part_start, part_end, boundary)]
+    keys = np.concatenate([f + k * n for k, f in enumerate(listed)])
+    node_end = np.cumsum([f.size for f in listed])
+    n_bnd = np.array([bnd.size for bnd in boundary], dtype=np.int64)
+    bnd_start = node_end - n_bnd
+
+    # The entries of each pair's nodes.  The nearer is a pivot of the
+    # pair's front, and so is the farther unless it lies beyond the part.
+    first_entry = (bnd_start - part_end)[front]
+    near = first_entry + np.minimum(a, b)
+    beyond = first_entry + far
+    beyond[out] = np.searchsorted(keys, front[out] * n + far[out])
+
+    # Runs end where the parent's front skips a node or its pivots end.
+    kid = np.repeat(np.arange(n_parts), n_bnd)
+    src = np.repeat(bnd_start - np.cumsum(n_bnd) + n_bnd, n_bnd) + np.arange(kid.size)
+    dst = np.searchsorted(keys, part_parent[kid] * n + np.concatenate(boundary))
+    parent_bnd = bnd_start[part_parent[kid]]
+    first = np.flatnonzero(
+        (np.diff(kid, prepend=-1) != 0) | (np.diff(dst, prepend=-2) != 1) | (dst == parent_bnd)
+    )
+    return FrontTree(
+        order=order,
+        part_end=part_end,
+        part_parent=part_parent,
+        nodes=order[keys % n],
+        node_end=node_end,
+        pairs=pairs,
+        pair_end=np.searchsorted(front, np.arange(n_parts), side="right"),
+        pair_rows=np.where(a < b, near, beyond),
+        pair_cols=np.where(a < b, beyond, near),
+        runs=np.stack((src[first], dst[first], np.diff(np.r_[first, src.size]))),
+        run_end=np.searchsorted(kid[first], np.arange(n_parts), side="right"),
+    )
+
+
+def front_tree(
+    cloud: PointCloud, nbrs: Neighborhoods, bonds: BondSet, weights: np.ndarray
+) -> FrontTree:
+    """``analyse_fronts`` of the surviving bonds over the cloud's dissection.
+
+    A bond's block holds entries of the system only where it survives
+    and one of its nodes carries displacement unknowns.
+    """
+    u_node = cloud.interior & bonds.present
+    coupled = (weights != 0.0) & (u_node[nbrs.row_index] | u_node[nbrs.indices])
+    return analyse_fronts(
+        nbrs.indptr, nbrs.indices, coupled, *dissection_order(cloud.positions, cloud.delta)
+    )
+
+
+@dataclass
 class DilatationCorrection:
-    """First-moment tensors of surviving bonds and their (pseudo)inverses."""
+    """First-moment tensors of surviving bonds and their inverses.
+
+    ``invertible`` and ``computed`` mark the nodes whose tensor was
+    inverted and the nodes with weights; ``compute_moment_tensors``
+    rejects any computed node whose tensor is not invertible.
+    """
 
     tensors: np.ndarray
     inverses: np.ndarray
@@ -254,9 +417,14 @@ def compute_moment_tensors(
     ``weights`` are the surviving pair weights ``w~``.  On a full intact
     ball the moment constraints force ``M_i`` to the identity.  With
     bonds missing, ``M_i`` deviates and its inverse restores affine
-    exactness of the dilatation.  Tensors whose smallest singular value
-    falls below ``MOMENT_COND_TOL`` times the largest get a
-    pseudo-inverse instead and are flagged.
+    exactness of the dilatation.
+
+    Raises
+    ------
+    AssemblyError
+        If a tensor's smallest singular value falls below
+        ``MOMENT_COND_TOL`` times its largest: the surviving bonds of
+        that node do not span the plane.
     """
     n = nbrs.n_points
     computed = family.computed
@@ -279,6 +447,12 @@ def compute_moment_tensors(
     smax = np.maximum(np.abs(eig_lo), np.abs(eig_hi))
     smin = np.minimum(np.abs(eig_lo), np.abs(eig_hi))
     invertible = computed & (smax > 0.0) & (smin > MOMENT_COND_TOL * smax)
+    bad = computed & ~invertible
+    if bad.any():
+        raise AssemblyError(
+            f"{int(bad.sum())} moment tensors are ill-conditioned "
+            f"(first: node {int(np.argmax(bad))}); their surviving bonds do not span the plane"
+        )
 
     inv = np.zeros_like(M)
     ok = invertible
@@ -286,8 +460,6 @@ def compute_moment_tensors(
     inv[ok, 1, 1] = a[ok] / det[ok]
     inv[ok, 0, 1] = -b[ok] / det[ok]
     inv[ok, 1, 0] = -b[ok] / det[ok]
-    for idx in np.nonzero(computed & ~invertible)[0]:
-        inv[idx] = np.linalg.pinv(M[idx], rcond=MOMENT_COND_TOL)
 
     return DilatationCorrection(
         tensors=M, inverses=inv, invertible=invertible, computed=computed.copy()
@@ -300,9 +472,9 @@ class Discretization:
 
     ``weights`` are the surviving pair weights, ``bonds.modified_weights``
     of ``family``, computed once; ``correction`` and ``damage`` are built
-    from them.  ``order``, ``part_end`` and ``part_parent`` are the
-    ``dissection_order`` of the nodes.  Any material on this cloud is
-    assembled from this record.
+    from them.  ``fronts`` is their ``front_tree``, the solver's
+    structure over the ``dissection_order`` of the nodes.  Any material
+    on this cloud is assembled from this record.
     """
 
     cloud: PointCloud
@@ -312,38 +484,83 @@ class Discretization:
     weights: np.ndarray
     correction: DilatationCorrection
     damage: np.ndarray
-    order: np.ndarray
-    part_end: np.ndarray
-    part_parent: np.ndarray
+    fronts: FrontTree
 
 
 @dataclass
 class BlockSystem:
-    """Sparse square system over interior displacements and dilatations.
+    """Square sparse system over interior displacements and dilatations.
 
-    The first ``2 * n_u_points`` unknowns interleave (ux, uy) per
-    interior node; the remaining ``n_theta`` are dilatation values.
+    The scalar unknowns: the first ``2 * n_u_points`` interleave (ux, uy)
+    per interior node; the remaining ``n_theta`` are dilatation values.
     ``u_index`` and ``theta_index`` map node ids to slots (-1 where a
-    node carries no unknown of that kind).  ``order`` is the order in
-    which the unknowns are factored: node by node in the discretization's
-    order, each node's (ux, uy, theta) together.  ``part_end`` and
-    ``part_parent`` are the discretization's dissection parts, with each
-    part's end offset counted in ``order``.
+    node carries no unknown of that kind), and ``rhs`` is in this layout.
+
+    The matrix is stored by node: ``blocks[p]`` couples the equations of
+    node ``i`` (rows x-momentum, y-momentum, dilatation) to the unknowns
+    (ux, uy, theta) of its ``p``-th neighbor ``indices[p]``, with ``p`` in
+    ``indptr[i]:indptr[i + 1]``; ``diag[i]`` couples node ``i`` to itself.
+    Rows and columns of unknowns a node does not carry hold zeros.
+    ``fronts`` is the discretization's ``FrontTree``.
     """
 
-    matrix: sp.csc_matrix
+    indptr: np.ndarray
+    indices: np.ndarray
+    blocks: np.ndarray
+    diag: np.ndarray
     rhs: np.ndarray
     u_index: np.ndarray
     theta_index: np.ndarray
     n_u_points: int
     n_theta: int
-    order: np.ndarray
-    part_end: np.ndarray
-    part_parent: np.ndarray
+    fronts: FrontTree
 
     @property
     def n_unknowns(self) -> int:
         return 2 * self.n_u_points + self.n_theta
+
+    @property
+    def slot_index(self) -> np.ndarray:
+        """(N, 3) scalar unknown of each node's (ux, uy, theta), -1 where absent."""
+        u, th = self.u_index, self.theta_index
+        slots = np.column_stack((2 * u, 2 * u + 1, 2 * self.n_u_points + th))
+        slots[u < 0, :2] = -1
+        slots[th < 0, 2] = -1
+        return slots
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The product of the matrix with ``x``, both in the scalar layout."""
+        slots = self.slot_index
+        has = slots >= 0
+        n = has.shape[0]
+        xs = np.zeros(has.shape)
+        xs[has] = x[slots[has]]
+        rows = np.repeat(np.arange(n), np.diff(self.indptr))
+        bonds = np.einsum("pab,pb->pa", self.blocks, np.take(xs, self.indices, axis=0))
+        y = np.einsum("iab,ib->ia", self.diag, xs)
+        for a in range(3):
+            y[:, a] += np.bincount(rows, weights=bonds[:, a], minlength=n)
+        out = np.empty(self.n_unknowns)
+        out[slots[has]] = y[has]
+        return out
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        """The matrix over the scalar unknowns, with no stored zeros.
+
+        Built on each access; the solver never forms it.
+        """
+        slots = self.slot_index
+        n = slots.shape[0]
+        node = np.arange(n)
+        rows = np.r_[np.repeat(node, np.diff(self.indptr)), node]
+        cols = np.r_[self.indices, node]
+        vals = np.concatenate((self.blocks, self.diag))
+        r = np.broadcast_to(slots[rows][:, :, None], vals.shape)
+        c = np.broadcast_to(slots[cols][:, None, :], vals.shape)
+        keep = (vals != 0.0) & (r >= 0) & (c >= 0)
+        shape = (self.n_unknowns, self.n_unknowns)
+        return sp.csr_matrix((vals[keep], (r[keep], c[keep])), shape=shape)
 
     def extract_u(self, x: np.ndarray) -> np.ndarray:
         """Scatter the solved displacements back onto the cloud (NaN elsewhere)."""
@@ -362,13 +579,15 @@ class BlockSystem:
         return th
 
 
-def _pair_coefficients(disc: Discretization, material: MaterialField):
-    """Per-bond coefficient arrays shared by assembly and application.
+def _pair_coefficients(disc: Discretization, material: MaterialField) -> np.ndarray:
+    """Per-bond 3x3 blocks shared by assembly and application.
 
-    Returns the dilatation-force vector ``A`` (scales theta_i + theta_j),
-    the bond-force factor such that the matrix contribution is
-    ``s_fac * z (x) z`` acting on ``u_j - u_i``, and the corrected
-    dilatation row vector ``c`` (so theta_i = sum_j c . (u_j - u_i)).
+    Rows are node ``i``'s x-momentum, y-momentum and dilatation; columns
+    the neighbor's (ux, uy, theta).  With ``B`` the block of bond (i, j),
+    the momentum of ``i`` sums ``B[:2, :2] (u_j - u_i)`` (the bond force,
+    ``s z (x) z``) and ``B[:2, 2] (theta_i + theta_j)`` (the dilatation
+    force), and ``theta_i`` sums ``-B[2, :2] . (u_j - u_i)`` (the
+    corrected dilatation).  ``B[2, 2]`` is zero.
     """
     nbrs = disc.nbrs
     wt = disc.weights
@@ -382,14 +601,23 @@ def _pair_coefficients(disc: Discretization, material: MaterialField):
     lam_p = _harmonic_mean(material.lam[i_pair], material.lam[j_pair])
     mu_p = _harmonic_mean(material.mu[i_pair], material.mu[j_pair])
 
-    a_vec = (C_ALPHA / m) * ((lam_p - mu_p) * kernel * wt)[:, None] * z
+    # Entry by entry: each is one pass over the bonds.
+    blocks = np.empty((nbrs.n_pairs, 3, 3))
+    z0, z1 = z[:, 0], z[:, 1]
     s_fac = (C_BETA / m) * mu_p * kernel * wt / r**2
-
+    blocks[:, 0, 0] = s_fac * z0 * z0
+    blocks[:, 0, 1] = s_fac * z0 * z1
+    blocks[:, 1, 0] = s_fac * z1 * z0
+    blocks[:, 1, 1] = s_fac * z1 * z1
+    a_fac = (C_ALPHA / m) * ((lam_p - mu_p) * kernel * wt)
+    blocks[:, 0, 2] = a_fac * z0
+    blocks[:, 1, 2] = a_fac * z1
     c_fac = (DIM / m) * kernel * wt
-    c_vec = c_fac[:, None] * np.einsum(
-        "pab,pb->pa", disc.correction.inverses[i_pair], z
-    )
-    return a_vec, s_fac, c_vec
+    inv = np.take(disc.correction.inverses.reshape(-1, 4), i_pair, axis=0)
+    blocks[:, 2, 0] = -c_fac * (inv[:, 0] * z0 + inv[:, 1] * z1)
+    blocks[:, 2, 1] = -c_fac * (inv[:, 2] * z0 + inv[:, 3] * z1)
+    blocks[:, 2, 2] = 0.0
+    return blocks
 
 
 def assemble_system(
@@ -398,15 +626,14 @@ def assemble_system(
     dirichlet: np.ndarray,
     forcing: np.ndarray,
 ) -> BlockSystem:
-    """Build the sparse block system with collar data folded into the RHS.
+    """Build the block system with collar data folded into the RHS.
 
     Momentum rows are written for present interior nodes; dilatation
-    rows for every present node with quadrature weights.  Every value
-    has a column: the unknowns in ``BlockSystem`` order, then the
-    displacements of all other nodes.  The matrix is the unknowns'
-    columns; the others, applied to ``dirichlet`` (evaluated at the
-    perturbed positions), move to the RHS, so ``dirichlet`` must be
-    finite wherever they have an entry.
+    rows for every present node with quadrature weights.  The terms on
+    the displacements of all other nodes, applied to ``dirichlet``
+    (evaluated at the perturbed positions), move to the RHS, so
+    ``dirichlet`` must be finite wherever a surviving bond of such a row
+    reaches.
     """
     cloud, nbrs = disc.cloud, disc.nbrs
     n = cloud.n_points
@@ -415,88 +642,57 @@ def assemble_system(
     theta_mask = disc.family.computed & present
 
     n_u, n_theta = int(u_unknown.sum()), int(theta_mask.sum())
-    n_tot = 2 * n_u + n_theta
     u_index = np.full(n, -1, dtype=np.int64)
     u_index[u_unknown] = np.arange(n_u)
     theta_index = np.full(n, -1, dtype=np.int64)
     theta_index[theta_mask] = np.arange(n_theta)
-    # Column of each node's ux (uy is the next one) and of its dilatation.
-    # int32, because the sparse constructor checks and copies int64 indices.
-    known = ~u_unknown
-    n_col = n_tot + 2 * (n - n_u)
-    u_col = np.empty(n, dtype=np.int32)
-    u_col[u_unknown] = np.arange(0, 2 * n_u, 2)
-    u_col[known] = np.arange(n_tot, n_col, 2)
-    theta_col = (2 * n_u + theta_index).astype(np.int32)
 
-    a_vec, s_fac, c_vec = _pair_coefficients(disc, material)
     i_pair, j_pair = nbrs.row_index, nbrs.indices
-
     live = disc.weights != 0.0
     if np.any(live & ~(present[i_pair] & present[j_pair])):
         raise AssemblyError("a surviving bond references a removed node")
-
-    # (rows, cols, values) triplets.  A bond's terms in its own node's
-    # columns are summed per node, so each node adds one entry there.
-    entries = []
-
-    # ---- momentum rows -------------------------------------------------
-    mom = live & u_unknown[i_pair]
-    mi, mj = i_pair[mom], j_pair[mom]
-    if np.any(theta_index[mj] < 0):
+    if np.any(live & u_unknown[i_pair] & (theta_index[j_pair] < 0)):
         raise AssemblyError("a momentum row references a node with no dilatation")
-    za, sf, av = nbrs.offsets[mom], s_fac[mom], a_vec[mom]
-    row_m, col_j, own = u_col[mi], u_col[mj], u_col[u_unknown]
-    for a in (0, 1):
-        sum_a = np.bincount(mi, weights=av[:, a], minlength=n)
-        entries.append((row_m + a, theta_col[mj], av[:, a]))
-        entries.append((own + a, theta_col[u_unknown], sum_a[u_unknown]))
-        for b in (0, 1):
-            block = sf * za[:, a] * za[:, b]
-            sum_s = np.bincount(mi, weights=block, minlength=n)
-            entries.append((row_m + a, col_j + b, block))
-            entries.append((own + a, own + b, -sum_s[u_unknown]))
 
-    # ---- dilatation rows ----------------------------------------------
-    dil = live & theta_mask[i_pair]
-    di, dj, cv = i_pair[dil], j_pair[dil], c_vec[dil]
-    row_t, row_d, col_d = theta_col[theta_mask], theta_col[di], u_col[dj]
-    entries.append((row_t, row_t, np.ones(n_theta)))
-    for b in (0, 1):
-        sum_c = np.bincount(di, weights=cv[:, b], minlength=n)
-        entries.append((row_d, col_d + b, -cv[:, b]))
-        entries.append((row_t, u_col[theta_mask] + b, sum_c[theta_mask]))
+    # Only interior nodes have momentum rows.  A node's own terms are the
+    # sums of its bonds' terms: minus for the displacement columns of
+    # both row kinds, plus for the dilatation column of the momentum rows.
+    blocks = _pair_coefficients(disc, material)
+    u_row, u_col = u_unknown[i_pair], u_unknown[j_pair]
+    for a in range(2):
+        for b in range(3):
+            blocks[:, a, b] *= u_row
+    diag = np.zeros((n, 3, 3))
+    for a in range(3):
+        for b in range(3 if a < 2 else 2):
+            total = np.bincount(i_pair, weights=blocks[:, a, b], minlength=n)
+            diag[:, a, b] = total if b == 2 else -total
+    diag[theta_mask, 2, 2] = 1.0
 
-    rows, cols, vals = zip(*entries)
-    # Column-major: the unknowns' columns are a contiguous leading slice,
-    # and the solver reads the matrix's columns without a conversion.
-    full = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_tot, n_col),
-    ).tocsc()
-    # Where lam = mu on both ends of a bond its theta coupling is exactly
-    # zero; stored zeros would still widen the solver's fronts.
-    full.eliminate_zeros()
-    rhs = np.concatenate((forcing[u_unknown].ravel(), np.zeros(n_theta)))
-    rhs -= full[:, n_tot:] @ dirichlet[known].ravel()
-
-    # Each node's (ux, uy, theta) columns, -1 where it has no such unknown.
-    slots = np.column_stack((u_col, u_col + 1, theta_col))
-    slots[known, :2] = -1
-    slots[~theta_mask, 2] = -1
-    order = slots[disc.order].ravel()
-    has = order >= 0
+    # Displacement columns of nodes without displacement unknowns hold data.
+    rhs = np.zeros((n, 3))
+    rhs[u_unknown, :2] = forcing[u_unknown]
+    data = np.flatnonzero(live & ~u_col)
+    moved = np.einsum("pab,pb->pa", blocks[data, :, :2], dirichlet[j_pair[data]])
+    for a in range(3):
+        rhs[:, a] -= np.bincount(i_pair[data], weights=moved[:, a], minlength=n)
+        for b in range(2):
+            blocks[:, a, b] *= u_col
+    own = theta_mask & ~u_unknown
+    rhs[own, 2] -= np.einsum("ib,ib->i", diag[own, 2, :2], dirichlet[own])
+    diag[~u_unknown, :, :2] = 0.0
 
     return BlockSystem(
-        matrix=full[:, :n_tot],
-        rhs=rhs,
+        indptr=nbrs.indptr,
+        indices=j_pair,
+        blocks=blocks,
+        diag=diag,
+        rhs=np.concatenate((rhs[u_unknown, :2].ravel(), rhs[theta_mask, 2])),
         u_index=u_index,
         theta_index=theta_index,
         n_u_points=n_u,
         n_theta=n_theta,
-        order=order[has],
-        part_end=np.cumsum(np.r_[0, has])[3 * disc.part_end],
-        part_parent=disc.part_parent,
+        fronts=disc.fronts,
     )
 
 
@@ -517,13 +713,13 @@ def apply_operator(
     """
     cloud, nbrs, computed = disc.cloud, disc.nbrs, disc.family.computed
     n = cloud.n_points
-    a_vec, s_fac, c_vec = _pair_coefficients(disc, material)
+    blocks = _pair_coefficients(disc, material)
     i_pair = nbrs.row_index
     j_pair = nbrs.indices
     du = u_all[j_pair] - u_all[i_pair]
 
     theta = np.full(n, np.nan)
-    contrib = np.einsum("pb,pb->p", c_vec, du)
+    contrib = -np.einsum("pb,pb->p", blocks[:, 2, :2], du)
     th = np.bincount(i_pair, weights=contrib, minlength=n)
     theta[computed] = th[computed]
 
@@ -532,11 +728,9 @@ def apply_operator(
     # dilatation; zero those values instead of letting 0 * NaN spread.
     theta_fill = np.where(np.isnan(theta), 0.0, theta)
     th_sum = theta_fill[i_pair] + theta_fill[j_pair]
-    z = nbrs.offsets
-    sdu = s_fac * np.einsum("pb,pb->p", z, du)
+    force = np.einsum("pab,pb->pa", blocks[:, :2, :2], du) + blocks[:, :2, 2] * th_sum[:, None]
     live_int = cloud.interior & disc.bonds.present
     for a in (0, 1):
-        dil_term = np.bincount(i_pair, weights=a_vec[:, a] * th_sum, minlength=n)
-        bond_term = np.bincount(i_pair, weights=z[:, a] * sdu, minlength=n)
-        mom[live_int, a] = dil_term[live_int] + bond_term[live_int]
+        total = np.bincount(i_pair, weights=force[:, a], minlength=n)
+        mom[live_int, a] = total[live_int]
     return mom, theta

@@ -130,9 +130,6 @@ class Neighborhoods:
             self._row_index = np.repeat(np.arange(self.n_points), counts)
         return self._row_index
 
-    def neighbors_of(self, i: int) -> np.ndarray:
-        return self.indices[self.indptr[i]:self.indptr[i + 1]]
-
     def pair_slice(self, i: int) -> slice:
         return slice(int(self.indptr[i]), int(self.indptr[i + 1]))
 

@@ -223,13 +223,6 @@ class QuadratureFamily:
     fallback: np.ndarray
     basis: ConstraintBasis
 
-    def weight_sums(self, nbrs: Neighborhoods) -> np.ndarray:
-        """Total weight per node (NaN where weights were not computed)."""
-        w = np.where(np.isnan(self.weights), 0.0, self.weights)
-        total = np.bincount(nbrs.row_index, weights=w, minlength=nbrs.n_points)
-        total[~self.computed] = np.nan
-        return total
-
 
 def _solve_set(
     basis: ConstraintBasis,

@@ -2,23 +2,31 @@
 
 The block systems are nonsymmetric and moderately conditioned (the
 near-incompressible cases push the dilatation coupling hard).  They are
-solved by a multifrontal LU over the system's geometric nested-dissection
-tree: each part of the tree (a leaf or a separator) is one dense front
-over its own unknowns (the pivots) and the later unknowns its entries
-and its children's updates reach (its boundary).  The pivot block is
-factored by LAPACK with partial pivoting inside it, and the Schur
-complement of the boundary is added into the parent's front.  The system
-has one right-hand side, so it rides as one more column of each front:
-the forward substitution runs during the factorization and each front
-keeps only ``[X | w] = F11^-1 [F12 | y_p]`` for the back substitution.
+solved by a multifrontal LU over the discretization's nested-dissection
+tree, whose node-level structure (``model.front_tree``) is built once
+with the geometry.  Each part of the tree (a leaf or a separator) is one
+dense front over its own nodes (the pivots) and the later nodes that
+its bonds and its children's updates reach (its boundary).  At solve
+time each node expands to its unknowns through a per-node offset, so a
+node's unknowns sit together in every front: whole bond blocks are
+scattered in, and a child's update is added row run by row run, where a
+run is a stretch of its boundary that lies consecutive in the parent's
+front.  The pivot block is factored by LAPACK with partial pivoting
+inside it, and the Schur complement of the boundary is added into the
+parent's front.  The system has one right-hand side, so it rides as one
+more column of each front: the forward substitution runs during the
+factorization and each front keeps only ``[X | w] = F11^-1 [F12 | y_p]``
+for the back substitution.
 
 Where no momentum row has a dilatation column (lambda = mu on every
-live bond), the displacement block is solved alone over the same tree
-and the dilatations follow from their own rows, which hold an identity
-diagonal and displacement columns only.  Either way the relative
-residual of the solution is recomputed from the full matrix and
-right-hand side and must pass a fixed certificate before the solution
-is accepted.
+live bond), the displacement block is solved alone over the same tree,
+with the 2x2 displacement blocks, and the dilatations follow from their
+own rows, which hold an identity diagonal and displacement columns only.
+Either way the relative residual of the solution is recomputed from the
+full system's blocks and right-hand side.  Where it misses the
+certificate, one step of iterative refinement solves for the residual
+through the same fronts; the refined solution must pass the same
+certificate before it is accepted.
 """
 
 from __future__ import annotations
@@ -27,9 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# The front loop calls scipy's BLAS and LAPACK only, never numpy's matmul:
-# the two load separate OpenBLAS thread pools, and alternating between
-# them inside the loop made the dense kernels several times slower.
+# The solve calls scipy's BLAS and LAPACK only, never numpy's (matmul,
+# dot, linalg.norm): the two load separate OpenBLAS thread pools, and a
+# numpy call before or inside the front loop left the other pool's
+# threads competing with the dense kernels, up to several times slower.
 from scipy.linalg.blas import dgemm, dgemv
 from scipy.linalg.lapack import dgetrf, dgetrs
 
@@ -59,31 +68,42 @@ def solve(system: BlockSystem) -> SolveReport:
     Raises
     ------
     SolveError
-        On an empty row, a singular pivot block, an entry joining two
-        sibling parts of the tree, or a residual above the certificate
-        threshold.
+        On an empty row, a singular pivot block, or a residual above the
+        certificate threshold after one refinement step.
     """
-    A = system.matrix.tocsc()
+    slots = system.slot_index
+    has = slots >= 0
+    rows = np.repeat(np.arange(has.shape[0]), np.diff(system.indptr))
+    entries = system.blocks != 0.0
+    entries = entries[:, :, 0] | entries[:, :, 1] | entries[:, :, 2]
+    filled = (system.diag != 0.0).any(axis=2)
+    for a in range(3):
+        filled[:, a] |= np.bincount(rows, weights=entries[:, a], minlength=has.shape[0]) > 0.0
+    if np.any(has & ~filled):
+        raise SolveError(f"matrix has an empty row (first: {slots[has & ~filled].min()})")
+
+    coupled = system.blocks[:, :2, 2].any() or system.diag[:, :2, 2].any()
+    kinds = 3 if coupled else 2
+    order = system.fronts.order
+    unknowns = slots[order, :kinds][has[order, :kinds]]
+    theta = slots[has[:, 2], 2]
+
+    def solve_for(b):
+        x = np.zeros_like(b)
+        x[unknowns], lu_nnz = _multifrontal(system, has[:, :kinds], b[unknowns])
+        if not coupled:
+            x[theta] = b[theta] - system.apply(x)[theta]
+        return x, lu_nnz
+
     b = system.rhs
-
-    live = np.zeros(A.shape[0], dtype=bool)
-    live[A.indices[A.data != 0.0]] = True
-    if not live.all():
-        raise SolveError(f"matrix has an empty row (first: {np.argmin(live)})")
-
-    n_u = 2 * system.n_u_points
-    coupled = np.any(A.indices[A.indptr[n_u]:] < n_u)
-    order, part_end = system.order, system.part_end
-    if not coupled:
-        keep = order < n_u
-        order, part_end = order[keep], np.cumsum(np.r_[0, keep])[part_end]
-    x = np.zeros_like(b)
-    x[order], lu_nnz = _multifrontal(A, b, order, part_end, system.part_parent)
-    if not coupled:
-        x[n_u:] = b[n_u:] - (A @ x)[n_u:]
-
-    bn = np.linalg.norm(b)
-    residual = float(np.linalg.norm(A @ x - b) / (bn if bn > 0.0 else 1.0))
+    bn = _norm(b)
+    bn = bn if bn > 0.0 else 1.0
+    x, lu_nnz = solve_for(b)
+    r = b - system.apply(x)
+    if not _norm(r) <= RESIDUAL_CERT * bn:
+        x += solve_for(r)[0]
+        r = b - system.apply(x)
+    residual = _norm(r) / bn
     if not np.isfinite(residual) or residual > RESIDUAL_CERT:
         raise SolveError(
             f"solution residual {residual:.3e} violates the certificate "
@@ -92,109 +112,144 @@ def solve(system: BlockSystem) -> SolveReport:
     return SolveReport(x=x, residual=residual, lu_nnz=lu_nnz)
 
 
-def _multifrontal(A, b, order, part_end, part_parent) -> tuple[np.ndarray, int]:
-    """Solve ``A[order][:, order] y = b[order]`` over the dissection tree.
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm, without numpy's BLAS (see the import above)."""
+    return float(np.sqrt(np.sum(v * v)))
 
-    Part ``k`` pivots on positions ``part_end[k - 1]:part_end[k]`` of
-    ``order``; its parent part comes later.  Entries are read through the
-    inverse permutation, rows from a CSR copy and columns from ``A``
-    (CSC).  Returns ``y`` and the fronts' LU entry count.
+
+def _multifrontal(system: BlockSystem, solved: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
+    """Solve over the system's front tree for the unknowns ``solved``
+    marks: (N, kinds), the first ``kinds`` of each node's (ux, uy, theta).
+
+    ``y`` is the right-hand side in elimination order: part by part, node
+    by node, each node's unknowns together.  Returns the solution in that
+    order and the fronts' LU entry count.
     """
-    rows = A.tocsr()
-    pos = np.full(A.shape[0], -1, dtype=np.int64)
-    pos[order] = np.arange(order.size)
-    part_start = np.r_[0, part_end[:-1]]
-    children = [[] for _ in part_end]
-    for k, parent in enumerate(part_parent):
+    tree = system.fronts
+    kinds = solved.shape[1]
+    n_parts = tree.part_end.size
+    count = solved.sum(axis=1)
+
+    # Each node of each front (an entry of tree.nodes) expands to its
+    # unknowns: ``at`` running over all fronts, ``loc`` within its front.
+    nodes = tree.nodes
+    node_start = np.r_[0, tree.node_end[:-1]]
+    at = np.r_[0, np.cumsum(count[nodes])]
+    n_piv = np.diff(np.r_[0, tree.part_end])
+    m = at[tree.node_end] - at[node_start]
+    p = at[node_start + n_piv] - at[node_start]
+    nb = m - p
+    front_of = np.repeat(np.arange(n_parts), np.diff(np.r_[0, tree.node_end]))
+    loc = (at[:-1] - at[node_start][front_of])[:, None] + np.cumsum(solved[nodes], axis=1) - 1
+    # Front k is column-major, as LAPACK takes it, in two arrays over one
+    # buffer: the pivot rows [F11 | F12 | y_p | dummy] (p rows, m + 2
+    # columns), then the boundary rows [F21 | F22 | 0 | dummy], then one
+    # dummy entry.  Row i, column j sits at ``offset[i] + stride[i] * j``;
+    # the dummies take the blocks' entries for unknowns their nodes do not
+    # carry, so every other entry goes where it belongs.  Fronts hold far
+    # fewer than 46k unknowns, so int32 indexes them.
+    fm, fp, fnb = m[front_of, None], p[front_of, None], nb[front_of, None]
+    has = solved[nodes]
+    pivot_row = loc < fp
+    offset = np.where(has, np.where(pivot_row, loc, fp * (fm + 2) + loc - fp), fm * (fm + 2))
+    stride = np.where(has, np.where(pivot_row, fp, fnb), 0)
+    column = np.where(has, loc, fm + 1)
+    # Kind-major, so that gathers and products run along long rows.
+    offset, stride, column = (np.ascontiguousarray(v.T, dtype=np.int32) for v in (offset, stride, column))
+
+    def targets(rows, cols):
+        """Buffer index of each block entry of the (row, column) entries."""
+        o, s, c = (np.take(v, i, axis=1) for v, i in ((offset, rows), (stride, rows), (column, cols)))
+        index = np.empty((rows.size, kinds, kinds), dtype=np.int32)
+        for a in range(kinds):
+            for b in range(kinds):
+                np.multiply(s[a], c[b], out=index[:, a, b])
+                index[:, a, b] += o[a]
+        return index
+
+    pivots = np.flatnonzero(np.arange(nodes.size) - node_start[front_of] < n_piv[front_of])
+    diag_at = targets(pivots, pivots)
+    pair_at = targets(tree.pair_rows, tree.pair_cols)
+    diag = system.diag[tree.order, :kinds, :kinds]
+    blocks = system.blocks[:, :kinds, :kinds]
+
+    # Slots in elimination order of every front's unknowns, and where each
+    # front's pivots start among them.
+    first = np.empty(count.size, dtype=np.int64)
+    first[tree.order] = np.cumsum(count[tree.order]) - count[tree.order]
+    slot = np.repeat(first[nodes] - at[:-1], count[nodes]) + np.arange(at[-1])
+    y_start = np.r_[0, np.cumsum(p)]
+
+    # A child's update adds into this front run by run: its rows r0:r1 go
+    # to this front's pivot rows (upper) or boundary rows (lower) from
+    # ``row`` on.
+    run_from, run_to, run_len = tree.runs
+    run_part = np.repeat(np.arange(n_parts), np.diff(np.r_[0, tree.run_end]))
+    run_parent = tree.part_parent[run_part]
+    child_bnd = at[node_start + n_piv][run_part]
+    r0 = at[run_from] - child_bnd
+    r1 = at[run_from + run_len] - child_bnd
+    to = at[run_to] - at[node_start][run_parent]
+    upper_row = to < p[run_parent]
+    row = np.where(upper_row, to, to - p[run_parent])
+    spans = list(zip(r0.tolist(), r1.tolist(), upper_row.tolist(), row.tolist()))
+    run_start = np.r_[0, tree.run_end[:-1]]
+    # This front's column of each boundary unknown of each child.
+    bnd_start = np.r_[0, np.cumsum(nb)]
+    to_column = np.repeat(to - r0 - bnd_start[run_part], r1 - r0) + np.arange(bnd_start[-1])
+
+    children = [[] for _ in range(n_parts)]
+    for k, parent in enumerate(tree.part_parent):
         if parent >= 0:
             children[parent].append(k)
-
-    def gather(mat, k):
-        """Part ``k``'s rows of ``rows`` (columns of ``A``): each stored
-        entry's pivot number, the position of its other index (-1 where
-        that index is not solved for) and its offset in ``mat.data``."""
-        lines = order[part_start[k] : part_end[k]]
-        start = mat.indptr[lines]
-        count = mat.indptr[lines + 1] - start
-        line = np.repeat(np.arange(lines.size), count)
-        at = np.arange(line.size) + (start - np.cumsum(count) + count)[line]
-        return line, pos[mat.indices[at]], at
-
-    # Symbolic pass: each front's boundary, in increasing position.
-    boundary = []
-    for k, (s, e) in enumerate(zip(part_start, part_end)):
-        col_pos, row_pos = gather(rows, k)[1], gather(A, k)[1]
-        reach = [col_pos[col_pos >= e], row_pos[row_pos >= e]]
-        for c in children[k]:
-            if boundary[c].size and boundary[c][0] < s:
-                raise SolveError(
-                    f"an entry joins part {c} to a sibling subtree of part {k}; "
-                    "the order is not a nested dissection of the matrix"
-                )
-            reach.append(boundary[c][boundary[c] >= e])
-        boundary.append(np.unique(np.concatenate(reach)))
-
-    n_piv = part_end - part_start
-    n_bnd = np.array([bnd.size for bnd in boundary], dtype=np.int64)
-    lu_nnz = int(np.sum(n_piv**2 + 2 * n_piv * n_bnd))
-    # Each front keeps its own [X | w] (p rows, nb + 1 columns).  Small
-    # arrays fit the holes of the heap the assembly has just freed; one
-    # buffer for all of them (about 25 MB at hole n=64) needs one hole
-    # that large, and where the heap has none it adds its whole size to
-    # the peak RSS, so the peak would change from one process to the next.
-    xws = [None] * len(boundary)
-
-    # Numeric pass.  Each front is column-major, as LAPACK takes it, with
-    # one more column for the right-hand side: y_p on the pivot rows.
-    y = b[order]
-    local = np.empty(order.size, dtype=np.int64)
-    updates = {}
-    for k, (s, e, bnd) in enumerate(zip(part_start, part_end, boundary)):
-        p, nb = e - s, bnd.size
-        m = p + nb
-        if m == 0:
+    xws, updates = {}, {}
+    for k, (m_k, p_k, nb_k) in enumerate(zip(m.tolist(), p.tolist(), nb.tolist())):
+        if m_k == 0:
             continue
-        local[s:e] = np.arange(p)
-        local[bnd] = np.arange(p, m)
-        front = np.zeros((m, m + 1), order="F")
-        flat = front.reshape(-1, order="F")
-        # Each matrix entry once, in the front of the earlier of its row
-        # and column: rows at and past the first pivot, columns below the
-        # pivot block.
-        line, col_pos, at = gather(rows, k)
-        keep = col_pos >= s
-        flat[line[keep] + m * local[col_pos[keep]]] = rows.data[at[keep]]
-        line, row_pos, at = gather(A, k)
-        keep = row_pos >= e
-        flat[local[row_pos[keep]] + m * line[keep]] = A.data[at[keep]]
+        buf = np.zeros(m_k * (m_k + 2) + 1)
+        upper = buf[: p_k * (m_k + 2)].reshape((p_k, m_k + 2), order="F")
+        lower = buf[p_k * (m_k + 2) : -1].reshape((nb_k, m_k + 2), order="F")
+        lo, hi = tree.part_end[k] - n_piv[k], tree.part_end[k]
+        buf[diag_at[lo:hi].ravel()] = diag[lo:hi].ravel()
+        lo, hi = tree.pair_end[k - 1] if k else 0, tree.pair_end[k]
+        buf[pair_at[lo:hi].ravel()] = blocks[tree.pairs[lo:hi]].ravel()
         for c in children[k]:
             update = updates.pop(c, None)
-            if update is not None:
-                idx = local[boundary[c]]
-                flat[(idx[:, None] * m + idx).ravel()] += update.ravel(order="F")
-        if p == 0:
-            updates[k] = front[:, :m]
+            if update is None:
+                continue
+            cols = to_column[bnd_start[c] : bnd_start[c + 1]]
+            for a0, a1, in_upper, row in spans[run_start[c] : tree.run_end[c]]:
+                (upper if in_upper else lower)[row : row + a1 - a0, cols] += update[a0:a1]
+        if p_k == 0:
+            updates[k] = lower[:, :m_k]
             continue
-        front[:p, m] = y[s:e]
-        lu, piv, info = dgetrf(front[:p, :p])
+        ys = y[y_start[k] : y_start[k + 1]]
+        upper[:, m_k] = ys
+        lu, ipiv, info = dgetrf(upper[:, :p_k], overwrite_a=True)
         if info != 0:
             raise SolveError(f"pivot block of part {k} is singular (LAPACK info {info})")
         # [X | w] = F11^-1 [F12 | y_p], then [F22 | 0] -= F21 [X | w]:
         # the Schur update for the parent and -F21 w for y on the boundary.
-        xw = xws[k] = np.array(front[:p, p:], order="F")
-        dgetrs(lu, piv, xw, overwrite_b=True)
-        y[s:e] = xw[:, nb]
-        if nb:
-            update = dgemm(-1.0, front[p:, :p], xw, 1.0, front[p:, p:])
-            y[bnd] += update[:, nb]
-            updates[k] = update[:, :nb]
+        xw = upper[:, p_k : m_k + 1]
+        dgetrs(lu, ipiv, xw, overwrite_b=True)
+        ys[:] = xw[:, nb_k]
+        if nb_k:
+            # A new array, so that the front's buffer is freed while the
+            # update waits for the parent.
+            update = dgemm(-1.0, lower[:, :p_k], xw, 1.0, lower[:, p_k : m_k + 1])
+            # Each front keeps its own [X | w]: small arrays fit the holes
+            # of the heap the assembly has just freed, where one buffer for
+            # all of them needs one hole that large.
+            xws[k] = np.array(xw, order="F")
+            y[slot[at[node_start[k]] + p_k : at[tree.node_end[k]]]] += update[:, nb_k]
+            updates[k] = update[:, :nb_k]
 
     # Back substitution, root first: y_p = w - X y_bnd.
-    for k in reversed(range(len(boundary))):
-        if n_piv[k] and n_bnd[k]:
-            s, e = part_start[k], part_end[k]
-            y[s:e] = dgemv(-1.0, xws[k][:, :-1], y[boundary[k]], 1.0, y[s:e])
-    return y, lu_nnz
+    for k in reversed(xws):
+        bnd = y[slot[at[node_start[k]] + p[k] : at[tree.node_end[k]]]]
+        ys = y[y_start[k] : y_start[k + 1]]
+        ys[:] = dgemv(-1.0, xws[k][:, :-1], bnd, 1.0, ys)
+    return y, int(np.sum(p * p + 2 * p * nb))
 
 
 def rms_norm(values: np.ndarray) -> float:

@@ -22,7 +22,7 @@ from perilps import (
     compute_family,
     compute_moment_tensors,
     damage_field,
-    dissection_order,
+    front_tree,
     generate_perturbed_lattice,
     verify_family,
 )
@@ -309,7 +309,6 @@ def test_dilatation_correction_exactness():
     weights = damaged.modified_weights(family, nbrs)
     corr_d = compute_moment_tensors(nbrs, family, weights)
     assert corr_d.invertible[family.computed].all()
-    order, part_end, part_parent = dissection_order(cloud.positions, cloud.delta)
     disc = Discretization(
         cloud=cloud,
         nbrs=nbrs,
@@ -318,9 +317,7 @@ def test_dilatation_correction_exactness():
         weights=weights,
         correction=corr_d,
         damage=damage_field(family, nbrs, weights),
-        order=order,
-        part_end=part_end,
-        part_parent=part_parent,
+        fronts=front_tree(cloud, nbrs, damaged, weights),
     )
 
     mat = MaterialField(

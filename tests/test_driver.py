@@ -17,6 +17,7 @@ from perilps import (
     compute_family,
     driver,
     generate_perturbed_lattice,
+    model,
 )
 from perilps.cli import main
 from perilps.driver import (
@@ -263,6 +264,23 @@ def test_sweep_matches_single_runs_exactly():
     for entry, ratio in zip(out["entries"], ratios):
         single = run_case(replace(cfg, case="inclusion", mu_ratio=ratio))
         assert entry["rms_error"] == single.rms_error
+
+
+def test_sweep_analyses_the_fronts_once(tmp_path, monkeypatch):
+    """The five default ratios share one geometry, so the node-level
+    symbolic pass of the solver runs once for their five solves."""
+    calls = {"analyse": 0, "solve": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(model, "analyse_fronts", counting("analyse", model.analyse_fronts))
+    monkeypatch.setattr(driver, "solve", counting("solve", driver.solve))
+    assert main(["sweep", "--n", "12", "--out", str(tmp_path)]) == 0
+    assert calls == {"analyse": 1, "solve": 5}
 
 
 def test_sweep_requires_ratios():

@@ -24,7 +24,7 @@ from perilps import (
     compute_family,
     compute_moment_tensors,
     damage_field,
-    dissection_order,
+    front_tree,
     generate_perturbed_lattice,
     hole_removal_mask,
     make_inclusion_case,
@@ -33,6 +33,7 @@ from perilps import (
     moduli_from_K_nu,
     weighted_volume,
 )
+from perilps.driver import _build_case
 from perilps.errors import AssemblyError
 from perilps.model import C_ALPHA, C_BETA, DIM
 
@@ -40,7 +41,6 @@ from perilps.model import C_ALPHA, C_BETA, DIM
 def _discretize(cloud, nbrs, family, bonds):
     """A Discretization over the given bonds, built as the driver's geometry step does."""
     weights = bonds.modified_weights(family, nbrs)
-    order, part_end, part_parent = dissection_order(cloud.positions, cloud.delta)
     return Discretization(
         cloud=cloud,
         nbrs=nbrs,
@@ -49,9 +49,7 @@ def _discretize(cloud, nbrs, family, bonds):
         weights=weights,
         correction=compute_moment_tensors(nbrs, family, weights),
         damage=damage_field(family, nbrs, weights),
-        order=order,
-        part_end=part_end,
-        part_parent=part_parent,
+        fronts=front_tree(cloud, nbrs, bonds, weights),
     )
 
 
@@ -437,25 +435,38 @@ def test_hole_damage_is_a_share(seed, perturb, delta_factor, n):
     assert np.all((damage >= 0.0) & (damage <= 1.0))
 
 
-@pytest.mark.parametrize("geometry", ["intact", "hole"])
-def test_assembly_matches_matrix_free_application(geometry, perturbed12):
-    """For any displacement w with consistent dilatation values,
-    A x - b must equal the matrix-free momentum residual (and zero on
-    the dilatation rows).  The hole geometry is the driver's, so collar
-    data is folded in next to broken bonds and removed nodes."""
-    if geometry == "intact":
-        cloud, nbrs, family = perturbed12
-        disc = _discretize(cloud, nbrs, family, BondSet.intact(nbrs))
-    else:
-        hole = Disk(center=(0.5, 0.5), radius=0.2)
-        disc = build_discretization(RunConfig(case="hole", n=24, seed=3), hole)
-        assert disc.bonds.broken.any() and not disc.bonds.present.all()
-    cloud = disc.cloud
-    case = make_smooth_case(moduli_from_K_nu(1.0, 0.25), frequency=2.0)
-    mat = MaterialField.from_case(case, cloud)
-    pos = cloud.positions
+def _case_discretization(case, nu, n, seed, perturb, delta_factor):
+    """The driver's geometry and material for a case; ``nu`` is the Poisson
+    ratio of the hole and smooth cases and of both inclusion phases."""
+    config = RunConfig(
+        case=case, n=n, seed=seed, perturb=perturb, delta_factor=delta_factor,
+        nu=nu, nu1=nu, nu2=nu,
+    )
+    analytic_case, hole = _build_case(config)
+    disc = build_discretization(config, hole)
+    return analytic_case, disc, MaterialField.from_case(analytic_case, disc.cloud)
+
+
+@given(
+    case=st.sampled_from(["hole", "inclusion", "smooth-nearinc"]),
+    nu=st.sampled_from([0.25, 0.3, 0.495]),
+    n=st.integers(16, 24),
+    seed=st.integers(0, 2**32 - 1),
+    perturb=st.floats(0.0, 0.45),
+    delta_factor=st.floats(3.0, 5.0),
+)
+@example(case="hole", nu=0.25, n=24, seed=3, perturb=0.2, delta_factor=3.5)
+@example(case="inclusion", nu=0.3, n=16, seed=0, perturb=0.0, delta_factor=3.0)
+def test_assembly_matches_matrix_free_application(case, nu, n, seed, perturb, delta_factor):
+    """For any displacement w with consistent dilatation values, A x - b
+    must equal the matrix-free momentum residual (and zero on the
+    dilatation rows).  The geometry is the driver's, so collar data is
+    folded in next to broken bonds and removed nodes; nu = 0.25 makes
+    lam = mu on every bond, where the u-theta coupling vanishes."""
+    analytic_case, disc, mat = _case_discretization(case, nu, n, seed, perturb, delta_factor)
+    pos = disc.cloud.positions
     w = np.column_stack([np.sin(3.0 * pos[:, 0]), np.cos(2.0 * pos[:, 1])])
-    f = case.forcing(pos)
+    f = analytic_case.forcing(pos)
 
     system = assemble_system(disc, mat, dirichlet=w, forcing=f)
     mom, theta = apply_operator(disc, mat, w)
@@ -472,7 +483,48 @@ def test_assembly_matches_matrix_free_application(geometry, perturbed12):
     ids = np.nonzero(has_u)[0]
     expected[2 * system.u_index[ids]] = mom[ids, 0] - f[ids, 0]
     expected[2 * system.u_index[ids] + 1] = mom[ids, 1] - f[ids, 1]
-    assert np.abs(residual - expected).max() < 1e-11
+    # Each momentum row sums bond terms of size lam or mu times |w|.
+    scale = max(1.0, float(np.abs(mat.lam).max() + np.abs(mat.mu).max()))
+    assert np.abs(residual - expected).max() < 1e-11 * scale
+    coupled = np.abs(system.matrix[: 2 * system.n_u_points, 2 * system.n_u_points :]).sum()
+    assert (coupled == 0.0) == (nu == 0.25)
+    # The blocks hold nothing in the rows and columns of unknowns a node
+    # does not carry.
+    slots = system.slot_index
+    rows = np.repeat(np.arange(disc.cloud.n_points), np.diff(system.indptr))
+    absent = (slots[rows][:, :, None] < 0) | (slots[system.indices][:, None, :] < 0)
+    assert not system.blocks[absent].any()
+    assert not system.diag[(slots[:, :, None] < 0) | (slots[:, None, :] < 0)].any()
+
+
+@pytest.mark.parametrize("nu", [0.25, 0.495])
+def test_block_product_matches_scalar_matrix(nu):
+    """The solver's residual, computed from the blocks, is the scalar
+    matrix's A x - b, in both the coupled and the uncoupled system."""
+    analytic_case, disc, mat = _case_discretization("hole", nu, 24, 3, 0.3, 3.5)
+    pos = disc.cloud.positions
+    system = assemble_system(
+        disc, mat, dirichlet=analytic_case.displacement(pos), forcing=analytic_case.forcing(pos)
+    )
+    x = np.random.default_rng(4).standard_normal(system.n_unknowns)
+    expected = system.matrix @ x - system.rhs
+    np.testing.assert_allclose(
+        system.apply(x) - system.rhs, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max()
+    )
+
+
+def test_ill_conditioned_moment_tensor_is_rejected(uniform16):
+    """A node whose surviving bonds all lie on one line has a singular
+    moment tensor: a typed error, not a pseudo-inverse."""
+    cloud, nbrs, family = uniform16
+    node = int(np.flatnonzero(cloud.interior)[0])
+    off_line = np.abs(nbrs.offsets[:, 1]) > 0.5 * cloud.h
+    bonds = BondSet(
+        broken=(nbrs.row_index == node) & off_line,
+        present=np.ones(cloud.n_points, dtype=bool),
+    )
+    with pytest.raises(AssemblyError, match="ill-conditioned"):
+        compute_moment_tensors(nbrs, family, bonds.modified_weights(family, nbrs))
 
 
 def test_assembly_stores_no_zeros_when_lam_equals_mu(perturbed12):

@@ -194,8 +194,8 @@ def test_horizon_is_inclusive():
     pos[1] = pos[0] + [cloud.delta, 0.0]
     moved = dataclasses.replace(cloud, positions=pos)
     nbrs = build_neighborhoods(moved)
-    assert 1 in nbrs.neighbors_of(0)
-    assert 0 in nbrs.neighbors_of(1)
+    assert 1 in nbrs.indices[nbrs.pair_slice(0)]
+    assert 0 in nbrs.indices[nbrs.pair_slice(1)]
 
 
 def test_pair_slice_matches_neighbors():
@@ -203,7 +203,7 @@ def test_pair_slice_matches_neighbors():
     nbrs = build_neighborhoods(cloud)
     for i in (0, 17, cloud.n_points - 1):
         sl = nbrs.pair_slice(i)
-        np.testing.assert_array_equal(nbrs.indices[sl], nbrs.neighbors_of(i))
+        np.testing.assert_array_equal(nbrs.indices[sl], nbrs.indices[nbrs.indptr[i] : nbrs.indptr[i + 1]])
         np.testing.assert_array_equal(nbrs.row_index[sl], i)
 
 

@@ -3,7 +3,6 @@ dissection tree and both solve paths."""
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -12,11 +11,13 @@ from perilps import (
     MaterialField,
     RunConfig,
     SolveError,
+    analyse_fronts,
     assemble_system,
     build_discretization,
     dissection_order,
     make_patch_case,
     rms_norm,
+    run_case,
     solve,
 )
 from perilps import solver
@@ -35,55 +36,87 @@ def test_rms_norm_scalar_field():
     assert rms_norm(np.zeros(5)) == 0.0
 
 
-def _toy_system(dense, n_u_points, n_theta, part_end=None, part_parent=None):
-    """A hand-built system, by default one part holding every unknown."""
-    n = dense.shape[0]
-    return BlockSystem(
-        matrix=sp.csr_matrix(dense),
-        rhs=np.ones(n),
-        u_index=np.array([0, -1]),
-        theta_index=np.array([-1, 0]),
-        n_u_points=n_u_points,
-        n_theta=n_theta,
-        order=np.arange(n),
-        part_end=np.array([n] if part_end is None else part_end),
-        part_parent=np.array([-1] if part_parent is None else part_parent),
+def _toy_system(dense, u_index, theta_index, part_end=None, part_parent=None):
+    """A hand-built system over the scalar unknowns of ``dense``, in the
+    ``BlockSystem`` layout of ``u_index`` and ``theta_index``; by default
+    one part holds every node.  Every two nodes are neighbors, and a
+    pair whose block holds an entry of ``dense`` couples them."""
+    u_index, theta_index = np.asarray(u_index), np.asarray(theta_index)
+    n, n_u = u_index.size, int((u_index >= 0).sum())
+    slots = np.column_stack((2 * u_index, 2 * u_index + 1, 2 * n_u + theta_index))
+    slots[u_index < 0, :2] = -1
+    slots[theta_index < 0, 2] = -1
+
+    def block(i, j):
+        out = np.zeros((3, 3))
+        a, b = slots[i] >= 0, slots[j] >= 0
+        out[np.ix_(a, b)] = dense[np.ix_(slots[i][a], slots[j][b])]
+        return out
+
+    rows, cols = np.nonzero(~np.eye(n, dtype=bool))
+    blocks = np.array([block(i, j) for i, j in zip(rows, cols)]).reshape(-1, 3, 3)
+    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n))]
+    fronts = analyse_fronts(
+        indptr,
+        cols,
+        blocks.any(axis=(1, 2)),
+        np.arange(n),
+        np.array([n] if part_end is None else part_end),
+        np.array([-1] if part_parent is None else part_parent),
     )
+    return BlockSystem(
+        indptr=indptr,
+        indices=cols,
+        blocks=blocks,
+        diag=np.array([block(i, i) for i in range(n)]),
+        rhs=np.ones(dense.shape[0]),
+        u_index=u_index,
+        theta_index=theta_index,
+        n_u_points=n_u,
+        n_theta=int((theta_index >= 0).sum()),
+        fronts=fronts,
+    )
+
+
+def test_toy_system_holds_the_dense_matrix():
+    dense = np.arange(1.0, 10.0).reshape(3, 3)
+    system = _toy_system(dense, u_index=[0, -1], theta_index=[-1, 0])
+    np.testing.assert_array_equal(system.matrix.toarray(), dense)
 
 
 def test_zero_row_is_rejected_up_front():
     dense = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
     with pytest.raises(SolveError, match="empty row"):
-        solve(_toy_system(dense, n_u_points=1, n_theta=1))
+        solve(_toy_system(dense, u_index=[0, -1], theta_index=[-1, 0]))
 
 
 def test_singular_matrix_is_rejected():
     dense = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(SolveError):
-        solve(_toy_system(dense, n_u_points=1, n_theta=0))
+        solve(_toy_system(dense, u_index=[0], theta_index=[-1]))
 
 
 def test_singular_pivot_block_is_rejected():
     """Pivoting stays inside each front's pivot block, so a singular leaf
-    block fails even though the whole matrix (determinant -1) is regular."""
+    block (node 0's displacements) fails even though the whole matrix
+    (determinant -1) is regular."""
     dense = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
-    system = _toy_system(dense, n_u_points=1, n_theta=1, part_end=[2, 3], part_parent=[1, -1])
+    system = _toy_system(dense, [0, -1], [-1, 0], part_end=[1, 2], part_parent=[1, -1])
     with pytest.raises(SolveError, match="singular"):
         solve(system)
 
 
 def test_entry_joining_sibling_parts_is_rejected():
-    """Unknowns 0 and 1 are two leaves under the separator 2; the entry
-    (0, 1) joins them, so the tree is no dissection of the matrix."""
-    dense = np.array([[2.0, 1.0, 1.0], [0.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
-    system = _toy_system(
-        dense, n_u_points=1, n_theta=1, part_end=[1, 2, 3], part_parent=[2, 2, -1]
-    )
+    """Nodes 0 and 1 are two leaves under the separator node 2; the entry
+    coupling them means the tree is no dissection of the matrix."""
+    nodes = np.array([[2.0, 1.0, 1.0], [0.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
+    tree = dict(part_end=[1, 2, 3], part_parent=[2, 2, -1])
     with pytest.raises(SolveError, match="sibling"):
-        solve(system)
-    dense[0, 1] = 0.0
-    report = solve(_toy_system(dense, 1, 1, part_end=[1, 2, 3], part_parent=[2, 2, -1]))
-    np.testing.assert_allclose(dense @ report.x, np.ones(3), atol=1e-15)
+        _toy_system(np.kron(nodes, np.eye(2)), [0, 1, 2], [-1, -1, -1], **tree)
+    nodes[0, 1] = 0.0
+    dense = np.kron(nodes, np.eye(2))
+    report = solve(_toy_system(dense, [0, 1, 2], [-1, -1, -1], **tree))
+    np.testing.assert_allclose(dense @ report.x, np.ones(6), atol=1e-15)
 
 
 @pytest.fixture(scope="module")
@@ -140,9 +173,9 @@ def _factored_sizes(monkeypatch):
     sizes = []
     factor = solver._multifrontal
 
-    def spy(A, b, order, part_end, part_parent):
-        sizes.append(order.size)
-        return factor(A, b, order, part_end, part_parent)
+    def spy(system, solved, y):
+        sizes.append(y.size)
+        return factor(system, solved, y)
 
     monkeypatch.setattr(solver, "_multifrontal", spy)
     return sizes
@@ -175,11 +208,24 @@ def test_dissection_solve_matches_default_lu(case, nu, n, seed, perturb, delta_f
     )
     disc, system = _case_system(config)
     n_points = disc.cloud.n_points
-    np.testing.assert_array_equal(np.sort(disc.order), np.arange(n_points))
-    np.testing.assert_array_equal(np.sort(system.order), np.arange(system.n_unknowns))
+    tree = disc.fronts
+    np.testing.assert_array_equal(np.sort(tree.order), np.arange(n_points))
 
     order, part_end, part_parent = dissection_order(disc.cloud.positions, disc.cloud.delta)
-    np.testing.assert_array_equal(order, disc.order)
+    np.testing.assert_array_equal(order, tree.order)
+    # Each front lists its part's nodes, then later nodes only.
+    pos = np.argsort(order)
+    for k, (s, e) in enumerate(zip(np.r_[0, part_end[:-1]], part_end)):
+        listed = pos[tree.nodes[(tree.node_end[k - 1] if k else 0) : tree.node_end[k]]]
+        np.testing.assert_array_equal(listed[: e - s], np.arange(s, e))
+        assert np.all(listed[e - s :] >= e)
+    # A bond block's row and column entries are its two nodes, and a run
+    # lists the same nodes in the child's front and in the parent's.
+    rows = np.repeat(np.arange(n_points), np.diff(disc.nbrs.indptr))[tree.pairs]
+    np.testing.assert_array_equal(tree.nodes[tree.pair_rows], rows)
+    np.testing.assert_array_equal(tree.nodes[tree.pair_cols], disc.nbrs.indices[tree.pairs])
+    for first, to, length in tree.runs.T:
+        np.testing.assert_array_equal(tree.nodes[first : first + length], tree.nodes[to : to + length])
     assert part_end[-1] == n_points and np.all(np.diff(part_end) >= 0)
     assert part_parent[-1] == -1
     # Postorder: the subtrees of a separator's two sides tile the order
@@ -241,3 +287,30 @@ def test_dissection_order_fills_less_than_default_lu():
     _, system = _case_system(RunConfig(case="hole", n=32, nu=0.495))
     report = solve(system)
     assert report.lu_nnz < spla.splu(system.matrix.tocsc()).nnz
+
+
+@pytest.mark.parametrize("nu", [0.4999, 0.49999, 0.499999])
+def test_near_incompressible_hole_is_certified(nu):
+    """The hole at n = 64 solves within the unchanged certificate up to
+    lambda / mu = 5e5; at nu = 0.499999 the first pass alone missed it."""
+    report = run_case(RunConfig(case="hole", n=64, nu=nu)).solve_report
+    assert report.residual <= RESIDUAL_CERT
+
+
+def test_refinement_step_mends_an_inexact_first_solve(monkeypatch, patch_system):
+    """A first solution off by a relative 1e-8 misses the certificate; one
+    refinement step through the same fronts brings it back to round-off."""
+    _, system, _ = patch_system
+    calls = []
+    factor = solver._multifrontal
+
+    def spy(system, solved, y):
+        y, lu_nnz = factor(system, solved, y)
+        calls.append(y.size)
+        return (y * (1.0 + 1e-8) if len(calls) == 1 else y), lu_nnz
+
+    monkeypatch.setattr(solver, "_multifrontal", spy)
+    report = solve(system)
+    assert len(calls) == 2
+    assert report.residual <= 1e-13
+
