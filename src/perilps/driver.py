@@ -7,8 +7,9 @@ bonds, weights, moment tensors, damage, and the solver's front tree over
 the dissection of the nodes; the one place that cuts a hole) and a
 physics step (material, assembly, solve, error).  A contrast sweep
 builds the geometry once and runs only the physics step per ratio.  All
-randomness flows from the single seed in the configuration, and the output writers format numbers with ``repr``, so
-identical configurations produce byte-identical files.
+randomness flows from the single seed in the configuration, and the
+output writers format numbers with ``repr``, so identical configurations
+produce byte-identical files.
 """
 
 from __future__ import annotations
