@@ -457,13 +457,39 @@ def _case_discretization(case, nu, n, seed, perturb, delta_factor):
 )
 @example(case="hole", nu=0.25, n=24, seed=3, perturb=0.2, delta_factor=3.5)
 @example(case="inclusion", nu=0.3, n=16, seed=0, perturb=0.0, delta_factor=3.0)
-def test_assembly_matches_matrix_free_application(case, nu, n, seed, perturb, delta_factor):
+def test_assembly_property_matches_matrix_free_application(
+    case, nu, n, seed, perturb, delta_factor
+):
     """For any displacement w with consistent dilatation values, A x - b
     must equal the matrix-free momentum residual (and zero on the
     dilatation rows).  The geometry is the driver's, so collar data is
     folded in next to broken bonds and removed nodes; nu = 0.25 makes
     lam = mu on every bond, where the u-theta coupling vanishes."""
     analytic_case, disc, mat = _case_discretization(case, nu, n, seed, perturb, delta_factor)
+    _check_assembly_matches_matrix_free(analytic_case, disc, mat, lam_equals_mu=nu == 0.25)
+
+
+@pytest.mark.parametrize("geometry", ["intact", "hole"])
+def test_assembly_matches_matrix_free_application(geometry, perturbed12):
+    """The same check on two fixed geometries: an intact perturbed cloud
+    and the driver's hole geometry at n=24 seed 3, with broken bonds and
+    removed nodes next to the collar.  nu = 0.25 gives lam = mu."""
+    if geometry == "intact":
+        cloud, nbrs, family = perturbed12
+        disc = _discretize(cloud, nbrs, family, BondSet.intact(nbrs))
+    else:
+        hole = Disk(center=(0.5, 0.5), radius=0.2)
+        disc = build_discretization(RunConfig(case="hole", n=24, seed=3), hole)
+        assert disc.bonds.broken.any() and not disc.bonds.present.all()
+    analytic_case = make_smooth_case(moduli_from_K_nu(1.0, 0.25), frequency=2.0)
+    mat = MaterialField.from_case(analytic_case, disc.cloud)
+    _check_assembly_matches_matrix_free(analytic_case, disc, mat, lam_equals_mu=True)
+
+
+def _check_assembly_matches_matrix_free(analytic_case, disc, mat, lam_equals_mu):
+    """Assert A x - b equals the matrix-free residual for a smooth w, that
+    the u-theta coupling is empty exactly when lam = mu, and that the
+    blocks hold nothing for unknowns a node does not carry."""
     pos = disc.cloud.positions
     w = np.column_stack([np.sin(3.0 * pos[:, 0]), np.cos(2.0 * pos[:, 1])])
     f = analytic_case.forcing(pos)
@@ -487,7 +513,7 @@ def test_assembly_matches_matrix_free_application(case, nu, n, seed, perturb, de
     scale = max(1.0, float(np.abs(mat.lam).max() + np.abs(mat.mu).max()))
     assert np.abs(residual - expected).max() < 1e-11 * scale
     coupled = np.abs(system.matrix[: 2 * system.n_u_points, 2 * system.n_u_points :]).sum()
-    assert (coupled == 0.0) == (nu == 0.25)
+    assert (coupled == 0.0) == lam_equals_mu
     # The blocks hold nothing in the rows and columns of unknowns a node
     # does not carry.
     slots = system.slot_index
