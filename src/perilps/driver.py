@@ -302,8 +302,8 @@ def convergence_ladder(
     """
     if len(n_values) < 2:
         raise ConfigError("a convergence ladder needs at least two resolutions")
-    if sorted(n_values) != list(n_values):
-        raise ConfigError("resolutions must be listed in increasing order")
+    if any(a >= b for a, b in zip(n_values, n_values[1:])):
+        raise ConfigError("resolutions must be listed in strictly increasing order")
 
     out_path = Path(out) if out is not None else None
     runs: list[RunResult] = []

@@ -40,13 +40,16 @@ assembled on the discretization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import AssemblyError, ConfigError, SolveError
 from .pointcloud import Neighborhoods, PointCloud
 from .quadrature import QuadratureFamily, weighted_volume
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 __all__ = [
     "C_ALPHA",
@@ -314,7 +317,8 @@ def analyse_fronts(
     a = pos[np.repeat(np.arange(n), np.diff(indptr))[pairs]]
     b = pos[indices[pairs]]
     front = part_of[np.minimum(a, b)]
-    by_front = np.argsort(front, kind="stable")
+    # A key of 16 bits or fewer gets numpy's radix sort for the stable order.
+    by_front = np.argsort(front.astype(np.min_scalar_type(n_parts)), kind="stable")
     pairs, a, b, front = pairs[by_front], a[by_front], b[by_front], front[by_front]
 
     # Each front's reach beyond its own part, as sorted keys front * n + position.
@@ -545,11 +549,15 @@ class BlockSystem:
         return out
 
     @property
-    def matrix(self) -> sp.csr_matrix:
+    def matrix(self) -> scipy.sparse.csr_matrix:
         """The matrix over the scalar unknowns, with no stored zeros.
 
-        Built on each access; the solver never forms it.
+        Built on each access; the solver never forms it.  Loads
+        ``scipy.sparse`` on the first access, so a run that never reads
+        it never imports it.
         """
+        import scipy.sparse as sp
+
         slots = self.slot_index
         n = slots.shape[0]
         node = np.arange(n)

@@ -12,6 +12,9 @@ from it later by breaking bonds (:mod:`perilps.model`).
 Random offsets come from a Philox counter-based generator, which is
 specified bit-for-bit by its key, so a (seed, n) pair reproduces the same
 cloud on any platform.
+
+The pairs within one horizon are found by a cell list in numpy alone
+(``build_neighborhoods``); only ``uniformity_metrics`` uses a k-d tree.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ConfigError
 
@@ -197,27 +199,60 @@ def generate_perturbed_lattice(
     )
 
 
+#: The half stencil of the cell list: a node's own cell (partners later
+#: in the cell order only) and the four cells after it, so that every
+#: unordered pair of adjacent cells is visited once.
+_HALF_STENCIL = ((0, 0), (1, -1), (1, 0), (1, 1), (0, 1))
+
+
 def _pairs_within(pos: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
     """Directed pairs ``(i, j)`` with ``0 < |x_j - x_i| <= radius``, sorted.
 
-    The k-d tree's candidate pairs are taken with a slightly enlarged
-    radius and then filtered by the exact test on ``x_j - x_i``, so the
-    result does not depend on how the tree rounds distances.  Kept apart
-    from ``build_neighborhoods`` so that the candidate arrays are freed
-    before the bond vectors are formed.
+    A cell list (the linked-cell method): the nodes are binned into square
+    cells of width ``radius * (1 + 1e-9)``, so a pair within the radius
+    lies in one cell or in two adjacent ones even where the binning
+    rounds, and each unordered candidate pair is met once over the half
+    stencil.  The candidates are then filtered by the exact test on
+    ``x_j - x_i``.  Cells are looked up by ``searchsorted`` over the
+    occupied ones, never as a dense grid, so a tiny radius costs no
+    memory.  One sort of the keys ``i * N + j`` orders the pairs.  Kept
+    apart from ``build_neighborhoods`` so that the candidate arrays are
+    freed before the bond vectors are formed.
     """
-    i, j = cKDTree(pos).query_pairs(radius * (1.0 + 1e-9), output_type="ndarray").T
-    diff = pos[j] - pos[i]
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    hit = (d2 <= radius * radius) & (d2 > 0.0)
-    i_arr = np.concatenate([i[hit], j[hit]])
-    j_arr = np.concatenate([j[hit], i[hit]])
-    perm = np.lexsort((j_arr, i_arr))
-    return i_arr[perm], j_arr[perm]
+    n = pos.shape[0]
+    cell_xy = ((pos - pos.min(axis=0)) / (radius * (1.0 + 1e-9))).astype(np.int64)
+    # Columns are padded by an empty cell at either end, so that a
+    # neighbor one cell up or down never wraps into the next column.
+    ny = int(cell_xy[:, 1].max()) + 3
+    cell = cell_xy[:, 0] * ny + cell_xy[:, 1] + 1
+    by_cell = np.argsort(cell)
+    cell, sorted_pos = cell[by_cell], pos[by_cell]
+    # Candidates are pairs (a, b) of positions in the cell order: each a
+    # meets every b in lo[a]:hi[a], the nodes of one stencil cell.
+    rank = np.arange(n)
+    found_a, found_b = [], []
+    for dx, dy in _HALF_STENCIL:
+        if dx == dy == 0:
+            lo = rank + 1
+        else:
+            lo = np.searchsorted(cell, cell + (dx * ny + dy), side="left")
+        hi = np.searchsorted(cell, cell + (dx * ny + dy), side="right")
+        counts = hi - lo
+        a = np.repeat(rank, counts)
+        b = np.arange(a.size) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+        # ``take`` gathers rows several times faster than fancy indexing.
+        diff = np.take(sorted_pos, b, axis=0) - np.take(sorted_pos, a, axis=0)
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        hit = (d2 <= radius * radius) & (d2 > 0.0)
+        found_a.append(a[hit])
+        found_b.append(b[hit])
+    i, j = by_cell[np.concatenate(found_a)], by_cell[np.concatenate(found_b)]
+    key = np.sort(np.concatenate([i * n + j, j * n + i]))
+    return np.divmod(key, n)
 
 
 def build_neighborhoods(cloud: PointCloud) -> Neighborhoods:
-    """Find all node pairs within the horizon using a k-d tree.
+    """Find all node pairs within the horizon using a cell list.
 
     The radius test is inclusive and coincident nodes (zero distance)
     are excluded along with the node itself.
@@ -231,7 +266,7 @@ def build_neighborhoods(cloud: PointCloud) -> Neighborhoods:
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
 
-    offsets = pos[j_arr] - pos[i_arr]
+    offsets = np.take(pos, j_arr, axis=0) - np.take(pos, i_arr, axis=0)
     distances = np.hypot(offsets[:, 0], offsets[:, 1])
     return Neighborhoods(
         indptr=indptr,
@@ -261,7 +296,10 @@ def uniformity_metrics(cloud: PointCloud, refine: int = 4) -> tuple[float, float
     The fill distance over the unit square is approximated by sampling a
     lattice refined by ``refine`` in each direction; the separation
     distance is half the minimal pairwise distance, computed exactly.
+    Loads ``scipy.spatial`` on the first call; no run needs it.
     """
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(cloud.positions)
     step = cloud.h / refine
     g = np.arange(step / 2, 1.0, step)

@@ -3,6 +3,7 @@ deterministic reruns, reference tables, and exit codes."""
 
 import importlib.util
 import json
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -195,6 +196,8 @@ def test_ladder_validation():
         convergence_ladder(cfg, [8])
     with pytest.raises(ConfigError):
         convergence_ladder(cfg, [12, 8])
+    with pytest.raises(ConfigError):
+        convergence_ladder(cfg, [8, 12, 12])
 
 
 def test_two_rung_ladder_has_no_slope():
@@ -330,6 +333,15 @@ def test_cli_converge_single_rung_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_cli_converge_repeated_rung_exits_2(tmp_path):
+    """A repeated resolution is rejected before any rung runs, not by the
+    pair-order fit dividing by log(h / h) = 0 afterwards."""
+    out = tmp_path / "d"
+    rc = main(["converge", "--case", "patch", "--n-list", "12,12", "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+
+
 def test_cli_check_quadrature(tmp_path, capsys):
     rc = main(["check-quadrature", "--n", "10", "--out", str(tmp_path)])
     assert rc == 0
@@ -428,3 +440,45 @@ def test_cli_check_quadrature_takes_geometry_flags(tmp_path, monkeypatch):
     for i, row in zip(ids, rows):
         w = family.weights[nbrs.pair_slice(i)]
         assert (row[3], row[6], row[7]) == (w.size, w.min(), w.max())
+
+
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import perilps.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+after_import = scipy_modules()
+for k, argv in enumerate(json.loads(sys.argv[3])):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = perilps.cli.main(argv + ["--out", f"{sys.argv[2]}/{k}"])
+    if rc != 0:
+        sys.exit(f"{argv} exited with {rc}")
+print(json.dumps({"after_import": after_import, "after_calls": scipy_modules()}))
+"""
+
+
+def test_cli_loads_no_spatial_sparse_or_special(tmp_path):
+    """In a fresh process, importing the CLI and running each command loads
+    neither scipy.spatial, scipy.sparse nor scipy.special, and no call
+    loads a scipy module the import did not, so nothing is deferred into
+    a command's first call."""
+    src = Path(cli.__file__).resolve().parent.parent
+    calls = [
+        ["run", "--case", "hole", "--n", "16"],
+        ["check-quadrature", "--n", "12"],
+        ["sweep", "--n", "12", "--ratios", "1,8"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", _IMPORT_PROBE, str(src), str(tmp_path), json.dumps(calls)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    heavy = ("scipy.spatial", "scipy.sparse", "scipy.special")
+    assert [m for m in loaded["after_calls"] if m.startswith(heavy)] == []
+    assert loaded["after_calls"] == loaded["after_import"]

@@ -1,5 +1,7 @@
 """Point cloud generation and neighbor search."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -16,11 +18,16 @@ from perilps import (
 
 
 def brute_force_pairs(positions, radius):
-    """All ordered pairs (i, j), i != j, with |x_j - x_i| <= radius."""
-    diff = positions[None, :, :] - positions[:, None, :]
-    d2 = np.einsum("ijc,ijc->ij", diff, diff)
-    mask = (d2 <= radius**2) & (d2 > 0.0)
-    return np.argwhere(mask)
+    """All ordered pairs (i, j), i != j, with |x_j - x_i| <= radius, sorted.
+
+    Taken 256 rows at a time, so that clouds of thousands of nodes fit.
+    """
+    pairs = []
+    for start in range(0, positions.shape[0], 256):
+        diff = positions[None, :, :] - positions[start : start + 256, None, :]
+        d2 = np.einsum("ijc,ijc->ij", diff, diff)
+        pairs.append(np.argwhere((d2 <= radius**2) & (d2 > 0.0)) + [start, 0])
+    return np.concatenate(pairs)
 
 
 def test_counts_at_n24():
@@ -146,6 +153,80 @@ def test_neighborhoods_match_brute_force_everywhere(n, seed, perturb, delta_fact
     )
 
 
+def _neighborhood_arrays(positions, i, j):
+    """The four arrays of ``Neighborhoods`` for the directed pairs (i, j),
+    given sorted by (i, j), formed as ``build_neighborhoods`` forms them."""
+    indptr = np.zeros(positions.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(i, minlength=positions.shape[0]), out=indptr[1:])
+    offsets = positions[j] - positions[i]
+    return {
+        "indptr": indptr,
+        "indices": j,
+        "offsets": offsets,
+        "distances": np.hypot(offsets[:, 0], offsets[:, 1]),
+    }
+
+
+def _assert_neighborhoods_equal(nbrs, expected):
+    for name, want in expected.items():
+        np.testing.assert_array_equal(getattr(nbrs, name), want, err_msg=name, strict=True)
+
+
+@given(
+    n=st.integers(11, 40),
+    seed=st.integers(0, 2**32 - 1),
+    perturb=st.floats(0.0, 0.45, exclude_max=True),
+    delta_factor=st.floats(2.2, 5.0),
+    layout=st.sampled_from(["lattice", "translated", "scaled", "moved"]),
+    node=st.integers(0, 2**16),
+    direction=st.sampled_from([(1.0, 0.0), (0.0, -1.0), (-0.6, 0.8), (0.8, 0.6)]),
+)
+# Scaled by 3 with an integer horizon factor and no jitter, many pairs sit
+# on the horizon, where the cells are widest relative to the rounding.
+@example(n=13, seed=0, perturb=0.0, delta_factor=3.0, layout="scaled", node=0, direction=(1.0, 0.0))
+def test_neighborhoods_match_brute_force_off_the_lattice(
+    n, seed, perturb, delta_factor, layout, node, direction
+):
+    """Every array of the neighborhoods equals brute force bit for bit on
+    clouds moved off the unit square, scaled with their horizon, or with
+    one node placed a horizon away from another."""
+    cloud = generate_perturbed_lattice(
+        n, delta_factor=delta_factor, perturb_frac=perturb, seed=seed
+    )
+    if layout == "translated":
+        cloud = dataclasses.replace(cloud, positions=cloud.positions + 2.0)
+    elif layout == "scaled":
+        cloud = dataclasses.replace(
+            cloud, positions=cloud.positions * 3.0, h=cloud.h * 3.0, delta=cloud.delta * 3.0
+        )
+    elif layout == "moved":
+        pos = cloud.positions.copy()
+        k = node % (cloud.n_points - 1)
+        pos[k + 1] = pos[k] + cloud.delta * np.asarray(direction)
+        cloud = dataclasses.replace(cloud, positions=pos)
+    i, j = brute_force_pairs(cloud.positions, cloud.delta).T
+    expected = _neighborhood_arrays(cloud.positions, i, j)
+    _assert_neighborhoods_equal(build_neighborhoods(cloud), expected)
+
+
+@pytest.mark.parametrize("perturb", [0.0, 0.2, 0.45 - 1e-9])
+def test_neighborhoods_match_kdtree_at_n64(perturb):
+    """At a benchmark size the search equals scipy's k-d tree query, with
+    the same exact test on ``x_j - x_i``, bit for bit."""
+    from scipy.spatial import cKDTree
+
+    cloud = generate_perturbed_lattice(64, perturb_frac=perturb, seed=7)
+    pos, radius = cloud.positions, cloud.delta
+    i, j = cKDTree(pos).query_pairs(radius * (1.0 + 1e-9), output_type="ndarray").T
+    diff = pos[j] - pos[i]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    hit = (d2 <= radius * radius) & (d2 > 0.0)
+    i, j = np.r_[i[hit], j[hit]], np.r_[j[hit], i[hit]]
+    perm = np.lexsort((j, i))
+    expected = _neighborhood_arrays(pos, i[perm], j[perm])
+    _assert_neighborhoods_equal(build_neighborhoods(cloud), expected)
+
+
 def test_neighborhoods_are_symmetric():
     cloud = generate_perturbed_lattice(9, seed=6)
     nbrs = build_neighborhoods(cloud)
@@ -186,8 +267,6 @@ def test_offsets_and_distances_consistent():
 
 def test_horizon_is_inclusive():
     """A pair at exactly the horizon distance is kept."""
-    import dataclasses
-
     cloud = generate_perturbed_lattice(8, perturb_frac=0.0, seed=0)
     pos = cloud.positions.copy()
     # move node 1 to exactly delta to the right of node 0
