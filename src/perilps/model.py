@@ -28,18 +28,23 @@ itself.  So the block system stores one 3x3 block per directed bond,
 aligned with the neighbor lists, plus one diagonal block per node; the
 rows of a block are a node's (x-momentum, y-momentum, dilatation)
 equations and its columns the other node's (ux, uy, theta).  The
-assembly writes the blocks in place; a scalar sparse matrix exists only
-on request (``BlockSystem.matrix``).  Every bond is at most one horizon
-long, so the geometry also fixes a nested-dissection tree of the nodes
+assembly forms each block entry once from per-bond factors, and in one
+pass sums it into the diagonal and the right-hand side and writes it
+into the blocks; a scalar sparse matrix exists only on request
+(``BlockSystem.matrix``).  Every bond is at most one horizon long, so
+the geometry also fixes a nested-dissection tree of the nodes
 (``dissection_order``) and, from the surviving bonds, the node-level
 symbolic structure of the solver's fronts over it (``front_tree``).
 Neither depends on the material, so one analysis serves every system
-assembled on the discretization.
+assembled on the discretization.  The solver's scalar expansion of that
+structure into unknowns is geometry-only too: it is made at the first
+solve and kept on the tree (``FrontTree.plans``), not redone per
+material.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -105,11 +110,16 @@ class MaterialField:
         return cls(lam=np.asarray(lam, dtype=float), mu=np.asarray(mu, dtype=float))
 
 
-def _harmonic_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # 2 / (1/a + 1/b), with the limit value 0 where a modulus is 0 (lam).
+def _pair_mean(modulus: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Harmonic mean 2 / (1/a + 1/b) of a per-node modulus over each bond's
+    nodes, with the limit value 0 where a modulus is 0 (lam)."""
+    a, b = np.take(modulus, i), np.take(modulus, j)
     s = a + b
+    a *= 2.0
+    a *= b
+    del b
     out = np.zeros_like(s)
-    np.divide(2.0 * a * b, s, out=out, where=s > 0.0)
+    np.divide(a, s, out=out, where=s > 0.0)
     return out
 
 
@@ -270,6 +280,10 @@ class FrontTree:
     ``runs[:, run_end[k - 1]:run_end[k]]`` are part ``k``'s runs: the
     entry of the first node in its own front and in the parent's, and
     the run's length.
+
+    ``plans`` holds the solver's plans over this tree, the expansion of
+    its nodes into unknowns, one per set of unknowns solved for.  The
+    first solve makes each, and every later solve on the tree reads it.
     """
 
     order: np.ndarray
@@ -283,6 +297,7 @@ class FrontTree:
     pair_cols: np.ndarray
     runs: np.ndarray
     run_end: np.ndarray
+    plans: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def analyse_fronts(
@@ -500,15 +515,16 @@ class BlockSystem:
     ``u_index`` and ``theta_index`` map node ids to slots (-1 where a
     node carries no unknown of that kind), and ``rhs`` is in this layout.
 
-    The matrix is stored by node: ``blocks[p]`` couples the equations of
-    node ``i`` (rows x-momentum, y-momentum, dilatation) to the unknowns
-    (ux, uy, theta) of its ``p``-th neighbor ``indices[p]``, with ``p`` in
-    ``indptr[i]:indptr[i + 1]``; ``diag[i]`` couples node ``i`` to itself.
-    Rows and columns of unknowns a node does not carry hold zeros.
-    ``fronts`` is the discretization's ``FrontTree``.
+    The matrix is stored by bond, in the order of the neighbor lists:
+    ``blocks[p]`` couples the equations of node ``row_index[p]`` (rows
+    x-momentum, y-momentum, dilatation) to the unknowns (ux, uy, theta)
+    of its neighbor ``indices[p]``; ``diag[i]`` couples node ``i`` to
+    itself.  Rows and columns of unknowns a node does not carry hold
+    zeros.  ``row_index`` and ``indices`` are the ``Neighborhoods``'
+    arrays, not copies.  ``fronts`` is the discretization's ``FrontTree``.
     """
 
-    indptr: np.ndarray
+    row_index: np.ndarray
     indices: np.ndarray
     blocks: np.ndarray
     diag: np.ndarray
@@ -539,14 +555,27 @@ class BlockSystem:
         n = has.shape[0]
         xs = np.zeros(has.shape)
         xs[has] = x[slots[has]]
-        rows = np.repeat(np.arange(n), np.diff(self.indptr))
         bonds = np.einsum("pab,pb->pa", self.blocks, np.take(xs, self.indices, axis=0))
         y = np.einsum("iab,ib->ia", self.diag, xs)
         for a in range(3):
-            y[:, a] += np.bincount(rows, weights=bonds[:, a], minlength=n)
+            y[:, a] += np.bincount(self.row_index, weights=bonds[:, a], minlength=n)
         out = np.empty(self.n_unknowns)
         out[slots[has]] = y[has]
         return out
+
+    def theta_rows(self, x: np.ndarray) -> np.ndarray:
+        """The displacement terms of the dilatation rows of the product with
+        ``x``, from ``blocks[:, 2, :2]`` and ``diag[:, 2, :2]`` only: one
+        value per node that carries a dilatation, in node order.  Where the
+        dilatations of ``x`` are zero they are the whole rows."""
+        slots = self.slot_index[:, :2]
+        has = slots >= 0
+        us = np.zeros(has.shape)
+        us[has] = x[slots[has]]
+        bonds = np.einsum("pb,pb->p", self.blocks[:, 2, :2], np.take(us, self.indices, axis=0))
+        y = np.einsum("ib,ib->i", self.diag[:, 2, :2], us)
+        y += np.bincount(self.row_index, weights=bonds, minlength=has.shape[0])
+        return y[self.theta_index >= 0]
 
     @property
     def matrix(self) -> scipy.sparse.csr_matrix:
@@ -559,9 +588,8 @@ class BlockSystem:
         import scipy.sparse as sp
 
         slots = self.slot_index
-        n = slots.shape[0]
-        node = np.arange(n)
-        rows = np.r_[np.repeat(node, np.diff(self.indptr)), node]
+        node = np.arange(slots.shape[0])
+        rows = np.r_[self.row_index, node]
         cols = np.r_[self.indices, node]
         vals = np.concatenate((self.blocks, self.diag))
         r = np.broadcast_to(slots[rows][:, :, None], vals.shape)
@@ -587,45 +615,64 @@ class BlockSystem:
         return th
 
 
-def _pair_coefficients(disc: Discretization, material: MaterialField) -> np.ndarray:
-    """Per-bond 3x3 blocks shared by assembly and application.
+def _pair_entries(disc: Discretization, material: MaterialField):
+    """The entries of the per-bond 3x3 blocks, one at a time, as ``(a, b, values)``.
 
-    Rows are node ``i``'s x-momentum, y-momentum and dilatation; columns
-    the neighbor's (ux, uy, theta).  With ``B`` the block of bond (i, j),
-    the momentum of ``i`` sums ``B[:2, :2] (u_j - u_i)`` (the bond force,
-    ``s z (x) z``) and ``B[:2, 2] (theta_i + theta_j)`` (the dilatation
-    force), and ``theta_i`` sums ``-B[2, :2] . (u_j - u_i)`` (the
-    corrected dilatation).  ``B[2, 2]`` is zero.
+    Rows ``a`` are node ``i``'s x-momentum, y-momentum and dilatation;
+    columns ``b`` the neighbor's (ux, uy, theta).  With ``B`` the block
+    of bond (i, j), the momentum of ``i`` sums ``B[:2, :2] (u_j - u_i)``
+    (the bond force, ``s z (x) z``) and ``B[:2, 2] (theta_i + theta_j)``
+    (the dilatation force), and ``theta_i`` sums ``-B[2, :2] . (u_j - u_i)``
+    (the corrected dilatation).  ``B[2, 2]`` is zero and not yielded.
+
+    Each ``values`` is a new per-bond array.  Beside it the generator
+    keeps at most three per-bond factors, so a caller that drops each
+    entry before taking the next never holds all eight.  Within a row,
+    column 0 comes before column 1.
     """
     nbrs = disc.nbrs
-    wt = disc.weights
-    i_pair = nbrs.row_index
-    j_pair = nbrs.indices
-    z = nbrs.offsets
-    r = nbrs.distances
-    kernel = 1.0 / r
+    i_pair, wt, r = nbrs.row_index, disc.weights, nbrs.distances
+    z = (nbrs.offsets[:, 0], nbrs.offsets[:, 1])
     m = weighted_volume(disc.cloud.delta)
 
-    lam_p = _harmonic_mean(material.lam[i_pair], material.lam[j_pair])
-    mu_p = _harmonic_mean(material.mu[i_pair], material.mu[j_pair])
+    # The factors (C_ALPHA / m) ((lam_p - mu_p) k w), (C_BETA / m) mu_p k w
+    # / r^2 and -(DIM / m) k w, with the kernel k = 1 / r, are formed in
+    # place, one product at a time in that order.
+    a_fac = _pair_mean(material.lam, i_pair, nbrs.indices)
+    s_fac = _pair_mean(material.mu, i_pair, nbrs.indices)
+    kernel = 1.0 / r
+    a_fac -= s_fac
+    a_fac *= kernel
+    a_fac *= wt
+    a_fac *= C_ALPHA / m
+    for a in range(2):
+        yield a, 2, a_fac * z[a]
+    del a_fac
 
-    # Entry by entry: each is one pass over the bonds.
-    blocks = np.empty((nbrs.n_pairs, 3, 3))
-    z0, z1 = z[:, 0], z[:, 1]
-    s_fac = (C_BETA / m) * mu_p * kernel * wt / r**2
-    blocks[:, 0, 0] = s_fac * z0 * z0
-    blocks[:, 0, 1] = s_fac * z0 * z1
-    blocks[:, 1, 0] = s_fac * z1 * z0
-    blocks[:, 1, 1] = s_fac * z1 * z1
-    a_fac = (C_ALPHA / m) * ((lam_p - mu_p) * kernel * wt)
-    blocks[:, 0, 2] = a_fac * z0
-    blocks[:, 1, 2] = a_fac * z1
-    c_fac = (DIM / m) * kernel * wt
-    inv = np.take(disc.correction.inverses.reshape(-1, 4), i_pair, axis=0)
-    blocks[:, 2, 0] = -c_fac * (inv[:, 0] * z0 + inv[:, 1] * z1)
-    blocks[:, 2, 1] = -c_fac * (inv[:, 2] * z0 + inv[:, 3] * z1)
-    blocks[:, 2, 2] = 0.0
-    return blocks
+    s_fac *= C_BETA / m
+    s_fac *= kernel
+    s_fac *= wt
+    s_fac /= r**2
+    for a in range(2):
+        for b in range(2):
+            yield a, b, s_fac * z[a] * z[b]
+    del s_fac
+
+    c_fac = kernel
+    c_fac *= DIM / m
+    c_fac *= wt
+    np.negative(c_fac, out=c_fac)
+    inverses = disc.correction.inverses
+    for b in range(2):
+        values = np.take(inverses[:, b, 0], i_pair)
+        values *= z[0]
+        other = np.take(inverses[:, b, 1], i_pair)
+        other *= z[1]
+        values += other
+        del other
+        values *= c_fac
+        yield 2, b, values
+        del values
 
 
 def assemble_system(
@@ -662,36 +709,50 @@ def assemble_system(
     if np.any(live & u_unknown[i_pair] & (theta_index[j_pair] < 0)):
         raise AssemblyError("a momentum row references a node with no dilatation")
 
-    # Only interior nodes have momentum rows.  A node's own terms are the
-    # sums of its bonds' terms: minus for the displacement columns of
-    # both row kinds, plus for the dilatation column of the momentum rows.
-    blocks = _pair_coefficients(disc, material)
+    # One pass per entry: it is summed into the diagonal and into the
+    # collar data, then written masked into the blocks.  A node's own
+    # terms are the sums of its bonds' terms: minus for the displacement
+    # columns of both row kinds, plus for the dilatation column of the
+    # momentum rows.  The displacement columns of nodes without
+    # displacement unknowns hold data, which moves to the RHS.  Only
+    # interior nodes have momentum rows: the blocks keep no other, and the
+    # other nodes' sums are dropped below.
     u_row, u_col = u_unknown[i_pair], u_unknown[j_pair]
-    for a in range(2):
-        for b in range(3):
-            blocks[:, a, b] *= u_row
+    u_both = u_row & u_col
+    data = np.flatnonzero(live & ~u_col)
+    data_u = np.take(dirichlet, j_pair[data], axis=0)
+    moved = np.empty((data.size, 3))
+    blocks = np.empty((nbrs.n_pairs, 3, 3))
+    blocks[:, 2, 2] = 0.0
     diag = np.zeros((n, 3, 3))
-    for a in range(3):
-        for b in range(3 if a < 2 else 2):
-            total = np.bincount(i_pair, weights=blocks[:, a, b], minlength=n)
-            diag[:, a, b] = total if b == 2 else -total
+    for a, b, values in _pair_entries(disc, material):
+        total = np.bincount(i_pair, weights=values, minlength=n)
+        if b == 2:
+            diag[:, a, b] = total
+        else:
+            diag[:, a, b] = -total
+            term = values[data] * data_u[:, b]
+            if b == 0:
+                moved[:, a] = term
+            else:
+                moved[:, a] += term
+        kept = u_col if a == 2 else u_row if b == 2 else u_both
+        np.multiply(values, kept, out=blocks[:, a, b])
+        # Dropped before the generator makes the next entry.
+        del values
     diag[theta_mask, 2, 2] = 1.0
 
-    # Displacement columns of nodes without displacement unknowns hold data.
     rhs = np.zeros((n, 3))
     rhs[u_unknown, :2] = forcing[u_unknown]
-    data = np.flatnonzero(live & ~u_col)
-    moved = np.einsum("pab,pb->pa", blocks[data, :, :2], dirichlet[j_pair[data]])
     for a in range(3):
         rhs[:, a] -= np.bincount(i_pair[data], weights=moved[:, a], minlength=n)
-        for b in range(2):
-            blocks[:, a, b] *= u_col
     own = theta_mask & ~u_unknown
     rhs[own, 2] -= np.einsum("ib,ib->i", diag[own, 2, :2], dirichlet[own])
-    diag[~u_unknown, :, :2] = 0.0
+    diag[~u_unknown, :2] = 0.0
+    diag[~u_unknown, 2, :2] = 0.0
 
     return BlockSystem(
-        indptr=nbrs.indptr,
+        row_index=i_pair,
         indices=j_pair,
         blocks=blocks,
         diag=diag,
@@ -711,8 +772,9 @@ def apply_operator(
 
     First evaluates the corrected dilatation wherever weights exist,
     then the momentum sums at present interior nodes.  This is the
-    direct (matrix-free) route; it exists mainly so tests can confront
-    the assembled matrix with an independent evaluation.
+    direct (matrix-free) route over the same bond entries as
+    ``assemble_system``; it exists mainly so tests can confront the
+    assembled matrix with an independent evaluation.
 
     Returns
     -------
@@ -721,7 +783,9 @@ def apply_operator(
     """
     cloud, nbrs, computed = disc.cloud, disc.nbrs, disc.family.computed
     n = cloud.n_points
-    blocks = _pair_coefficients(disc, material)
+    blocks = np.zeros((nbrs.n_pairs, 3, 3))
+    for a, b, values in _pair_entries(disc, material):
+        blocks[:, a, b] = values
     i_pair = nbrs.row_index
     j_pair = nbrs.indices
     du = u_all[j_pair] - u_all[i_pair]

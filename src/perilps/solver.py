@@ -6,12 +6,15 @@ solved by a multifrontal LU over the discretization's nested-dissection
 tree, whose node-level structure (``model.front_tree``) is built once
 with the geometry.  Each part of the tree (a leaf or a separator) is one
 dense front over its own nodes (the pivots) and the later nodes that
-its bonds and its children's updates reach (its boundary).  At solve
-time each node expands to its unknowns through a per-node offset, so a
-node's unknowns sit together in every front: whole bond blocks are
-scattered in, and a child's update is added row run by row run, where a
-run is a stretch of its boundary that lies consecutive in the parent's
-front.  The pivot block is factored by LAPACK with partial pivoting
+its bonds and its children's updates reach (its boundary).  Each node
+expands to its unknowns through a per-node offset, so a node's unknowns
+sit together in every front: whole bond blocks are scattered in, and a
+child's update is added row run by row run, where a run is a stretch of
+its boundary that lies consecutive in the parent's front.  That scalar
+expansion depends on the geometry alone.  The first solve on a tree
+makes it and keeps it on the tree (``FrontTree.plans``), once per
+geometry and set of unknowns, so every later solve there, for any
+material, only moves numbers.  The pivot block is factored by LAPACK with partial pivoting
 inside it, and the Schur complement of the boundary is added into the
 parent's front.  The system has one right-hand side, so it rides as one
 more column of each front: the forward substitution runs during the
@@ -21,7 +24,8 @@ for the back substitution.
 Where no momentum row has a dilatation column (lambda = mu on every
 live bond), the displacement block is solved alone over the same tree,
 with the 2x2 displacement blocks, and the dilatations follow from their
-own rows, which hold an identity diagonal and displacement columns only.
+own rows, which hold an identity diagonal and displacement columns only
+(``BlockSystem.theta_rows``: no other row of the product is formed).
 Either way the relative residual of the solution is recomputed from the
 full system's blocks and right-hand side.  Where it misses the
 certificate, one step of iterative refinement solves for the residual
@@ -43,7 +47,7 @@ from scipy.linalg.blas import dgemm, dgemv
 from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import SolveError
-from .model import BlockSystem
+from .model import BlockSystem, FrontTree
 
 __all__ = ["SolveReport", "solve", "rms_norm"]
 
@@ -73,14 +77,15 @@ def solve(system: BlockSystem) -> SolveReport:
     """
     slots = system.slot_index
     has = slots >= 0
-    rows = np.repeat(np.arange(has.shape[0]), np.diff(system.indptr))
-    entries = system.blocks != 0.0
-    entries = entries[:, :, 0] | entries[:, :, 1] | entries[:, :, 2]
-    filled = (system.diag != 0.0).any(axis=2)
-    for a in range(3):
-        filled[:, a] |= np.bincount(rows, weights=entries[:, a], minlength=has.shape[0]) > 0.0
-    if np.any(has & ~filled):
-        raise SolveError(f"matrix has an empty row (first: {slots[has & ~filled].min()})")
+    empty = has & ~(system.diag != 0.0).any(axis=2)
+    if empty.any():
+        # A row with nothing on the diagonal may still hold bond entries.
+        entries = (system.blocks != 0.0).any(axis=2)
+        for a in range(3):
+            held = np.bincount(system.row_index, weights=entries[:, a], minlength=has.shape[0])
+            empty[:, a] &= held == 0.0
+        if empty.any():
+            raise SolveError(f"matrix has an empty row (first: {slots[empty].min()})")
 
     coupled = system.blocks[:, :2, 2].any() or system.diag[:, :2, 2].any()
     kinds = 3 if coupled else 2
@@ -92,7 +97,7 @@ def solve(system: BlockSystem) -> SolveReport:
         x = np.zeros_like(b)
         x[unknowns], lu_nnz = _multifrontal(system, has[:, :kinds], b[unknowns])
         if not coupled:
-            x[theta] = b[theta] - system.apply(x)[theta]
+            x[theta] = b[theta] - system.theta_rows(x)
         return x, lu_nnz
 
     b = system.rhs
@@ -117,15 +122,30 @@ def _norm(v: np.ndarray) -> float:
     return float(np.sqrt(np.sum(v * v)))
 
 
-def _multifrontal(system: BlockSystem, solved: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
-    """Solve over the system's front tree for the unknowns ``solved``
-    marks: (N, kinds), the first ``kinds`` of each node's (ux, uy, theta).
+@dataclass
+class _Plan:
+    """The expansion of a front tree's nodes into the unknowns ``solved``
+    marks, as the front loop reads it.
 
-    ``y`` is the right-hand side in elimination order: part by part, node
-    by node, each node's unknowns together.  Returns the solution in that
-    order and the fronts' LU entry count.
+    ``fronts`` lists, for every front with entries: its part ``k``; its
+    ``m``, ``p`` and ``nb`` unknowns (all, pivots, boundary); its pivots'
+    rows of the ordered diagonal blocks and the buffer index of each of
+    their entries; its pairs and the buffer index of each entry of their
+    blocks; its pivots' slice of the right-hand side; the slots of its
+    boundary unknowns; and, for each child, the child's part, this
+    front's column of each of the child's boundary unknowns, and the
+    child's runs: the update's rows ``a0:a1``, whether they go to this
+    front's pivot rows, and the first of those rows.
     """
-    tree = system.fronts
+
+    solved: np.ndarray
+    fronts: list
+    lu_nnz: int
+
+
+def _plan(tree: FrontTree, solved: np.ndarray) -> _Plan:
+    """Expand the front tree's nodes into the unknowns ``solved`` marks:
+    (N, kinds), the first ``kinds`` of each node's (ux, uy, theta)."""
     kinds = solved.shape[1]
     n_parts = tree.part_end.size
     count = solved.sum(axis=1)
@@ -170,8 +190,6 @@ def _multifrontal(system: BlockSystem, solved: np.ndarray, y: np.ndarray) -> tup
     pivots = np.flatnonzero(np.arange(nodes.size) - node_start[front_of] < n_piv[front_of])
     diag_at = targets(pivots, pivots)
     pair_at = targets(tree.pair_rows, tree.pair_cols)
-    diag = system.diag[tree.order, :kinds, :kinds]
-    blocks = system.blocks[:, :kinds, :kinds]
 
     # Slots in elimination order of every front's unknowns, and where each
     # front's pivots start among them.
@@ -193,37 +211,66 @@ def _multifrontal(system: BlockSystem, solved: np.ndarray, y: np.ndarray) -> tup
     upper_row = to < p[run_parent]
     row = np.where(upper_row, to, to - p[run_parent])
     spans = list(zip(r0.tolist(), r1.tolist(), upper_row.tolist(), row.tolist()))
-    run_start = np.r_[0, tree.run_end[:-1]]
+    run_start = np.r_[0, tree.run_end[:-1]].tolist()
     # This front's column of each boundary unknown of each child.
     bnd_start = np.r_[0, np.cumsum(nb)]
     to_column = np.repeat(to - r0 - bnd_start[run_part], r1 - r0) + np.arange(bnd_start[-1])
-
     children = [[] for _ in range(n_parts)]
-    for k, parent in enumerate(tree.part_parent):
+    for c, (parent, s, e) in enumerate(zip(tree.part_parent.tolist(), run_start, tree.run_end.tolist())):
         if parent >= 0:
-            children[parent].append(k)
+            children[parent].append((c, to_column[bnd_start[c] : bnd_start[c + 1]], spans[s:e]))
+
+    piv_start = tree.part_end - n_piv
+    pair_start = np.r_[0, tree.pair_end[:-1]]
+    ends = (m, p, nb, piv_start, tree.part_end, pair_start, tree.pair_end, y_start, at[node_start])
+    fronts = [
+        (
+            k, m_k, p_k, nb_k,
+            slice(d0, d1), diag_at[d0:d1].ravel(),
+            tree.pairs[q0:q1], pair_at[q0:q1].ravel(),
+            slice(y0, y0 + p_k), slot[a0 + p_k : a0 + m_k],
+            children[k],
+        )
+        for k, (m_k, p_k, nb_k, d0, d1, q0, q1, y0, a0) in enumerate(zip(*(v.tolist() for v in ends)))
+        if m_k
+    ]
+    return _Plan(solved=solved.copy(), fronts=fronts, lu_nnz=int(np.sum(p * p + 2 * p * nb)))
+
+
+def _multifrontal(system: BlockSystem, solved: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
+    """Solve over the system's front tree for the unknowns ``solved``
+    marks: (N, kinds), the first ``kinds`` of each node's (ux, uy, theta).
+
+    ``y`` is the right-hand side in elimination order: part by part, node
+    by node, each node's unknowns together.  Returns the solution in that
+    order and the fronts' LU entry count.  The tree's plan for ``solved``
+    is made on the first call and read by every later one.
+    """
+    tree = system.fronts
+    kinds = solved.shape[1]
+    plan = tree.plans.get(kinds)
+    if plan is None or not np.array_equal(plan.solved, solved):
+        plan = tree.plans[kinds] = _plan(tree, solved)
+    diag = system.diag[tree.order, :kinds, :kinds]
+    blocks = system.blocks[:, :kinds, :kinds]
+
     xws, updates = {}, {}
-    for k, (m_k, p_k, nb_k) in enumerate(zip(m.tolist(), p.tolist(), nb.tolist())):
-        if m_k == 0:
-            continue
+    for k, m_k, p_k, nb_k, piv, diag_at, pairs, pair_at, y_at, bnd, children in plan.fronts:
         buf = np.zeros(m_k * (m_k + 2) + 1)
         upper = buf[: p_k * (m_k + 2)].reshape((p_k, m_k + 2), order="F")
         lower = buf[p_k * (m_k + 2) : -1].reshape((nb_k, m_k + 2), order="F")
-        lo, hi = tree.part_end[k] - n_piv[k], tree.part_end[k]
-        buf[diag_at[lo:hi].ravel()] = diag[lo:hi].ravel()
-        lo, hi = tree.pair_end[k - 1] if k else 0, tree.pair_end[k]
-        buf[pair_at[lo:hi].ravel()] = blocks[tree.pairs[lo:hi]].ravel()
-        for c in children[k]:
+        buf[diag_at] = diag[piv].ravel()
+        buf[pair_at] = blocks[pairs].ravel()
+        for c, cols, spans in children:
             update = updates.pop(c, None)
             if update is None:
                 continue
-            cols = to_column[bnd_start[c] : bnd_start[c + 1]]
-            for a0, a1, in_upper, row in spans[run_start[c] : tree.run_end[c]]:
+            for a0, a1, in_upper, row in spans:
                 (upper if in_upper else lower)[row : row + a1 - a0, cols] += update[a0:a1]
         if p_k == 0:
             updates[k] = lower[:, :m_k]
             continue
-        ys = y[y_start[k] : y_start[k + 1]]
+        ys = y[y_at]
         upper[:, m_k] = ys
         lu, ipiv, info = dgetrf(upper[:, :p_k], overwrite_a=True)
         if info != 0:
@@ -240,16 +287,15 @@ def _multifrontal(system: BlockSystem, solved: np.ndarray, y: np.ndarray) -> tup
             # Each front keeps its own [X | w]: small arrays fit the holes
             # of the heap the assembly has just freed, where one buffer for
             # all of them needs one hole that large.
-            xws[k] = np.array(xw, order="F")
-            y[slot[at[node_start[k]] + p_k : at[tree.node_end[k]]]] += update[:, nb_k]
+            xws[k] = np.array(xw, order="F"), y_at, bnd
+            y[bnd] += update[:, nb_k]
             updates[k] = update[:, :nb_k]
 
     # Back substitution, root first: y_p = w - X y_bnd.
-    for k in reversed(xws):
-        bnd = y[slot[at[node_start[k]] + p[k] : at[tree.node_end[k]]]]
-        ys = y[y_start[k] : y_start[k + 1]]
-        ys[:] = dgemv(-1.0, xws[k][:, :-1], bnd, 1.0, ys)
-    return y, int(np.sum(p * p + 2 * p * nb))
+    for xw, y_at, bnd in reversed(xws.values()):
+        ys = y[y_at]
+        ys[:] = dgemv(-1.0, xw[:, :-1], y[bnd], 1.0, ys)
+    return y, plan.lu_nnz
 
 
 def rms_norm(values: np.ndarray) -> float:

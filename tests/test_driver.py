@@ -19,12 +19,14 @@ from perilps import (
     driver,
     generate_perturbed_lattice,
     model,
+    solver,
 )
 from perilps.cli import main
 from perilps.driver import (
     CONVERGENCE_HEADER,
     FIELDS_HEADER,
     RunConfig,
+    _centerline_profile,
     convergence_ladder,
     reference_errors,
     run_case,
@@ -260,19 +262,22 @@ def test_sweep_profile_row_near_centerline(tmp_path):
 
 
 def test_sweep_matches_single_runs_exactly():
-    """The sweep's shared geometry gives the same errors as fresh runs."""
+    """The sweep's shared geometry and solver plan give the same errors
+    and profiles as fresh runs."""
     cfg = RunConfig(case="inclusion", n=12)
     ratios = [0.5, 4.0]
     out = sweep_contrast(cfg, ratios)
     for entry, ratio in zip(out["entries"], ratios):
         single = run_case(replace(cfg, case="inclusion", mu_ratio=ratio))
         assert entry["rms_error"] == single.rms_error
+        np.testing.assert_array_equal(entry["profile"]["ux"], _centerline_profile(single)["ux"])
 
 
 def test_sweep_analyses_the_fronts_once(tmp_path, monkeypatch):
-    """The five default ratios share one geometry, so the node-level
-    symbolic pass of the solver runs once for their five solves."""
-    calls = {"analyse": 0, "solve": 0}
+    """The ratios share one geometry, so the node-level symbolic pass of
+    the solver runs once for all their solves, and so does the expansion
+    of its nodes into unknowns (lam = mu in both phases of every ratio)."""
+    calls = {}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -281,9 +286,12 @@ def test_sweep_analyses_the_fronts_once(tmp_path, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(model, "analyse_fronts", counting("analyse", model.analyse_fronts))
+    monkeypatch.setattr(solver, "_plan", counting("plan", solver._plan))
     monkeypatch.setattr(driver, "solve", counting("solve", driver.solve))
-    assert main(["sweep", "--n", "12", "--out", str(tmp_path)]) == 0
-    assert calls == {"analyse": 1, "solve": 5}
+    for ratios, solves in (([], 5), (["--ratios", "1,8"], 2)):
+        calls.update(analyse=0, plan=0, solve=0)
+        assert main(["sweep", "--n", "12", *ratios, "--out", str(tmp_path / str(solves))]) == 0
+        assert calls == {"analyse": 1, "plan": 1, "solve": solves}
 
 
 def test_sweep_requires_ratios():

@@ -435,38 +435,49 @@ def test_hole_damage_is_a_share(seed, perturb, delta_factor, n):
     assert np.all((damage >= 0.0) & (damage <= 1.0))
 
 
-def _case_discretization(case, nu, n, seed, perturb, delta_factor):
+def _case_discretization(case, nu, nu1, n, seed, perturb, delta_factor):
     """The driver's geometry and material for a case; ``nu`` is the Poisson
-    ratio of the hole and smooth cases and of both inclusion phases."""
+    ratio of the hole and smooth cases and of the inclusion's outer phase,
+    ``nu1`` that of its inner phase."""
     config = RunConfig(
         case=case, n=n, seed=seed, perturb=perturb, delta_factor=delta_factor,
-        nu=nu, nu1=nu, nu2=nu,
+        nu=nu, nu1=nu1, nu2=nu,
     )
     analytic_case, hole = _build_case(config)
     disc = build_discretization(config, hole)
     return analytic_case, disc, MaterialField.from_case(analytic_case, disc.cloud)
 
 
+#: Poisson ratios of the property test's materials: lam = mu at 0.25, up
+#: to lam / mu = 5,000 at 0.4999.
+POISSON = [0.25, 0.3, 0.45, 0.495, 0.4999]
+
+
 @given(
     case=st.sampled_from(["hole", "inclusion", "smooth-nearinc"]),
-    nu=st.sampled_from([0.25, 0.3, 0.495]),
+    nu=st.sampled_from(POISSON),
+    nu1=st.sampled_from(POISSON),
     n=st.integers(16, 24),
     seed=st.integers(0, 2**32 - 1),
     perturb=st.floats(0.0, 0.45),
     delta_factor=st.floats(3.0, 5.0),
 )
-@example(case="hole", nu=0.25, n=24, seed=3, perturb=0.2, delta_factor=3.5)
-@example(case="inclusion", nu=0.3, n=16, seed=0, perturb=0.0, delta_factor=3.0)
+@example(case="hole", nu=0.25, nu1=0.25, n=24, seed=3, perturb=0.2, delta_factor=3.5)
+@example(case="inclusion", nu=0.3, nu1=0.3, n=16, seed=0, perturb=0.0, delta_factor=3.0)
+@example(case="inclusion", nu=0.4999, nu1=0.25, n=16, seed=1, perturb=0.3, delta_factor=3.5)
 def test_assembly_property_matches_matrix_free_application(
-    case, nu, n, seed, perturb, delta_factor
+    case, nu, nu1, n, seed, perturb, delta_factor
 ):
     """For any displacement w with consistent dilatation values, A x - b
     must equal the matrix-free momentum residual (and zero on the
     dilatation rows).  The geometry is the driver's, so collar data is
-    folded in next to broken bonds and removed nodes; nu = 0.25 makes
-    lam = mu on every bond, where the u-theta coupling vanishes."""
-    analytic_case, disc, mat = _case_discretization(case, nu, n, seed, perturb, delta_factor)
-    _check_assembly_matches_matrix_free(analytic_case, disc, mat, lam_equals_mu=nu == 0.25)
+    folded in next to broken bonds and removed nodes.  Poisson ratio 0.25
+    makes lam = mu, where the u-theta coupling vanishes: on every bond
+    where it is the ratio of the whole material, and on the inner phase's
+    bonds only for an inclusion with just ``nu1`` = 0.25."""
+    analytic_case, disc, mat = _case_discretization(case, nu, nu1, n, seed, perturb, delta_factor)
+    lam_equals_mu = nu == 0.25 and (case != "inclusion" or nu1 == 0.25)
+    _check_assembly_matches_matrix_free(analytic_case, disc, mat, lam_equals_mu=lam_equals_mu)
 
 
 @pytest.mark.parametrize("geometry", ["intact", "hole"])
@@ -517,8 +528,7 @@ def _check_assembly_matches_matrix_free(analytic_case, disc, mat, lam_equals_mu)
     # The blocks hold nothing in the rows and columns of unknowns a node
     # does not carry.
     slots = system.slot_index
-    rows = np.repeat(np.arange(disc.cloud.n_points), np.diff(system.indptr))
-    absent = (slots[rows][:, :, None] < 0) | (slots[system.indices][:, None, :] < 0)
+    absent = (slots[system.row_index][:, :, None] < 0) | (slots[system.indices][:, None, :] < 0)
     assert not system.blocks[absent].any()
     assert not system.diag[(slots[:, :, None] < 0) | (slots[:, None, :] < 0)].any()
 
@@ -527,7 +537,7 @@ def _check_assembly_matches_matrix_free(analytic_case, disc, mat, lam_equals_mu)
 def test_block_product_matches_scalar_matrix(nu):
     """The solver's residual, computed from the blocks, is the scalar
     matrix's A x - b, in both the coupled and the uncoupled system."""
-    analytic_case, disc, mat = _case_discretization("hole", nu, 24, 3, 0.3, 3.5)
+    analytic_case, disc, mat = _case_discretization("hole", nu, nu, 24, 3, 0.3, 3.5)
     pos = disc.cloud.positions
     system = assemble_system(
         disc, mat, dirichlet=analytic_case.displacement(pos), forcing=analytic_case.forcing(pos)
@@ -573,6 +583,8 @@ def test_block_system_roundtrip(perturbed12):
     system = assemble_system(disc, mat, dirichlet=u, forcing=case.forcing(cloud.positions))
     assert system.n_unknowns == 2 * system.n_u_points + system.n_theta
     assert system.n_u_points == cloud.n_interior
+    # The bonds are the neighbor lists' own arrays, not copies.
+    assert system.row_index is nbrs.row_index and system.indices is nbrs.indices
 
     x = np.arange(system.n_unknowns, dtype=float)
     back = system.extract_u(x)

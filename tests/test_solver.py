@@ -1,6 +1,8 @@
 """Solve-path tests: norm definition, failure modes, certificates, the
 dissection tree and both solve paths."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -55,9 +57,8 @@ def _toy_system(dense, u_index, theta_index, part_end=None, part_parent=None):
 
     rows, cols = np.nonzero(~np.eye(n, dtype=bool))
     blocks = np.array([block(i, j) for i, j in zip(rows, cols)]).reshape(-1, 3, 3)
-    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n))]
     fronts = analyse_fronts(
-        indptr,
+        np.r_[0, np.cumsum(np.bincount(rows, minlength=n))],
         cols,
         blocks.any(axis=(1, 2)),
         np.arange(n),
@@ -65,7 +66,7 @@ def _toy_system(dense, u_index, theta_index, part_end=None, part_parent=None):
         np.array([-1] if part_parent is None else part_parent),
     )
     return BlockSystem(
-        indptr=indptr,
+        row_index=rows,
         indices=cols,
         blocks=blocks,
         diag=np.array([block(i, i) for i in range(n)]),
@@ -154,10 +155,11 @@ def test_patch_system_reproduces_quadratic_displacement(patch_system):
     assert np.abs(u[interior] - u_true[interior]).max() < 1e-12
 
 
-def _case_system(config):
-    """The driver's discretization and block system for ``config``."""
+def _case_system(config, disc=None):
+    """The driver's discretization and block system for ``config``; the
+    discretization is built unless one is given."""
     case, hole = _build_case(config)
-    disc = build_discretization(config, hole)
+    disc = build_discretization(config, hole) if disc is None else disc
     pos = disc.cloud.positions
     system = assemble_system(
         disc,
@@ -187,24 +189,32 @@ def _factored_sizes(monkeypatch):
 PIVOT_CORNER = dict(case="hole", nu=0.495, n=24, seed=2, perturb=0.45, delta_factor=3.0)
 
 
+#: Poisson ratios of the property tests' materials: lam = mu at 0.25, up
+#: to lam / mu = 5,000 at 0.4999.
+POISSON = [0.25, 0.3, 0.45, 0.495, 0.4999]
+
+
 @given(
     case=st.sampled_from(["hole", "smooth-nearinc", "inclusion"]),
-    nu=st.sampled_from([0.25, 0.495]),
+    nu=st.sampled_from(POISSON),
+    nu1=st.sampled_from(POISSON),
     n=st.integers(16, 24),
     seed=st.integers(0, 2**32 - 1),
     perturb=st.floats(0.0, 0.45),
     delta_factor=st.floats(3.0, 5.0),
 )
-@example(**PIVOT_CORNER)
-def test_dissection_solve_matches_default_lu(case, nu, n, seed, perturb, delta_factor):
+@example(**PIVOT_CORNER, nu1=0.25)
+@example(case="inclusion", nu=0.4999, nu1=0.25, n=16, seed=1, perturb=0.3, delta_factor=3.5)
+def test_dissection_solve_matches_default_lu(case, nu, nu1, n, seed, perturb, delta_factor):
     """The node order is a bijection, the parts tile it in postorder, no
     bond joins the two sides of any separator, and the multifrontal solve
     over that tree agrees with SuperLU's default (COLAMD, partial
     pivoting) solve.  ``nu`` is the Poisson ratio of the hole and smooth
-    cases and of the inclusion's outer phase."""
+    cases and of the inclusion's outer phase, ``nu1`` that of its inner
+    phase, so an inclusion may mix lam = mu bonds with lam != mu ones."""
     config = RunConfig(
         case=case, n=n, seed=seed, perturb=perturb, delta_factor=delta_factor,
-        nu=nu, nu2=nu,
+        nu=nu, nu1=nu1, nu2=nu,
     )
     disc, system = _case_system(config)
     n_points = disc.cloud.n_points
@@ -279,6 +289,19 @@ def test_coupled_system_factors_all_unknowns(monkeypatch):
     report = solve(system)
     assert sizes == [system.n_unknowns]
     assert report.residual <= RESIDUAL_CERT
+
+
+def test_solves_on_one_geometry_match_solves_on_fresh_ones():
+    """The fronts' plans are made once per geometry and set of unknowns:
+    coupled, uncoupled and coupled again on one discretization, each
+    solution is bit for bit that of the same system on a fresh one."""
+    base = RunConfig(case="hole", n=24, seed=5)
+    shared, _ = _case_system(base)
+    for nu in (0.495, 0.25, 0.495):
+        config = replace(base, nu=nu)
+        x = solve(_case_system(config, shared)[1]).x
+        np.testing.assert_array_equal(x, solve(_case_system(config)[1]).x)
+    assert sorted(shared.fronts.plans) == [2, 3]
 
 
 def test_dissection_order_fills_less_than_default_lu():
