@@ -44,7 +44,6 @@ from .model import (
     Discretization,
     FrontTree,
     MaterialField,
-    analyse_fronts,
     apply_operator,
     assemble_system,
     break_bonds_crossing_circle,

@@ -40,6 +40,8 @@ class ElasticModuli:
     mu: float
 
     def __post_init__(self):
+        if not np.isfinite((self.lam, self.mu)).all():
+            raise ConfigError(f"moduli must be finite, got lam={self.lam}, mu={self.mu}")
         if self.mu <= 0.0:
             raise ConfigError(f"shear modulus must be positive, got {self.mu}")
         if self.lam < 0.0:
@@ -62,7 +64,7 @@ class ElasticModuli:
 
 def moduli_from_K_nu(K: float, nu: float) -> ElasticModuli:
     """Moduli from the 2D bulk modulus ``K = lam + mu`` and Poisson ratio."""
-    if K <= 0.0:
+    if not K > 0.0:
         raise ConfigError(f"bulk modulus must be positive, got {K}")
     if not 0.0 <= nu < 0.5:
         raise ConfigError(f"Poisson ratio must lie in [0, 0.5), got {nu}")
@@ -71,7 +73,7 @@ def moduli_from_K_nu(K: float, nu: float) -> ElasticModuli:
 
 def moduli_from_E_nu(E: float, nu: float) -> ElasticModuli:
     """Moduli from Young's modulus and Poisson ratio (plane strain)."""
-    if E <= 0.0:
+    if not E > 0.0:
         raise ConfigError(f"Young's modulus must be positive, got {E}")
     if not 0.0 <= nu < 0.5:
         raise ConfigError(f"Poisson ratio must lie in [0, 0.5), got {nu}")

@@ -150,7 +150,7 @@ class ConvergenceReport:
 
 def _inclusion_params(config: RunConfig) -> InclusionParams:
     if config.mu_ratio is not None:
-        if config.mu_ratio <= 0.0:
+        if not config.mu_ratio > 0.0:
             raise ConfigError(f"mu ratio must be positive, got {config.mu_ratio}")
         # Fix nu = 1/4 in both phases and mu = 1 inside, so the 2D bulk
         # modulus is twice the shear modulus in each phase.

@@ -33,13 +33,10 @@ pass sums it into the diagonal and the right-hand side and writes it
 into the blocks; a scalar sparse matrix exists only on request
 (``BlockSystem.matrix``).  Every bond is at most one horizon long, so
 the geometry also fixes a nested-dissection tree of the nodes
-(``dissection_order``) and, from the surviving bonds, the node-level
-symbolic structure of the solver's fronts over it (``front_tree``).
-Neither depends on the material, so one analysis serves every system
-assembled on the discretization.  The solver's scalar expansion of that
-structure into unknowns is geometry-only too: it is made at the first
-solve and kept on the tree (``FrontTree.plans``), not redone per
-material.
+(``dissection_order``) and the block pattern: the pairs whose blocks
+may hold an entry (``front_tree``).  Neither depends on the material,
+so the solver's symbolic pass over them is made at the first solve and
+kept on the tree (``FrontTree.plans``), not redone per material.
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import AssemblyError, ConfigError, SolveError
+from .errors import AssemblyError, ConfigError
 from .pointcloud import Neighborhoods, PointCloud
 from .quadrature import QuadratureFamily, weighted_volume
 
@@ -66,7 +63,6 @@ __all__ = [
     "Discretization",
     "BlockSystem",
     "FrontTree",
-    "analyse_fronts",
     "front_tree",
     "break_bonds_crossing_circle",
     "damage_field",
@@ -261,154 +257,34 @@ def dissection_order(
 
 @dataclass
 class FrontTree:
-    """Node-level structure of the multifrontal LU over a dissection tree.
+    """What the geometry fixes of the solver's multifrontal LU.
 
-    ``order``, ``part_end`` and ``part_parent`` are a ``dissection_order``:
-    part ``k`` pivots on the nodes ``order[part_end[k - 1]:part_end[k]]``.
-    Its front lists ``nodes[node_end[k - 1]:node_end[k]]``: those pivots,
-    then its boundary, the later nodes that its pairs and its children's
-    boundaries reach, in elimination order.  Below, an entry is an index
-    into ``nodes``.
+    ``order``, ``part_end`` and ``part_parent`` are a ``dissection_order``
+    of the nodes.  ``pairs`` indexes the pairs (into the neighbor lists)
+    whose blocks may hold an entry of a system: the surviving bonds with
+    a node that carries displacements.
 
-    ``pairs[pair_end[k - 1]:pair_end[k]]`` are the pairs whose blocks go
-    into front ``k``, the front of the earlier of their two nodes;
-    ``pair_rows`` and ``pair_cols`` are the entries of their row and
-    column nodes.  A node's diagonal block goes into its own part's front.
-
-    A boundary sits in the parent's front in runs of consecutive nodes,
-    each among the parent's pivots or among its boundary.  The columns
-    ``runs[:, run_end[k - 1]:run_end[k]]`` are part ``k``'s runs: the
-    entry of the first node in its own front and in the parent's, and
-    the run's length.
-
-    ``plans`` holds the solver's plans over this tree, the expansion of
-    its nodes into unknowns, one per set of unknowns solved for.  The
-    first solve makes each, and every later solve on the tree reads it.
+    ``plans`` holds the solver's symbolic pass over this tree, one per
+    set of unknowns solved for.  The first solve makes each, and every
+    later solve on the tree reads it.
     """
 
     order: np.ndarray
     part_end: np.ndarray
     part_parent: np.ndarray
-    nodes: np.ndarray
-    node_end: np.ndarray
     pairs: np.ndarray
-    pair_end: np.ndarray
-    pair_rows: np.ndarray
-    pair_cols: np.ndarray
-    runs: np.ndarray
-    run_end: np.ndarray
     plans: dict = field(default_factory=dict, repr=False, compare=False)
-
-
-def analyse_fronts(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    coupled: np.ndarray,
-    order: np.ndarray,
-    part_end: np.ndarray,
-    part_parent: np.ndarray,
-) -> FrontTree:
-    """The symbolic pass of the multifrontal LU, node by node.
-
-    ``indptr`` and ``indices`` are the neighbor lists; ``coupled`` marks
-    the pairs whose blocks may hold an entry of the system.  The result
-    depends on nothing else, so every material assembled on the same
-    bonds shares it.
-
-    Raises
-    ------
-    SolveError
-        If a pair joins two sibling subtrees, so that the order is no
-        nested dissection of the pairs.
-    """
-    n, n_parts = order.size, part_end.size
-    part_start = np.r_[0, part_end[:-1]]
-    n_piv = part_end - part_start
-    pos = np.empty(n, dtype=np.int64)
-    pos[order] = np.arange(n)
-    part_of = np.repeat(np.arange(n_parts), n_piv)
-
-    pairs = np.flatnonzero(coupled)
-    a = pos[np.repeat(np.arange(n), np.diff(indptr))[pairs]]
-    b = pos[indices[pairs]]
-    front = part_of[np.minimum(a, b)]
-    # A key of 16 bits or fewer gets numpy's radix sort for the stable order.
-    by_front = np.argsort(front.astype(np.min_scalar_type(n_parts)), kind="stable")
-    pairs, a, b, front = pairs[by_front], a[by_front], b[by_front], front[by_front]
-
-    # Each front's reach beyond its own part, as sorted keys front * n + position.
-    far = np.maximum(a, b)
-    out = far >= part_end[front]
-    reach = np.unique(front[out] * n + far[out])
-    reach_end = np.searchsorted(reach, (np.arange(n_parts) + 1) * n)
-    children = [[] for _ in range(n_parts)]
-    for k, parent in enumerate(part_parent):
-        if parent >= 0:
-            children[parent].append(k)
-    # Boundaries as positions in the order, increasing.
-    boundary = []
-    for k, (s, e) in enumerate(zip(part_start, part_end)):
-        reached = [reach[(reach_end[k - 1] if k else 0) : reach_end[k]] - k * n]
-        for c in children[k]:
-            if boundary[c].size and boundary[c][0] < s:
-                raise SolveError(
-                    f"a pair joins part {c} to a sibling subtree of part {k}; "
-                    "the order is not a nested dissection of the pairs"
-                )
-            reached.append(boundary[c][boundary[c] >= e])
-        boundary.append(np.unique(np.concatenate(reached)))
-
-    # Every front lists increasing positions, so the keys front * n +
-    # position of all entries are sorted.
-    listed = [np.r_[s:e, bnd] for s, e, bnd in zip(part_start, part_end, boundary)]
-    keys = np.concatenate([f + k * n for k, f in enumerate(listed)])
-    node_end = np.cumsum([f.size for f in listed])
-    n_bnd = np.array([bnd.size for bnd in boundary], dtype=np.int64)
-    bnd_start = node_end - n_bnd
-
-    # The entries of each pair's nodes.  The nearer is a pivot of the
-    # pair's front, and so is the farther unless it lies beyond the part.
-    first_entry = (bnd_start - part_end)[front]
-    near = first_entry + np.minimum(a, b)
-    beyond = first_entry + far
-    beyond[out] = np.searchsorted(keys, front[out] * n + far[out])
-
-    # Runs end where the parent's front skips a node or its pivots end.
-    kid = np.repeat(np.arange(n_parts), n_bnd)
-    src = np.repeat(bnd_start - np.cumsum(n_bnd) + n_bnd, n_bnd) + np.arange(kid.size)
-    dst = np.searchsorted(keys, part_parent[kid] * n + np.concatenate(boundary))
-    parent_bnd = bnd_start[part_parent[kid]]
-    first = np.flatnonzero(
-        (np.diff(kid, prepend=-1) != 0) | (np.diff(dst, prepend=-2) != 1) | (dst == parent_bnd)
-    )
-    return FrontTree(
-        order=order,
-        part_end=part_end,
-        part_parent=part_parent,
-        nodes=order[keys % n],
-        node_end=node_end,
-        pairs=pairs,
-        pair_end=np.searchsorted(front, np.arange(n_parts), side="right"),
-        pair_rows=np.where(a < b, near, beyond),
-        pair_cols=np.where(a < b, beyond, near),
-        runs=np.stack((src[first], dst[first], np.diff(np.r_[first, src.size]))),
-        run_end=np.searchsorted(kid[first], np.arange(n_parts), side="right"),
-    )
 
 
 def front_tree(
     cloud: PointCloud, nbrs: Neighborhoods, bonds: BondSet, weights: np.ndarray
 ) -> FrontTree:
-    """``analyse_fronts`` of the surviving bonds over the cloud's dissection.
-
-    A bond's block holds entries of the system only where it survives
-    and one of its nodes carries displacement unknowns.
-    """
+    """The cloud's ``dissection_order`` and the pairs whose blocks may hold
+    an entry: those whose bond survives and one of whose nodes carries
+    displacement unknowns."""
     u_node = cloud.interior & bonds.present
     coupled = (weights != 0.0) & (u_node[nbrs.row_index] | u_node[nbrs.indices])
-    return analyse_fronts(
-        nbrs.indptr, nbrs.indices, coupled, *dissection_order(cloud.positions, cloud.delta)
-    )
+    return FrontTree(*dissection_order(cloud.positions, cloud.delta), np.flatnonzero(coupled))
 
 
 @dataclass
@@ -491,9 +367,9 @@ class Discretization:
 
     ``weights`` are the surviving pair weights, ``bonds.modified_weights``
     of ``family``, computed once; ``correction`` and ``damage`` are built
-    from them.  ``fronts`` is their ``front_tree``, the solver's
-    structure over the ``dissection_order`` of the nodes.  Any material
-    on this cloud is assembled from this record.
+    from them.  ``fronts`` is their ``front_tree``: the nodes'
+    ``dissection_order`` and the pairs whose blocks may hold an entry.
+    Any material on this cloud is assembled from this record.
     """
 
     cloud: PointCloud

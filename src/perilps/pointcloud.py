@@ -155,7 +155,7 @@ def generate_perturbed_lattice(
     perturb_frac : float
         Per-coordinate jitter amplitude in units of ``h``, in ``[0, 0.5)``.
     seed : int
-        Philox key for the jitter draw.
+        Philox key for the jitter draw, in ``[0, 2**128)``.
 
     Returns
     -------
@@ -163,12 +163,14 @@ def generate_perturbed_lattice(
     """
     if n < 8:
         raise ConfigError(f"lattice resolution n={n} is too coarse (need n >= 8)")
-    if delta_factor <= 0.0:
-        raise ConfigError(f"delta_factor must be positive, got {delta_factor}")
+    if not 0.0 < delta_factor < math.inf:
+        raise ConfigError(f"delta_factor must be positive and finite, got {delta_factor}")
     if not 0.0 <= perturb_frac < 0.5:
         raise ConfigError(
             f"perturb_frac must lie in [0, 0.5), got {perturb_frac}"
         )
+    if not 0 <= seed < 2**128:
+        raise ConfigError(f"seed must lie in [0, 2**128), got {seed}")
 
     h = 1.0 / n
     delta = delta_factor * h

@@ -3,18 +3,18 @@
 The block systems are nonsymmetric and moderately conditioned (the
 near-incompressible cases push the dilatation coupling hard).  They are
 solved by a multifrontal LU over the discretization's nested-dissection
-tree, whose node-level structure (``model.front_tree``) is built once
-with the geometry.  Each part of the tree (a leaf or a separator) is one
-dense front over its own nodes (the pivots) and the later nodes that
-its bonds and its children's updates reach (its boundary).  Each node
-expands to its unknowns through a per-node offset, so a node's unknowns
-sit together in every front: whole bond blocks are scattered in, and a
-child's update is added row run by row run, where a run is a stretch of
-its boundary that lies consecutive in the parent's front.  That scalar
-expansion depends on the geometry alone.  The first solve on a tree
-makes it and keeps it on the tree (``FrontTree.plans``), once per
-geometry and set of unknowns, so every later solve there, for any
-material, only moves numbers.  The pivot block is factored by LAPACK with partial pivoting
+tree (``model.front_tree``: the node order, its parts, and the pairs
+whose blocks may hold an entry).  One symbolic pass goes from that tree
+straight to the plan the front loop reads.  Each part (a leaf or a
+separator) is one dense front over its own nodes (the pivots) and the
+later nodes that its pairs and its children's updates reach (its
+boundary).  A node's unknowns sit together in every front, so whole
+bond blocks are scattered in, and a child's update is added run by run,
+where a run is a stretch of its boundary that lies consecutive in the
+parent's front.  The pass depends on the geometry alone: the first
+solve on a tree makes it and keeps it there (``FrontTree.plans``), once
+per set of unknowns, so every later solve, for any material, only moves
+numbers.  The pivot block is factored by LAPACK with partial pivoting
 inside it, and the Schur complement of the boundary is added into the
 parent's front.  The system has one right-hand side, so it rides as one
 more column of each front: the forward substitution runs during the
@@ -124,7 +124,7 @@ def _norm(v: np.ndarray) -> float:
 
 @dataclass
 class _Plan:
-    """The expansion of a front tree's nodes into the unknowns ``solved``
+    """The symbolic pass over a front tree for the unknowns ``solved``
     marks, as the front loop reads it.
 
     ``fronts`` lists, for every front with entries: its part ``k``; its
@@ -143,23 +143,99 @@ class _Plan:
     lu_nnz: int
 
 
-def _plan(tree: FrontTree, solved: np.ndarray) -> _Plan:
-    """Expand the front tree's nodes into the unknowns ``solved`` marks:
-    (N, kinds), the first ``kinds`` of each node's (ux, uy, theta)."""
-    kinds = solved.shape[1]
-    n_parts = tree.part_end.size
-    count = solved.sum(axis=1)
+def _plan(system: BlockSystem, solved: np.ndarray) -> _Plan:
+    """The symbolic pass of the multifrontal LU over the system's front
+    tree, for the unknowns ``solved`` marks: (N, kinds), the first
+    ``kinds`` of each node's (ux, uy, theta).  It reads the tree and the
+    neighbor lists only, so every material on the geometry shares it.
 
-    # Each node of each front (an entry of tree.nodes) expands to its
-    # unknowns: ``at`` running over all fronts, ``loc`` within its front.
-    nodes = tree.nodes
-    node_start = np.r_[0, tree.node_end[:-1]]
+    Raises
+    ------
+    SolveError
+        If a pair joins two sibling subtrees, so that the order is no
+        nested dissection of the pairs.
+    """
+    tree = system.fronts
+    order, part_end, part_parent = tree.order, tree.part_end, tree.part_parent
+    kinds = solved.shape[1]
+    n, n_parts = order.size, part_end.size
+    part_start = np.r_[0, part_end[:-1]]
+    n_piv = part_end - part_start
+    part_of = np.repeat(np.arange(n_parts), n_piv)
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    children = [[] for _ in range(n_parts)]
+    for c, parent in enumerate(part_parent.tolist()):
+        if parent >= 0:
+            children[parent].append(c)
+
+    # A pair's block goes into the front of the earlier of its two nodes;
+    # ``a`` and ``b`` are the positions in the order of its row and column.
+    a, b = pos[system.row_index[tree.pairs]], pos[system.indices[tree.pairs]]
+    front = part_of[np.minimum(a, b)]
+    # A key of 16 bits or fewer gets numpy's radix sort for the stable order.
+    by_front = np.argsort(front.astype(np.min_scalar_type(n_parts)), kind="stable")
+    pairs, a, b, front = tree.pairs[by_front], a[by_front], b[by_front], front[by_front]
+    pair_end = np.searchsorted(front, np.arange(n_parts), side="right")
+
+    # Each front's reach beyond its own part, as sorted keys front * n + position.
+    far = np.maximum(a, b)
+    out = far >= part_end[front]
+    reach = np.unique(front[out] * n + far[out])
+    reach_end = np.searchsorted(reach, (np.arange(n_parts) + 1) * n)
+    # Front k lists its pivots, then its boundary: the later positions that
+    # its pairs and its children's boundaries reach, increasing.
+    boundary = []
+    for k, (s, e) in enumerate(zip(part_start.tolist(), part_end.tolist())):
+        reached = [reach[(reach_end[k - 1] if k else 0) : reach_end[k]] - k * n]
+        for c in children[k]:
+            if boundary[c].size and boundary[c][0] < s:
+                raise SolveError(
+                    f"a pair joins part {c} to a sibling subtree of part {k}; "
+                    "the order is not a nested dissection of the pairs"
+                )
+            reached.append(boundary[c][boundary[c] >= e])
+        boundary.append(np.unique(np.concatenate(reached)))
+    # An entry is a node of a front: the keys front * n + position of all
+    # entries are sorted, front by front.
+    listed = zip(part_start, part_end, boundary)
+    keys = np.concatenate([np.r_[s:e, bnd] + k * n for k, (s, e, bnd) in enumerate(listed)])
+    front_of, position = np.divmod(keys, n)
+    nodes = order[position]
+    n_bnd = np.array([bnd.size for bnd in boundary], dtype=np.int64)
+    node_end = np.cumsum(n_piv + n_bnd)
+    bnd_start = node_end - n_bnd
+    node_start = bnd_start - n_piv
+    # A pivot's entry is its position plus its part's shift.
+    shift = node_start - part_start
+
+    # The entries of each pair's nodes.  The nearer is a pivot of the
+    # pair's front, and so is the farther unless it lies beyond the part.
+    near = shift[front] + np.minimum(a, b)
+    beyond = shift[front] + far
+    beyond[out] = np.searchsorted(keys, front[out] * n + far[out])
+    pair_rows, pair_cols = np.where(a < b, near, beyond), np.where(a < b, beyond, near)
+
+    # A boundary sits in the parent's front in runs of consecutive entries,
+    # each among the parent's pivots or among its boundary.  Runs end
+    # where the parent's front skips a node or its pivots end.
+    src = np.flatnonzero(position >= part_end[front_of])
+    kid = front_of[src]
+    dst = np.searchsorted(keys, part_parent[kid] * n + position[src])
+    parent_bnd = bnd_start[part_parent[kid]]
+    starts = np.flatnonzero(
+        (np.diff(kid, prepend=-1) != 0) | (np.diff(dst, prepend=-2) != 1) | (dst == parent_bnd)
+    )
+    run_from, run_to, run_part = src[starts], dst[starts], kid[starts]
+    run_len = np.diff(np.r_[starts, src.size])
+
+    # Each entry expands to its node's unknowns: ``at`` running over all
+    # fronts, ``loc`` within its front.
+    count = solved.sum(axis=1)
     at = np.r_[0, np.cumsum(count[nodes])]
-    n_piv = np.diff(np.r_[0, tree.part_end])
-    m = at[tree.node_end] - at[node_start]
-    p = at[node_start + n_piv] - at[node_start]
+    m = at[node_end] - at[node_start]
+    p = at[bnd_start] - at[node_start]
     nb = m - p
-    front_of = np.repeat(np.arange(n_parts), np.diff(np.r_[0, tree.node_end]))
     loc = (at[:-1] - at[node_start][front_of])[:, None] + np.cumsum(solved[nodes], axis=1) - 1
     # Front k is column-major, as LAPACK takes it, in two arrays over one
     # buffer: the pivot rows [F11 | F12 | y_p | dummy] (p rows, m + 2
@@ -187,49 +263,46 @@ def _plan(tree: FrontTree, solved: np.ndarray) -> _Plan:
                 index[:, a, b] += o[a]
         return index
 
-    pivots = np.flatnonzero(np.arange(nodes.size) - node_start[front_of] < n_piv[front_of])
+    pivots = np.arange(n) + shift[part_of]
     diag_at = targets(pivots, pivots)
-    pair_at = targets(tree.pair_rows, tree.pair_cols)
+    pair_at = targets(pair_rows, pair_cols)
 
     # Slots in elimination order of every front's unknowns, and where each
     # front's pivots start among them.
     first = np.empty(count.size, dtype=np.int64)
-    first[tree.order] = np.cumsum(count[tree.order]) - count[tree.order]
+    first[order] = np.cumsum(count[order]) - count[order]
     slot = np.repeat(first[nodes] - at[:-1], count[nodes]) + np.arange(at[-1])
     y_start = np.r_[0, np.cumsum(p)]
 
     # A child's update adds into this front run by run: its rows r0:r1 go
     # to this front's pivot rows (upper) or boundary rows (lower) from
     # ``row`` on.
-    run_from, run_to, run_len = tree.runs
-    run_part = np.repeat(np.arange(n_parts), np.diff(np.r_[0, tree.run_end]))
-    run_parent = tree.part_parent[run_part]
-    child_bnd = at[node_start + n_piv][run_part]
+    run_parent = part_parent[run_part]
+    child_bnd = at[bnd_start][run_part]
     r0 = at[run_from] - child_bnd
     r1 = at[run_from + run_len] - child_bnd
     to = at[run_to] - at[node_start][run_parent]
     upper_row = to < p[run_parent]
     row = np.where(upper_row, to, to - p[run_parent])
     spans = list(zip(r0.tolist(), r1.tolist(), upper_row.tolist(), row.tolist()))
-    run_start = np.r_[0, tree.run_end[:-1]].tolist()
+    run_end = np.searchsorted(run_part, np.arange(n_parts), side="right").tolist()
     # This front's column of each boundary unknown of each child.
-    bnd_start = np.r_[0, np.cumsum(nb)]
-    to_column = np.repeat(to - r0 - bnd_start[run_part], r1 - r0) + np.arange(bnd_start[-1])
-    children = [[] for _ in range(n_parts)]
-    for c, (parent, s, e) in enumerate(zip(tree.part_parent.tolist(), run_start, tree.run_end.tolist())):
-        if parent >= 0:
-            children[parent].append((c, to_column[bnd_start[c] : bnd_start[c + 1]], spans[s:e]))
+    nb_start = np.r_[0, np.cumsum(nb)]
+    to_column = np.repeat(to - r0 - nb_start[run_part], r1 - r0) + np.arange(nb_start[-1])
+    run_start = [0, *run_end[:-1]]
+    updates = [
+        [(c, to_column[nb_start[c] : nb_start[c + 1]], spans[run_start[c] : run_end[c]]) for c in kids]
+        for kids in children
+    ]
 
-    piv_start = tree.part_end - n_piv
-    pair_start = np.r_[0, tree.pair_end[:-1]]
-    ends = (m, p, nb, piv_start, tree.part_end, pair_start, tree.pair_end, y_start, at[node_start])
+    ends = (m, p, nb, part_start, part_end, np.r_[0, pair_end[:-1]], pair_end, y_start, at[node_start])
     fronts = [
         (
             k, m_k, p_k, nb_k,
             slice(d0, d1), diag_at[d0:d1].ravel(),
-            tree.pairs[q0:q1], pair_at[q0:q1].ravel(),
+            pairs[q0:q1], pair_at[q0:q1].ravel(),
             slice(y0, y0 + p_k), slot[a0 + p_k : a0 + m_k],
-            children[k],
+            updates[k],
         )
         for k, (m_k, p_k, nb_k, d0, d1, q0, q1, y0, a0) in enumerate(zip(*(v.tolist() for v in ends)))
         if m_k
@@ -250,7 +323,7 @@ def _multifrontal(system: BlockSystem, solved: np.ndarray, y: np.ndarray) -> tup
     kinds = solved.shape[1]
     plan = tree.plans.get(kinds)
     if plan is None or not np.array_equal(plan.solved, solved):
-        plan = tree.plans[kinds] = _plan(tree, solved)
+        plan = tree.plans[kinds] = _plan(system, solved)
     diag = system.diag[tree.order, :kinds, :kinds]
     blocks = system.blocks[:, :kinds, :kinds]
 

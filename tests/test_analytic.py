@@ -113,6 +113,11 @@ def test_constructors_cross_consistent():
         lambda: moduli_from_E_nu(-1.0, 0.25),
         lambda: ElasticModuli(lam=0.5, mu=0.0),
         lambda: ElasticModuli(lam=-0.5, mu=1.0),
+        lambda: ElasticModuli(lam=float("nan"), mu=1.0),
+        lambda: ElasticModuli(lam=0.5, mu=float("inf")),
+        lambda: moduli_from_K_nu(float("nan"), 0.25),
+        lambda: moduli_from_K_nu(float("inf"), 0.25),
+        lambda: moduli_from_E_nu(float("nan"), 0.25),
     ],
 )
 def test_invalid_moduli_raise(call):

@@ -18,7 +18,6 @@ from perilps import (
     compute_family,
     driver,
     generate_perturbed_lattice,
-    model,
     solver,
 )
 from perilps.cli import main
@@ -274,9 +273,9 @@ def test_sweep_matches_single_runs_exactly():
 
 
 def test_sweep_analyses_the_fronts_once(tmp_path, monkeypatch):
-    """The ratios share one geometry, so the node-level symbolic pass of
-    the solver runs once for all their solves, and so does the expansion
-    of its nodes into unknowns (lam = mu in both phases of every ratio)."""
+    """The ratios share one geometry, so its front tree is built once for
+    all their solves, and so is the solver's symbolic pass over it
+    (lam = mu in both phases of every ratio)."""
     calls = {}
 
     def counting(name, fn):
@@ -285,13 +284,13 @@ def test_sweep_analyses_the_fronts_once(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(model, "analyse_fronts", counting("analyse", model.analyse_fronts))
+    monkeypatch.setattr(driver, "front_tree", counting("tree", driver.front_tree))
     monkeypatch.setattr(solver, "_plan", counting("plan", solver._plan))
     monkeypatch.setattr(driver, "solve", counting("solve", driver.solve))
     for ratios, solves in (([], 5), (["--ratios", "1,8"], 2)):
-        calls.update(analyse=0, plan=0, solve=0)
+        calls.update(tree=0, plan=0, solve=0)
         assert main(["sweep", "--n", "12", *ratios, "--out", str(tmp_path / str(solves))]) == 0
-        assert calls == {"analyse": 1, "plan": 1, "solve": solves}
+        assert calls == {"tree": 1, "plan": 1, "solve": solves}
 
 
 def test_sweep_requires_ratios():
@@ -315,6 +314,42 @@ def test_cli_bad_resolution_exits_2(tmp_path, capsys):
     rc = main(["run", "--case", "patch", "--n", "7", "--out", str(tmp_path)])
     assert rc == 2
     assert "config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+@pytest.mark.parametrize(
+    "command",
+    [["run", "--case", "patch", "--n", "12"], ["converge", "--case", "patch", "--n-list", "12,16"],
+     ["check-quadrature", "--n", "12"], ["sweep", "--n", "12"]],
+)
+def test_cli_seed_outside_philox_key_exits_2(command, seed, tmp_path, capsys):
+    """The jitter's Philox key lies in [0, 2**128); any other seed is a
+    configuration error of every subcommand, not numpy's ValueError."""
+    assert main([*command, "--seed", seed, "--out", str(tmp_path)]) == 2
+    assert "error [config]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--case", "patch", "--delta-factor", "nan"],
+        ["run", "--case", "patch", "--delta-factor", "inf"],
+        ["check-quadrature", "--delta-factor", "nan"],
+        ["run", "--case", "inclusion", "--mu-ratio", "nan"],
+        ["run", "--case", "inclusion", "--mu-ratio", "inf"],
+        ["sweep", "--ratios", "nan"],
+        ["sweep", "--ratios", "1,inf"],
+        ["run", "--case", "inclusion", "--k1", "nan"],
+        ["run", "--case", "inclusion", "--k1", "inf"],
+        ["run", "--case", "inclusion", "--k2", "nan"],
+        ["run", "--case", "inclusion", "--k2", "inf"],
+    ],
+)
+def test_cli_non_finite_input_exits_2(argv, tmp_path, capsys):
+    """NaN passes every ``<=`` check, and an infinite horizon or modulus
+    reached the lattice or the solver; both are configuration errors."""
+    assert main([*argv, "--n", "12", "--out", str(tmp_path)]) == 2
+    assert "error [config]" in capsys.readouterr().err
 
 
 def test_cli_quadrature_failure_exits_3(tmp_path, capsys):

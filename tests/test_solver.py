@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from perilps import (
     MaterialField,
     RunConfig,
+    FrontTree,
     SolveError,
-    analyse_fronts,
     assemble_system,
     build_discretization,
     dissection_order,
@@ -57,13 +57,11 @@ def _toy_system(dense, u_index, theta_index, part_end=None, part_parent=None):
 
     rows, cols = np.nonzero(~np.eye(n, dtype=bool))
     blocks = np.array([block(i, j) for i, j in zip(rows, cols)]).reshape(-1, 3, 3)
-    fronts = analyse_fronts(
-        np.r_[0, np.cumsum(np.bincount(rows, minlength=n))],
-        cols,
-        blocks.any(axis=(1, 2)),
-        np.arange(n),
-        np.array([n] if part_end is None else part_end),
-        np.array([-1] if part_parent is None else part_parent),
+    fronts = FrontTree(
+        order=np.arange(n),
+        part_end=np.array([n] if part_end is None else part_end),
+        part_parent=np.array([-1] if part_parent is None else part_parent),
+        pairs=np.flatnonzero(blocks.any(axis=(1, 2))),
     )
     return BlockSystem(
         row_index=rows,
@@ -113,7 +111,7 @@ def test_entry_joining_sibling_parts_is_rejected():
     nodes = np.array([[2.0, 1.0, 1.0], [0.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
     tree = dict(part_end=[1, 2, 3], part_parent=[2, 2, -1])
     with pytest.raises(SolveError, match="sibling"):
-        _toy_system(np.kron(nodes, np.eye(2)), [0, 1, 2], [-1, -1, -1], **tree)
+        solve(_toy_system(np.kron(nodes, np.eye(2)), [0, 1, 2], [-1, -1, -1], **tree))
     nodes[0, 1] = 0.0
     dense = np.kron(nodes, np.eye(2))
     report = solve(_toy_system(dense, [0, 1, 2], [-1, -1, -1], **tree))
@@ -194,6 +192,57 @@ PIVOT_CORNER = dict(case="hole", nu=0.495, n=24, seed=2, perturb=0.45, delta_fac
 POISSON = [0.25, 0.3, 0.45, 0.495, 0.4999]
 
 
+def _check_plan(system, plan):
+    """The plan's fronts against the tree they expand.
+
+    The fronts' pivots tile the unknowns in elimination order, and each
+    front lists its pivots, then later unknowns only.  Every entry of its
+    nodes' diagonal blocks and of its pairs' blocks lands on the front's
+    row and column of its two unknowns, or on a dummy where a node does
+    not carry one.  A child's update lands on the same unknowns in this
+    front.  The fronts take every pair of the tree once, and no other
+    pair's block holds an entry."""
+    tree, solved = system.fronts, plan.solved
+    kinds = solved.shape[1]
+    # The elimination index of each node's unknowns, -1 where absent.
+    elim = np.full(solved.shape, -1)
+    ordered = solved[tree.order]
+    elim[tree.order] = np.where(ordered, np.cumsum(ordered).reshape(ordered.shape) - 1, -1)
+    bounds, pivots, taken = {}, [], []
+    for k, m, p, nb, piv, diag_at, pairs, pair_at, y_at, bnd, children in plan.fronts:
+        unknowns = np.r_[y_at.start : y_at.stop, bnd]
+        assert unknowns.size == m and y_at.stop - y_at.start == p
+        assert np.all(np.diff(unknowns) > 0)
+        bounds[k] = bnd
+        pivots.append(unknowns[:p])
+        taken.append(pairs)
+        nodes = tree.order[piv]
+        for index, i, j in (
+            (diag_at, nodes, nodes),
+            (pair_at, system.row_index[pairs], system.indices[pairs]),
+        ):
+            index = index.reshape(-1, kinds, kinds)
+            upper, lower = index < p * (m + 2), index - p * (m + 2)
+            row = np.where(upper, index % max(p, 1), p + lower % max(nb, 1))
+            col = np.where(upper, index // max(p, 1), lower // max(nb, 1))
+            rows = np.broadcast_to(elim[i][:, :, None], index.shape)
+            cols = np.broadcast_to(elim[j][:, None, :], index.shape)
+            carried = (rows >= 0) & (cols >= 0)
+            np.testing.assert_array_equal((index == m * (m + 2)) | (col == m + 1), ~carried)
+            np.testing.assert_array_equal(unknowns[row[carried]], rows[carried])
+            np.testing.assert_array_equal(unknowns[col[carried]], cols[carried])
+        for c, to_column, spans in children:
+            child = bounds.get(c, np.empty(0, dtype=int))
+            np.testing.assert_array_equal(unknowns[to_column], child)
+            for a0, a1, in_upper, row0 in spans:
+                row0 += 0 if in_upper else p
+                np.testing.assert_array_equal(unknowns[row0 : row0 + a1 - a0], child[a0:a1])
+    np.testing.assert_array_equal(np.sort(np.concatenate(pivots)), np.arange(solved.sum()))
+    taken = np.concatenate(taken)
+    np.testing.assert_array_equal(np.sort(taken), tree.pairs)
+    assert not np.delete(system.blocks, taken, axis=0).any()
+
+
 @given(
     case=st.sampled_from(["hole", "smooth-nearinc", "inclusion"]),
     nu=st.sampled_from(POISSON),
@@ -223,19 +272,6 @@ def test_dissection_solve_matches_default_lu(case, nu, nu1, n, seed, perturb, de
 
     order, part_end, part_parent = dissection_order(disc.cloud.positions, disc.cloud.delta)
     np.testing.assert_array_equal(order, tree.order)
-    # Each front lists its part's nodes, then later nodes only.
-    pos = np.argsort(order)
-    for k, (s, e) in enumerate(zip(np.r_[0, part_end[:-1]], part_end)):
-        listed = pos[tree.nodes[(tree.node_end[k - 1] if k else 0) : tree.node_end[k]]]
-        np.testing.assert_array_equal(listed[: e - s], np.arange(s, e))
-        assert np.all(listed[e - s :] >= e)
-    # A bond block's row and column entries are its two nodes, and a run
-    # lists the same nodes in the child's front and in the parent's.
-    rows = np.repeat(np.arange(n_points), np.diff(disc.nbrs.indptr))[tree.pairs]
-    np.testing.assert_array_equal(tree.nodes[tree.pair_rows], rows)
-    np.testing.assert_array_equal(tree.nodes[tree.pair_cols], disc.nbrs.indices[tree.pairs])
-    for first, to, length in tree.runs.T:
-        np.testing.assert_array_equal(tree.nodes[first : first + length], tree.nodes[to : to + length])
     assert part_end[-1] == n_points and np.all(np.diff(part_end) >= 0)
     assert part_parent[-1] == -1
     # Postorder: the subtrees of a separator's two sides tile the order
@@ -260,6 +296,8 @@ def test_dissection_solve_matches_default_lu(case, nu, nu1, n, seed, perturb, de
         assert not np.any((side[i] == 1) & (side[j] == 2))
 
     report = solve(system)
+    for plan in tree.plans.values():
+        _check_plan(system, plan)
     reference = spla.splu(system.matrix.tocsc()).solve(system.rhs)
     assert np.linalg.norm(report.x - reference) <= 1e-10 * np.linalg.norm(reference)
     assert report.residual <= RESIDUAL_CERT
