@@ -72,8 +72,9 @@ def solve(system: BlockSystem) -> SolveReport:
     Raises
     ------
     SolveError
-        On an empty row, a singular pivot block, or a residual above the
-        certificate threshold after one refinement step.
+        On an empty row, a pair joining two sibling subtrees of the front
+        tree, a singular pivot block, or a residual above the certificate
+        threshold after one refinement step.
     """
     slots = system.slot_index
     has = slots >= 0

@@ -10,9 +10,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from perilps import (
+    FrontTree,
     MaterialField,
     RunConfig,
-    FrontTree,
     SolveError,
     assemble_system,
     build_discretization,
@@ -256,9 +256,10 @@ def _check_plan(system, plan):
 @example(case="inclusion", nu=0.4999, nu1=0.25, n=16, seed=1, perturb=0.3, delta_factor=3.5)
 def test_dissection_solve_matches_default_lu(case, nu, nu1, n, seed, perturb, delta_factor):
     """The node order is a bijection, the parts tile it in postorder, no
-    bond joins the two sides of any separator, and the multifrontal solve
-    over that tree agrees with SuperLU's default (COLAMD, partial
-    pivoting) solve.  ``nu`` is the Poisson ratio of the hole and smooth
+    bond joins the two sides of any separator, the solver's plan expands
+    that tree faithfully (``_check_plan``), and the multifrontal solve
+    over it agrees with SuperLU's default (COLAMD, partial pivoting)
+    solve.  ``nu`` is the Poisson ratio of the hole and smooth
     cases and of the inclusion's outer phase, ``nu1`` that of its inner
     phase, so an inclusion may mix lam = mu bonds with lam != mu ones."""
     config = RunConfig(
