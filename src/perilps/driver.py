@@ -427,10 +427,11 @@ def write_csv(path: Path, header: str, columns) -> None:
     """Write equal-length columns under ``header``, each value as its ``repr``.
 
     Columns are converted with ``tolist()``, so float columns print as
-    Python floats and integer columns as Python ints.
+    Python floats and integer columns as Python ints.  The values are
+    formatted a column at a time and then joined row by row.
     """
-    rows = zip(*(np.asarray(col).tolist() for col in columns))
-    lines = [header, *(",".join(map(repr, row)) for row in rows)]
+    cells = [map(repr, np.asarray(col).tolist()) for col in columns]
+    lines = [header, *map(",".join, zip(*cells))]
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -12,10 +12,16 @@ The 36 constraint rows hold 22 distinct functions, three of which are
 sums of others, so 19 rows (15 without dilatation) span the same row
 space and give the same least-norm solution.  Those rows are solved
 for blocks of nodes at once, through a zero-padded batched Gram system
-on bond vectors scaled by the horizon.  Every node is certified against
-the full constraint set; a node whose batched weights fail that
-certificate is solved again by a rank-truncated least squares solve
-(``least_norm_weights``) and counted in ``QuadratureFamily.fallback``.
+on bond vectors scaled by the horizon.  The blocks are dealt round-robin
+into one lane per CPU the process may use; lane 0 runs in the calling
+thread and the others on threads that live only for the call, each
+block writing only its own nodes' entries.  numpy releases the GIL in
+the batched products and solves, so the lanes run side by side.  Every
+node is certified against the full constraint set; the nodes whose
+batched weights fail that certificate are gathered from all lanes and
+solved again, lowest node first, by a rank-truncated least squares
+solve (``least_norm_weights``) and counted in
+``QuadratureFamily.fallback``.
 
 All reproducing functions have the form ``z1**a * z2**b / |z|**s``, so
 their ball integrals reduce to a radial power times a trigonometric
@@ -25,6 +31,8 @@ moment with a closed form (odd exponents integrate to zero).
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -300,8 +308,20 @@ def _gram_weights(S: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 #: Nodes per batched weight solve.  A block's padded
 #: (nodes, neighbors, functions) arrays take a few MB; one block over all
-#: nodes of an n=96 cloud adds about 270 MB to the peak RSS.
-_BLOCK_NODES = 256
+#: nodes of an n=96 cloud adds about 270 MB to the peak RSS.  Every lane
+#: holds one block at a time, and each lane's thread keeps its own malloc
+#: arena: at n=96 a second lane lifted the peak RSS by about 12 MB with
+#: 256-node blocks and by 2-10 MB with 128 (it varies with the order in
+#: which the threads free memory), while 32-node blocks took 1.8x as
+#: long per call.
+_BLOCK_NODES = 128
+
+
+def _lanes() -> int:
+    """The number of solve lanes: one per CPU this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def compute_family(
@@ -323,9 +343,12 @@ def compute_family(
     zero-padded array (zero columns leave the least-norm solution
     unchanged).  Every block is padded to the widest neighborhood of all
     needed nodes, so a node's weights do not depend on which nodes share
-    its block.  A node whose batched weights fail the full-set
-    certificate is solved again by ``least_norm_weights``, which then
-    supplies its rank and residual.
+    its block.  Block ``k`` runs in lane ``k % _lanes()``; lane 0 is the
+    calling thread.  When every lane is done, the nodes whose batched
+    weights fail the full-set certificate are solved again by
+    ``least_norm_weights`` in ascending order, which then supplies their
+    rank and residual, so the result and the node an error names do not
+    depend on the number of lanes.
 
     Parameters
     ----------
@@ -365,42 +388,54 @@ def compute_family(
     g_solve = np.array([funcs[k].moment for k in solve]) * row_scale
     width = counts[nodes].max(initial=0)
 
-    for start in range(0, nodes.size, _BLOCK_NODES):
-        block = nodes[start:start + _BLOCK_NODES]
-        c = counts[block]
-        first = np.cumsum(c) - c
-        owner = np.repeat(np.arange(block.size), c)
-        slot = np.arange(c.sum()) - first[owner]
-        pairs = nbrs.indptr[block][owner] + slot
+    def solve_lane(blocks: list[np.ndarray]) -> list[int]:
+        """Solve ``blocks`` in turn; return the nodes that fail the certificate."""
+        failed = []
+        for block in blocks:
+            c = counts[block]
+            first = np.cumsum(c) - c
+            owner = np.repeat(np.arange(block.size), c)
+            slot = np.arange(c.sum()) - first[owner]
+            pairs = nbrs.indptr[block][owner] + slot
 
-        A = np.zeros((block.size, width, len(funcs)))
-        A[owner, slot] = _evaluate_functions(
-            funcs, nbrs.offsets[pairs], nbrs.distances[pairs]
-        )
+            A = np.zeros((block.size, width, len(funcs)))
+            A[owner, slot] = _evaluate_functions(
+                funcs, nbrs.offsets[pairs], nbrs.distances[pairs]
+            )
 
-        w = _gram_weights(A[:, :, solve] * row_scale, g_solve)
+            w = _gram_weights(A[:, :, solve] * row_scale, g_solve)
 
-        fit = (w[:, None, :] @ A)[:, 0, row_of]
-        res = np.linalg.norm(fit - g, axis=1) / g_norm
-        weights[pairs] = w[owner, slot]
-        residual[block] = res
-        rank[block] = solve.size
+            fit = (w[:, None, :] @ A)[:, 0, row_of]
+            res = np.linalg.norm(fit - g, axis=1) / g_norm
+            weights[pairs] = w[owner, slot]
+            residual[block] = res
+            rank[block] = solve.size
+            # Non-finite weights give a NaN residual, which fails this test too.
+            failed += block[~(res <= RESIDUAL_TOL)].tolist()
+        return failed
 
-        # Non-finite weights give a NaN residual, which fails this test too.
-        for i in block[~(res <= RESIDUAL_TOL)]:
-            sl = nbrs.pair_slice(i)
-            B, gi = assemble_constraints(basis, nbrs.offsets[sl], nbrs.distances[sl])
-            wi, diag = least_norm_weights(B, gi)
-            if diag["residual"] > RESIDUAL_TOL:
-                raise QuadratureError(
-                    f"node {i} failed the exactness certificate: relative residual "
-                    f"{diag['residual']:.3e} exceeds {RESIDUAL_TOL:g} "
-                    f"({sl.stop - sl.start} neighbors, rank {diag['rank']})"
-                )
-            weights[sl] = wi
-            residual[i] = diag["residual"]
-            rank[i] = diag["rank"]
-            fallback[i] = True
+    blocks = [nodes[k:k + _BLOCK_NODES] for k in range(0, nodes.size, _BLOCK_NODES)]
+    lanes = min(_lanes(), len(blocks)) or 1
+    with ThreadPoolExecutor(lanes) as pool:
+        others = [pool.submit(solve_lane, blocks[k::lanes]) for k in range(1, lanes)]
+        failed = solve_lane(blocks[::lanes])
+        for lane in others:
+            failed += lane.result()
+
+    for i in sorted(failed):
+        sl = nbrs.pair_slice(i)
+        B, gi = assemble_constraints(basis, nbrs.offsets[sl], nbrs.distances[sl])
+        wi, diag = least_norm_weights(B, gi)
+        if diag["residual"] > RESIDUAL_TOL:
+            raise QuadratureError(
+                f"node {i} failed the exactness certificate: relative residual "
+                f"{diag['residual']:.3e} exceeds {RESIDUAL_TOL:g} "
+                f"({sl.stop - sl.start} neighbors, rank {diag['rank']})"
+            )
+        weights[sl] = wi
+        residual[i] = diag["residual"]
+        rank[i] = diag["rank"]
+        fallback[i] = True
 
     return QuadratureFamily(
         weights=weights,

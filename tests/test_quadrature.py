@@ -264,14 +264,31 @@ def test_rotation_symmetry_on_uniform_grid():
     )
 
 
-def test_truncated_ball_raises():
-    """Corner collar nodes cannot satisfy full-ball moments."""
+def test_truncated_ball_raises(monkeypatch):
+    """Corner collar nodes cannot satisfy full-ball moments.
+
+    With two failing corners in different lanes the error names the
+    lower one, as a serial loop over the nodes would, whichever lane
+    holds it: here the lower corner is the only block of lane 1 and the
+    higher one a later block of lane 0.
+    """
     cloud = generate_perturbed_lattice(8, seed=3)
     nbrs = build_neighborhoods(cloud)
+    distance = cloud.center_distance_to_domain()
     needed = np.zeros(cloud.n_points, dtype=bool)
-    corner = int(np.argmax(cloud.center_distance_to_domain()))
+    corner = int(np.argmax(distance))
     needed[corner] = True
     with pytest.raises(QuadratureError, match=f"node {corner} failed the exactness"):
+        compute_family(cloud, nbrs, needed=needed)
+
+    low, high = np.sort(np.argsort(distance)[-4:])[-2:]
+    passing = np.nonzero(cloud.interior)[0][0]
+    assert passing < low < high
+    needed = np.zeros(cloud.n_points, dtype=bool)
+    needed[[passing, low, high]] = True
+    monkeypatch.setattr(quadrature, "_BLOCK_NODES", 1)
+    monkeypatch.setattr(quadrature, "_lanes", lambda: 2)
+    with pytest.raises(QuadratureError, match=f"node {low} failed the exactness"):
         compute_family(cloud, nbrs, needed=needed)
 
 
@@ -296,24 +313,28 @@ def test_empty_neighborhood_raises():
 
 
 def test_failed_batched_node_is_solved_again_and_counted(small_family, monkeypatch):
+    """The victim's batched weights are spoiled in whichever block holds
+    them, found by their values, so the lanes may run in any order."""
     cloud, nbrs, family = small_family
     assert not family.fallback.any()
     victim = int(np.nonzero(family.computed)[0][3])
+    sl = nbrs.pair_slice(victim)
+    good = family.weights[sl]
     solve = quadrature._gram_weights
     spoiled = []
 
-    def spoil_first_block(S, g):
+    def spoil_victim(S, g):
         w = solve(S, g)
-        if not spoiled:
-            w[3] = np.nan
-            spoiled.append(True)
+        hit = (w[:, :good.size] == good).all(axis=1)
+        w[hit] = np.nan
+        spoiled.append(int(hit.sum()))
         return w
 
-    monkeypatch.setattr(quadrature, "_gram_weights", spoil_first_block)
+    monkeypatch.setattr(quadrature, "_gram_weights", spoil_victim)
     again = compute_family(cloud, nbrs)
+    assert sum(spoiled) == 1
     assert np.nonzero(again.fallback)[0].tolist() == [victim]
-    sl = nbrs.pair_slice(victim)
-    np.testing.assert_allclose(again.weights[sl], family.weights[sl], rtol=1e-10)
+    np.testing.assert_allclose(again.weights[sl], good, rtol=1e-10)
     assert again.residual[victim] <= RESIDUAL_TOL
     assert again.rank[victim] == family.rank[victim]
 
@@ -365,6 +386,36 @@ def test_weights_do_not_depend_on_block_members(seed, perturb, delta_factor, n):
     sel = kept[nbrs.row_index]
     np.testing.assert_array_equal(part.weights[sel], full.weights[sel])
     np.testing.assert_array_equal(part.residual[kept], full.residual[kept])
+
+
+# n >= 11 leaves room for the collar at every drawn horizon factor.
+@given(**CONFIGS, n=st.integers(11, 40), empty=st.booleans())
+# 192 needed nodes: two blocks for three lanes.
+@example(seed=0, perturb=0.3, delta_factor=3.0, n=8, empty=False)
+@example(seed=0, perturb=0.3, delta_factor=3.0, n=24, empty=True)
+def test_weights_do_not_depend_on_lane_count(seed, perturb, delta_factor, n, empty):
+    """One lane and three lanes give bitwise the same family, or the
+    same error."""
+    cloud = generate_perturbed_lattice(
+        n, delta_factor=delta_factor, perturb_frac=perturb, seed=seed
+    )
+    nbrs = build_neighborhoods(cloud)
+    needed = dilatation_nodes(cloud, nbrs) & (not empty)
+    outcomes = []
+    for lanes in (1, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quadrature, "_lanes", lambda: lanes)
+            try:
+                outcomes.append(compute_family(cloud, nbrs, needed=needed))
+            except QuadratureError as exc:
+                outcomes.append(str(exc))
+    one, three = outcomes
+    if isinstance(one, str) or isinstance(three, str):
+        assert one == three
+        return
+    for field in ("weights", "residual", "rank", "fallback"):
+        a, b = getattr(one, field), getattr(three, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
 
 
 @given(**CONFIGS)
