@@ -15,6 +15,9 @@ cloud on any platform.
 
 The pairs within one horizon are found by a cell list in numpy alone
 (``build_neighborhoods``); only ``uniformity_metrics`` uses a k-d tree.
+Rows are kept only for the nodes that can carry a dilatation
+(``dilatation_nodes``): the outer half of the collar is data that other
+nodes' rows read, and its own rows would hold no weight.
 """
 
 from __future__ import annotations
@@ -100,13 +103,17 @@ class PointCloud:
 
 @dataclass
 class Neighborhoods:
-    """Compressed adjacency for all nodes: who sits within the horizon.
+    """Compressed adjacency: who sits within the horizon of each node
+    that can carry a dilatation.
 
-    Stored in CSR layout.  For node ``i`` the neighbor ids are
-    ``indices[indptr[i]:indptr[i+1]]``, sorted ascending, self excluded.
-    ``offsets`` holds the bond vectors ``x_j - x_i`` and ``distances``
-    their lengths, precomputed once because every downstream stage
-    (quadrature, assembly, damage) walks the same pairs.
+    Stored in CSR layout with one row per node of the cloud.  For node
+    ``i`` the neighbor ids are ``indices[indptr[i]:indptr[i+1]]``, sorted
+    ascending, self excluded.  The row of a node outside
+    ``dilatation_nodes`` is empty, though the node still appears as a
+    neighbor in the rows of others; the rows of two kept nodes agree on
+    their bond.  ``offsets`` holds the bond vectors ``x_j - x_i`` and
+    ``distances`` their lengths, precomputed once because every
+    downstream stage (quadrature, assembly, damage) walks the same pairs.
     """
 
     indptr: np.ndarray
@@ -207,20 +214,34 @@ def generate_perturbed_lattice(
 _HALF_STENCIL = ((0, 0), (1, -1), (1, 0), (1, 1), (0, 1))
 
 
-def _pairs_within(pos: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Directed pairs ``(i, j)`` with ``0 < |x_j - x_i| <= radius``, sorted.
+def _dilatation_rule(cloud: PointCloud, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The nodes that can carry a dilatation: those whose unperturbed
+    center lies within ``delta`` of the square, and every neighbor of an
+    interior node.  The pairs ``(i, j)`` must hold every bond of every
+    interior node, in either direction or in both."""
+    near = cloud.center_distance_to_domain() <= cloud.delta * (1.0 + 1e-12)
+    near[j[cloud.interior[i]]] = True
+    near[i[cloud.interior[j]]] = True
+    return near
+
+
+def _pairs_within(cloud: PointCloud) -> tuple[np.ndarray, np.ndarray]:
+    """Directed pairs ``(i, j)`` with ``0 < |x_j - x_i| <= delta``, sorted,
+    for the nodes ``i`` of ``_dilatation_rule``.
 
     A cell list (the linked-cell method): the nodes are binned into square
-    cells of width ``radius * (1 + 1e-9)``, so a pair within the radius
+    cells of width ``delta * (1 + 1e-9)``, so a pair within the radius
     lies in one cell or in two adjacent ones even where the binning
     rounds, and each unordered candidate pair is met once over the half
     stencil.  The candidates are then filtered by the exact test on
     ``x_j - x_i``.  Cells are looked up by ``searchsorted`` over the
     occupied ones, never as a dense grid, so a tiny radius costs no
-    memory.  One sort of the keys ``i * N + j`` orders the pairs.  Kept
+    memory.  Each unordered pair gives a direction for each of its kept
+    nodes, and one sort of the keys ``i * N + j`` orders them.  Kept
     apart from ``build_neighborhoods`` so that the candidate arrays are
     freed before the bond vectors are formed.
     """
+    pos, radius = cloud.positions, cloud.delta
     n = pos.shape[0]
     cell_xy = ((pos - pos.min(axis=0)) / (radius * (1.0 + 1e-9))).astype(np.int64)
     # Columns are padded by an empty cell at either end, so that a
@@ -249,20 +270,21 @@ def _pairs_within(pos: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarra
         found_a.append(a[hit])
         found_b.append(b[hit])
     i, j = by_cell[np.concatenate(found_a)], by_cell[np.concatenate(found_b)]
-    key = np.sort(np.concatenate([i * n + j, j * n + i]))
+    kept = _dilatation_rule(cloud, i, j)
+    key = np.sort(np.concatenate([(i * n + j)[kept[i]], (j * n + i)[kept[j]]]))
     return np.divmod(key, n)
 
 
 def build_neighborhoods(cloud: PointCloud) -> Neighborhoods:
-    """Find all node pairs within the horizon using a cell list.
+    """Find the pairs within the horizon of every node of
+    ``dilatation_nodes`` using a cell list; every other row is empty.
 
     The radius test is inclusive and coincident nodes (zero distance)
     are excluded along with the node itself.
     """
     pos = cloud.positions
     n = pos.shape[0]
-    radius = cloud.delta
-    i_arr, j_arr = _pairs_within(pos, radius)
+    i_arr, j_arr = _pairs_within(cloud)
 
     counts = np.bincount(i_arr, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
@@ -275,7 +297,7 @@ def build_neighborhoods(cloud: PointCloud) -> Neighborhoods:
         indices=j_arr,
         offsets=offsets,
         distances=distances,
-        delta=radius,
+        delta=cloud.delta,
     )
 
 
@@ -285,11 +307,11 @@ def dilatation_nodes(cloud: PointCloud, nbrs: Neighborhoods) -> np.ndarray:
     That is every node whose unperturbed center lies within ``delta`` of
     the unit square, plus every neighbor of an interior node: under
     jitter above about a third of ``h`` a momentum row can reach a node
-    whose center lies just beyond ``delta``.
+    whose center lies just beyond ``delta``.  These are the nodes whose
+    rows ``build_neighborhoods`` keeps; a kept node may still have an
+    empty row when no other node lies within its horizon.
     """
-    near = cloud.center_distance_to_domain() <= cloud.delta * (1.0 + 1e-12)
-    near[nbrs.indices[cloud.interior[nbrs.row_index]]] = True
-    return near
+    return _dilatation_rule(cloud, nbrs.row_index, nbrs.indices)
 
 
 def uniformity_metrics(cloud: PointCloud, refine: int = 4) -> tuple[float, float]:

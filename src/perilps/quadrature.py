@@ -337,7 +337,8 @@ def compute_family(
     nodes have full balls by the collar construction, so the full-ball
     constraints are consistent there.  Outer collar nodes are skipped
     (their truncated balls cannot match full-ball moments and none of
-    their weights are ever referenced).
+    their weights are ever referenced); ``build_neighborhoods`` keeps no
+    row for them.
 
     Nodes are solved in blocks of ``_BLOCK_NODES``, each gathered into a
     zero-padded array (zero columns leave the least-norm solution

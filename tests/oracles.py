@@ -1,0 +1,95 @@
+"""Test-only reference implementations and fields.
+
+``build_neighborhoods`` keeps the rows of the nodes that can carry a
+dilatation only.  The neighbor oracles find every pair by brute force,
+state that rule on their own, and build full-row neighborhoods for the
+tests that need the rows the search drops.  ``divergence_free_case`` is
+a manufactured field for the near-incompressible tests.
+"""
+
+import math
+
+import numpy as np
+
+from perilps import Neighborhoods
+from perilps.analytic import AnalyticCase
+
+
+def brute_force_pairs(positions, radius):
+    """All ordered pairs (i, j), i != j, with |x_j - x_i| <= radius, sorted.
+
+    Taken 256 rows at a time, so that clouds of thousands of nodes fit.
+    """
+    pairs = []
+    for start in range(0, positions.shape[0], 256):
+        diff = positions[None, :, :] - positions[start : start + 256, None, :]
+        d2 = np.einsum("ijc,ijc->ij", diff, diff)
+        pairs.append(np.argwhere((d2 <= radius**2) & (d2 > 0.0)) + [start, 0])
+    return np.concatenate(pairs)
+
+
+def dilatation_rule(cloud, i, j):
+    """The nodes that can carry a dilatation, from every directed pair
+    (i, j) of the cloud: the unperturbed center lies within the horizon
+    of the unit square, or the node is a neighbor of an interior node."""
+    keep = cloud.center_distance_to_domain() <= cloud.delta * (1.0 + 1e-12)
+    keep[j[cloud.interior[i]]] = True
+    return keep
+
+
+def neighborhood_arrays(positions, i, j):
+    """The four arrays of ``Neighborhoods`` for the directed pairs (i, j),
+    given sorted by (i, j), formed as ``build_neighborhoods`` forms them."""
+    indptr = np.zeros(positions.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(i, minlength=positions.shape[0]), out=indptr[1:])
+    offsets = positions[j] - positions[i]
+    return {
+        "indptr": indptr,
+        "indices": j,
+        "offsets": offsets,
+        "distances": np.hypot(offsets[:, 0], offsets[:, 1]),
+    }
+
+
+def kept_pairs(cloud):
+    """The brute-force pairs of the rows ``build_neighborhoods`` keeps,
+    and the rule's node mask."""
+    i, j = brute_force_pairs(cloud.positions, cloud.delta).T
+    keep = dilatation_rule(cloud, i, j)
+    return i[keep[i]], j[keep[i]], keep
+
+
+def full_neighborhoods(cloud):
+    """Every node's row, the outer collar's included, by brute force."""
+    i, j = brute_force_pairs(cloud.positions, cloud.delta).T
+    return Neighborhoods(**neighborhood_arrays(cloud.positions, i, j), delta=cloud.delta)
+
+
+def divergence_free_trig(points, moduli, frequency=math.pi):
+    """Field ``(w sin wx cos wy, -w cos wx sin wy)`` and its forcing.
+
+    Its divergence is zero, so the stress divergence is ``mu`` times the
+    Laplacian, ``-2 w^2 mu u``, in the convention of
+    ``analytic.manufactured_trig``; the forcing stays bounded as lambda
+    grows, and the field can show locking near nu = 1/2.
+    """
+    w = frequency
+    x, y = w * points[:, 0], w * points[:, 1]
+    u = w * np.column_stack([np.sin(x) * np.cos(y), -np.cos(x) * np.sin(y)])
+    return u, -2.0 * w**2 * moduli.mu * u
+
+
+def divergence_free_case(moduli):
+    """``divergence_free_trig`` as a run case on a homogeneous material."""
+
+    def fields(points):
+        n = len(points)
+        return np.full(n, moduli.lam), np.full(n, moduli.mu)
+
+    return AnalyticCase(
+        tag="divergence-free",
+        displacement=lambda p: divergence_free_trig(p, moduli)[0],
+        forcing=lambda p: divergence_free_trig(p, moduli)[1],
+        lame_fields=fields,
+        params=moduli,
+    )

@@ -1,6 +1,7 @@
 """Driver and CLI tests: configuration validation, artifact schemas,
 deterministic reruns, reference tables, and exit codes."""
 
+import dataclasses
 import importlib.util
 import json
 import subprocess
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from perilps import (
     ConfigError,
@@ -31,6 +34,8 @@ from perilps.driver import (
     run_case,
     sweep_contrast,
 )
+
+from oracles import full_neighborhoods
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +275,41 @@ def test_sweep_matches_single_runs_exactly():
         single = run_case(replace(cfg, case="inclusion", mu_ratio=ratio))
         assert entry["rms_error"] == single.rms_error
         np.testing.assert_array_equal(entry["profile"]["ux"], _centerline_profile(single)["ux"])
+
+
+@given(
+    case=st.sampled_from(["hole", "inclusion", "smooth"]),
+    n=st.integers(12, 24),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(case="hole", n=24, seed=7)
+@example(case="inclusion", n=12, seed=7)
+@example(case="smooth", n=18, seed=7)
+def test_runs_do_not_read_the_dropped_rows(case, n, seed):
+    """The rows the neighbor search drops hold no weight: a run on every
+    node's row gives bitwise the same result arrays and solution."""
+    config = RunConfig(case=case, n=n, seed=seed, nu=0.495 if case == "hole" else None)
+    pruned = run_case(config)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(driver, "build_neighborhoods", full_neighborhoods)
+        full = run_case(config)
+    arrays = [f.name for f in dataclasses.fields(pruned) if isinstance(getattr(pruned, f.name), np.ndarray)]
+    assert arrays == ["u", "theta", "damage", "u_exact", "report_mask"]
+    for name in arrays:
+        np.testing.assert_array_equal(getattr(full, name), getattr(pruned, name), err_msg=name, strict=True)
+    np.testing.assert_array_equal(full.solve_report.x, pruned.solve_report.x, strict=True)
+    assert full.rms_error == pruned.rms_error
+
+
+@pytest.mark.parametrize("n", [12, 24])
+def test_check_quadrature_does_not_read_the_dropped_rows(n, tmp_path, monkeypatch):
+    """``check-quadrature`` writes the same bytes from every node's row."""
+    argv = ["check-quadrature", "--n", str(n), "--out"]
+    assert main([*argv, str(tmp_path / "pruned")]) == 0
+    monkeypatch.setattr(cli, "build_neighborhoods", full_neighborhoods)
+    assert main([*argv, str(tmp_path / "full")]) == 0
+    name = "quadrature_check.csv"
+    assert (tmp_path / "full" / name).read_bytes() == (tmp_path / "pruned" / name).read_bytes()
 
 
 def test_sweep_analyses_the_fronts_once(tmp_path, monkeypatch):

@@ -15,19 +15,9 @@ from perilps import (
     hole_removal_mask,
     uniformity_metrics,
 )
+from perilps.pointcloud import dilatation_nodes
 
-
-def brute_force_pairs(positions, radius):
-    """All ordered pairs (i, j), i != j, with |x_j - x_i| <= radius, sorted.
-
-    Taken 256 rows at a time, so that clouds of thousands of nodes fit.
-    """
-    pairs = []
-    for start in range(0, positions.shape[0], 256):
-        diff = positions[None, :, :] - positions[start : start + 256, None, :]
-        d2 = np.einsum("ijc,ijc->ij", diff, diff)
-        pairs.append(np.argwhere((d2 <= radius**2) & (d2 > 0.0)) + [start, 0])
-    return np.concatenate(pairs)
+from oracles import dilatation_rule, kept_pairs, neighborhood_arrays
 
 
 def test_counts_at_n24():
@@ -123,14 +113,23 @@ def test_hole_flags_strict_interior_centers():
     )
 
 
+def _assert_kept_rows_match_brute_force(cloud, nbrs):
+    """Every kept row equals brute force bit for bit, the kept rows are
+    the rule's nodes and every other row is empty."""
+    i, j, keep = kept_pairs(cloud)
+    _assert_neighborhoods_equal(nbrs, neighborhood_arrays(cloud.positions, i, j))
+    np.testing.assert_array_equal(dilatation_nodes(cloud, nbrs), keep)
+
+
 def test_neighborhoods_match_brute_force():
     cloud = generate_perturbed_lattice(8, seed=4)
     nbrs = build_neighborhoods(cloud)
-    expected = brute_force_pairs(cloud.positions, cloud.delta)
-    got = np.column_stack([nbrs.row_index, nbrs.indices])
-    # both orderings are (i, j) lexicographic
-    order = np.lexsort((expected[:, 1], expected[:, 0]))
-    np.testing.assert_array_equal(got, expected[order])
+    _assert_kept_rows_match_brute_force(cloud, nbrs)
+    # At this horizon every kept node has neighbors: the nonempty rows
+    # are the rule's nodes, and they leave out the outer collar.
+    keep = dilatation_nodes(cloud, nbrs)
+    np.testing.assert_array_equal(np.diff(nbrs.indptr) > 0, keep)
+    assert 0 < keep.sum() < cloud.n_points
 
 
 @given(
@@ -146,25 +145,7 @@ def test_neighborhoods_match_brute_force_everywhere(n, seed, perturb, delta_fact
     cloud = generate_perturbed_lattice(
         n, delta_factor=delta_factor, perturb_frac=perturb, seed=seed
     )
-    nbrs = build_neighborhoods(cloud)
-    expected = brute_force_pairs(cloud.positions, cloud.delta)
-    np.testing.assert_array_equal(
-        np.column_stack([nbrs.row_index, nbrs.indices]), expected
-    )
-
-
-def _neighborhood_arrays(positions, i, j):
-    """The four arrays of ``Neighborhoods`` for the directed pairs (i, j),
-    given sorted by (i, j), formed as ``build_neighborhoods`` forms them."""
-    indptr = np.zeros(positions.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(i, minlength=positions.shape[0]), out=indptr[1:])
-    offsets = positions[j] - positions[i]
-    return {
-        "indptr": indptr,
-        "indices": j,
-        "offsets": offsets,
-        "distances": np.hypot(offsets[:, 0], offsets[:, 1]),
-    }
+    _assert_kept_rows_match_brute_force(cloud, build_neighborhoods(cloud))
 
 
 def _assert_neighborhoods_equal(nbrs, expected):
@@ -187,9 +168,9 @@ def _assert_neighborhoods_equal(nbrs, expected):
 def test_neighborhoods_match_brute_force_off_the_lattice(
     n, seed, perturb, delta_factor, layout, node, direction
 ):
-    """Every array of the neighborhoods equals brute force bit for bit on
-    clouds moved off the unit square, scaled with their horizon, or with
-    one node placed a horizon away from another."""
+    """Every array of the neighborhoods equals brute force on the kept
+    rows bit for bit on clouds moved off the unit square, scaled with
+    their horizon, or with one node placed a horizon away from another."""
     cloud = generate_perturbed_lattice(
         n, delta_factor=delta_factor, perturb_frac=perturb, seed=seed
     )
@@ -204,15 +185,14 @@ def test_neighborhoods_match_brute_force_off_the_lattice(
         k = node % (cloud.n_points - 1)
         pos[k + 1] = pos[k] + cloud.delta * np.asarray(direction)
         cloud = dataclasses.replace(cloud, positions=pos)
-    i, j = brute_force_pairs(cloud.positions, cloud.delta).T
-    expected = _neighborhood_arrays(cloud.positions, i, j)
-    _assert_neighborhoods_equal(build_neighborhoods(cloud), expected)
+    _assert_kept_rows_match_brute_force(cloud, build_neighborhoods(cloud))
 
 
 @pytest.mark.parametrize("perturb", [0.0, 0.2, 0.45 - 1e-9])
 def test_neighborhoods_match_kdtree_at_n64(perturb):
     """At a benchmark size the search equals scipy's k-d tree query, with
-    the same exact test on ``x_j - x_i``, bit for bit."""
+    the same exact test on ``x_j - x_i``, bit for bit on the kept rows,
+    and keeps the rows of the rule's nodes."""
     from scipy.spatial import cKDTree
 
     cloud = generate_perturbed_lattice(64, perturb_frac=perturb, seed=7)
@@ -223,15 +203,23 @@ def test_neighborhoods_match_kdtree_at_n64(perturb):
     hit = (d2 <= radius * radius) & (d2 > 0.0)
     i, j = np.r_[i[hit], j[hit]], np.r_[j[hit], i[hit]]
     perm = np.lexsort((j, i))
-    expected = _neighborhood_arrays(pos, i[perm], j[perm])
-    _assert_neighborhoods_equal(build_neighborhoods(cloud), expected)
+    i, j = i[perm], j[perm]
+    keep = dilatation_rule(cloud, i, j)
+    nbrs = build_neighborhoods(cloud)
+    _assert_neighborhoods_equal(nbrs, neighborhood_arrays(pos, i[keep[i]], j[keep[i]]))
+    np.testing.assert_array_equal(dilatation_nodes(cloud, nbrs), keep)
 
 
 def test_neighborhoods_are_symmetric():
+    """A bond between two kept rows is in both; a bond from a kept row
+    to a dropped one is in the kept row only."""
     cloud = generate_perturbed_lattice(9, seed=6)
     nbrs = build_neighborhoods(cloud)
+    keep = dilatation_nodes(cloud, nbrs)
     pairs = set(zip(nbrs.row_index.tolist(), nbrs.indices.tolist()))
-    assert all((j, i) in pairs for i, j in pairs)
+    assert all(keep[i] for i, _ in pairs)
+    assert all(((j, i) in pairs) == keep[j] for i, j in pairs)
+    assert not all(keep[j] for _, j in pairs)
 
 
 def test_uniform_grid_interior_stencil_has_36_neighbors():
@@ -266,15 +254,18 @@ def test_offsets_and_distances_consistent():
 
 
 def test_horizon_is_inclusive():
-    """A pair at exactly the horizon distance is kept."""
+    """A pair at exactly the horizon distance is kept, in both rows: the
+    pair is two interior nodes, whose rows the search keeps."""
     cloud = generate_perturbed_lattice(8, perturb_frac=0.0, seed=0)
     pos = cloud.positions.copy()
-    # move node 1 to exactly delta to the right of node 0
-    pos[1] = pos[0] + [cloud.delta, 0.0]
+    # move node k + 1 to exactly delta to the right of interior node k
+    k = int(np.nonzero(cloud.interior)[0][0])
+    assert cloud.interior[k + 1]
+    pos[k + 1] = pos[k] + [cloud.delta, 0.0]
     moved = dataclasses.replace(cloud, positions=pos)
     nbrs = build_neighborhoods(moved)
-    assert 1 in nbrs.indices[nbrs.pair_slice(0)]
-    assert 0 in nbrs.indices[nbrs.pair_slice(1)]
+    assert k + 1 in nbrs.indices[nbrs.pair_slice(k)]
+    assert k in nbrs.indices[nbrs.pair_slice(k + 1)]
 
 
 def test_pair_slice_matches_neighbors():

@@ -29,6 +29,8 @@ from perilps.errors import EXIT_QUADRATURE
 from perilps.pointcloud import dilatation_nodes
 from perilps.quadrature import RESIDUAL_TOL, ball_monomial_moment
 
+from oracles import full_neighborhoods, neighborhood_arrays
+
 CONFIGS = dict(
     seed=st.integers(0, 2**32 - 1),
     perturb=st.floats(0.0, 0.45, exclude_max=True),
@@ -232,7 +234,12 @@ def test_scaling_covariance():
     scaled = dataclasses.replace(
         cloud, positions=cloud.positions * s, h=cloud.h * s, delta=cloud.delta * s
     )
-    nbrs2 = build_neighborhoods(scaled)
+    # The same bonds, scaled with the geometry: the scaled cloud keeps its
+    # lattice metadata on the unit square, so the search would keep other rows.
+    nbrs2 = Neighborhoods(
+        **neighborhood_arrays(scaled.positions, nbrs.row_index, nbrs.indices),
+        delta=scaled.delta,
+    )
     family2 = compute_family(
         scaled, nbrs2, needed=family.computed.copy()
     )
@@ -267,13 +274,14 @@ def test_rotation_symmetry_on_uniform_grid():
 def test_truncated_ball_raises(monkeypatch):
     """Corner collar nodes cannot satisfy full-ball moments.
 
-    With two failing corners in different lanes the error names the
+    The search keeps no row for them, so the test hands the quadrature
+    every node's row, built by brute force.  With two failing corners in different lanes the error names the
     lower one, as a serial loop over the nodes would, whichever lane
     holds it: here the lower corner is the only block of lane 1 and the
     higher one a later block of lane 0.
     """
     cloud = generate_perturbed_lattice(8, seed=3)
-    nbrs = build_neighborhoods(cloud)
+    nbrs = full_neighborhoods(cloud)
     distance = cloud.center_distance_to_domain()
     needed = np.zeros(cloud.n_points, dtype=bool)
     corner = int(np.argmax(distance))
@@ -310,6 +318,19 @@ def test_empty_neighborhood_raises():
     needed[[lonely, lonely + 1]] = True
     with pytest.raises(QuadratureError, match=f"node {lonely} has an empty neighborhood"):
         compute_family(cloud, stripped, needed=needed)
+
+
+def test_kept_node_without_neighbors_raises():
+    """At delta = h a collar node the search keeps may have no node within
+    its horizon: the quadrature names it with the typed error (exit 3)."""
+    cloud = generate_perturbed_lattice(8, delta_factor=1.0, seed=1)
+    nbrs = build_neighborhoods(cloud)
+    kept = dilatation_nodes(cloud, nbrs)
+    lonely = np.nonzero(kept & (np.diff(nbrs.indptr) == 0))[0]
+    assert lonely.size and not cloud.interior[lonely].any()
+    with pytest.raises(QuadratureError, match=f"node {lonely[0]} has an empty neighborhood") as exc:
+        compute_family(cloud, nbrs)
+    assert exc.value.exit_code == EXIT_QUADRATURE
 
 
 def test_failed_batched_node_is_solved_again_and_counted(small_family, monkeypatch):

@@ -23,9 +23,12 @@ from perilps import (
     solve,
 )
 from perilps import solver
-from perilps.driver import _build_case
+from perilps.analytic import moduli_from_E_nu
+from perilps.driver import _build_case, _run_physics
 from perilps.model import BlockSystem
 from perilps.solver import RESIDUAL_CERT
+
+from oracles import divergence_free_case
 
 
 def test_rms_norm_vector_field():
@@ -351,12 +354,31 @@ def test_dissection_order_fills_less_than_default_lu():
     assert report.lu_nnz < spla.splu(system.matrix.tocsc()).nnz
 
 
-@pytest.mark.parametrize("nu", [0.4999, 0.49999, 0.499999])
+@pytest.mark.parametrize("nu", [0.495, 0.4999, 0.49999, 0.499999])
 def test_near_incompressible_hole_is_certified(nu):
     """The hole at n = 64 solves within the unchanged certificate up to
-    lambda / mu = 5e5; at nu = 0.499999 the first pass alone missed it."""
+    lambda / mu = 5e5; at nu = 0.499999 the first pass alone missed it
+    and one refinement step mended it, at nu = 0.495 none was taken."""
     report = run_case(RunConfig(case="hole", n=64, nu=nu)).solve_report
     assert report.residual <= RESIDUAL_CERT
+    steps = {0.495: 0, 0.499999: 1}
+    if nu in steps:
+        assert report.refinement_steps == steps[nu]
+
+
+@pytest.mark.parametrize("n", [24, 48])
+def test_divergence_free_field_is_certified_towards_incompressibility(n):
+    """The divergence-free field, whose forcing stays bounded as lambda
+    grows, solves within the unchanged certificate on one geometry from
+    nu = 0.25 to lambda / mu = 5e5.  Its errors are not bounded here: they
+    leave their plateau past lambda / mu = 5e3, which is the finding this
+    oracle records."""
+    config = RunConfig(case="smooth", n=n, seed=7)
+    disc = build_discretization(config)
+    for nu in (0.25, 0.4999, 0.49999, 0.499999):
+        result = _run_physics(config, divergence_free_case(moduli_from_E_nu(1.0, nu)), disc)
+        assert result.solve_report.residual <= RESIDUAL_CERT, nu
+        assert np.isfinite(result.rms_error), nu
 
 
 def test_refinement_step_mends_an_inexact_first_solve(monkeypatch, patch_system):
@@ -375,4 +397,5 @@ def test_refinement_step_mends_an_inexact_first_solve(monkeypatch, patch_system)
     report = solve(system)
     assert len(calls) == 2
     assert report.residual <= 1e-13
+    assert report.refinement_steps == 1
 
