@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import driver
-from .errors import EXIT_OK, PerilpsError
+from .errors import EXIT_OK, ConfigError, PerilpsError
 from .pointcloud import build_neighborhoods, generate_perturbed_lattice
 from .quadrature import compute_family
 
@@ -60,23 +60,39 @@ def _add_geometry(p: argparse.ArgumentParser) -> None:
                    help="directory the artifacts are written to")
 
 
+#: The material flags each case reads, as ``RunConfig`` fields.
+_MATERIAL = {
+    "patch": (),
+    "smooth": (),
+    "smooth-nearinc": ("nu",),
+    "hole": ("nu",),
+    "inclusion": ("k1", "k2", "nu1", "nu2", "mu_ratio"),
+}
+
+
 def _add_material(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--nu", type=float, default=None,
-                   help="Poisson ratio for single-phase cases")
-    p.add_argument("--nu1", type=float, default=0.25)
-    p.add_argument("--nu2", type=float, default=0.25)
-    p.add_argument("--k1", type=float, default=2.0,
-                   help="2D bulk modulus of the inclusion phase")
-    p.add_argument("--k2", type=float, default=1.0,
-                   help="2D bulk modulus of the matrix phase")
-    p.add_argument("--mu-ratio", type=float, default=None,
+    p.add_argument("--nu", type=float,
+                   help="Poisson ratio of smooth-nearinc (default 0.495) and hole (default 0.25)")
+    p.add_argument("--nu1", type=float, help="Poisson ratio of the inclusion phase (default 0.25)")
+    p.add_argument("--nu2", type=float, help="Poisson ratio of the matrix phase (default 0.25)")
+    p.add_argument("--k1", type=float,
+                   help="2D bulk modulus of the inclusion phase (default 2)")
+    p.add_argument("--k2", type=float,
+                   help="2D bulk modulus of the matrix phase (default 1)")
+    p.add_argument("--mu-ratio", type=float,
                    help="shear contrast mu2/mu1 (overrides k1/k2/nu1/nu2)")
 
 
 def _config_from(args: argparse.Namespace, case: str, n: int) -> driver.RunConfig:
-    """A config from the flags the subcommand takes; the others keep their defaults."""
+    """A config from the flags given, the others at their defaults; a
+    material flag that ``case`` does not read is a ``ConfigError``."""
     names = {f.name for f in dataclasses.fields(driver.RunConfig)} - {"case", "n"}
-    flags = {name: value for name, value in vars(args).items() if name in names}
+    flags = {k: v for k, v in vars(args).items() if k in names and v is not None}
+    material = set().union(*_MATERIAL.values())
+    unread = [k for k in flags if k in material and k not in _MATERIAL[case]]
+    if unread:
+        given = ", ".join("--" + k.replace("_", "-") for k in unread)
+        raise ConfigError(f"case {case!r} does not read {given}")
     return driver.RunConfig(case=case, n=n, **flags)
 
 

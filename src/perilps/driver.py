@@ -39,7 +39,6 @@ from .pointcloud import (
     Disk,
     PointCloud,
     build_neighborhoods,
-    dilatation_nodes,
     generate_perturbed_lattice,
 )
 from .quadrature import compute_family
@@ -198,7 +197,9 @@ def reference_errors(config: RunConfig) -> dict[str, float]:
                 if abs(config.nu2 - nu2) < 1e-12:
                     key = ("inclusion", (config.grid, nu2))
     elif config.case in ("patch", "smooth", "smooth-nearinc"):
-        if config.grid == "perturbed":
+        # The smooth-nearinc table is published for nu = 0.495 only.
+        published = config.case != "smooth-nearinc" or config.nu in (None, 0.495)
+        if published and config.grid == "perturbed":
             key = (config.case, None)
     table = _REFERENCE_ERRORS.get(key, {})
     return {str(n): v for n, v in sorted(table.items())}
@@ -229,7 +230,7 @@ def build_discretization(
         cloud,
         nbrs,
         include_dilatation=not config.strict_vh,
-        needed=dilatation_nodes(cloud, nbrs) & bonds.present,
+        needed=nbrs.kept & bonds.present,
     )
     weights = bonds.modified_weights(family, nbrs)
     return Discretization(
@@ -240,7 +241,7 @@ def build_discretization(
         weights=weights,
         correction=compute_moment_tensors(nbrs, family, weights),
         damage=damage_field(family, nbrs, weights),
-        fronts=front_tree(cloud, nbrs, bonds, weights),
+        fronts=front_tree(cloud, nbrs, family, bonds, weights),
     )
 
 
@@ -257,15 +258,16 @@ def _run_physics(
         forcing=case.forcing(cloud.positions),
     )
     report = solve(system)
-    u = system.extract_u(report.x)
+    fields = system.extract(report.x)
+    u = fields[:, :2]
 
-    mask = cloud.interior & disc.bonds.present
+    mask = disc.fronts.slots[:, 0] >= 0
     return RunResult(
         config=config,
         case=case,
         cloud=cloud,
         u=u,
-        theta=system.extract_theta(report.x),
+        theta=fields[:, 2],
         damage=disc.damage,
         u_exact=u_exact,
         report_mask=mask,

@@ -12,6 +12,8 @@ serves any number of materials on the same cloud.
 
 The unknowns are the displacements of present interior nodes plus a
 nonlocal dilatation value at every present node with quadrature weights.
+The geometry fixes them, so their scalar layout is made once, on the
+front tree (``FrontTree.slots``), and every system reads it there.
 Momentum balance couples a dilatation (volumetric) force term with a
 bond-stretch (deviatoric) term; the dilatation itself is defined by a
 weighted bond sum and kept consistent through its own block of
@@ -262,29 +264,45 @@ class FrontTree:
     ``order``, ``part_end`` and ``part_parent`` are a ``dissection_order``
     of the nodes.  ``pairs`` indexes the pairs (into the neighbor lists)
     whose blocks may hold an entry of a system: the surviving bonds with
-    a node that carries displacements.
+    a node that carries displacements.  ``slots`` is the scalar layout
+    of every system on the geometry: (N, 3), the unknown of each node's
+    (ux, uy, theta), -1 where the node carries none.  The (ux, uy) of
+    the present interior nodes come first, interleaved, then the
+    dilatations of the present nodes with weights, each in node order.
 
     ``plans`` holds the solver's symbolic pass over this tree, one per
-    set of unknowns solved for.  The first solve makes each, and every
-    later solve on the tree reads it.
+    number of unknown kinds solved for (2 or 3 of each node's first).
+    The first solve makes each, and every later solve on the tree reads
+    it.
     """
 
     order: np.ndarray
     part_end: np.ndarray
     part_parent: np.ndarray
     pairs: np.ndarray
+    slots: np.ndarray
     plans: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def front_tree(
-    cloud: PointCloud, nbrs: Neighborhoods, bonds: BondSet, weights: np.ndarray
+    cloud: PointCloud,
+    nbrs: Neighborhoods,
+    family: QuadratureFamily,
+    bonds: BondSet,
+    weights: np.ndarray,
 ) -> FrontTree:
-    """The cloud's ``dissection_order`` and the pairs whose blocks may hold
-    an entry: those whose bond survives and one of whose nodes carries
-    displacement unknowns."""
+    """The cloud's ``dissection_order``, the pairs whose blocks may hold an
+    entry (those whose bond survives and one of whose nodes carries
+    displacement unknowns) and the layout of the unknowns."""
     u_node = cloud.interior & bonds.present
+    theta_node = family.computed & bonds.present
     coupled = (weights != 0.0) & (u_node[nbrs.row_index] | u_node[nbrs.indices])
-    return FrontTree(*dissection_order(cloud.positions, cloud.delta), np.flatnonzero(coupled))
+    slots = np.full((cloud.n_points, 3), -1, dtype=np.int64)
+    n_u = 2 * int(u_node.sum())
+    slots[u_node, :2] = np.arange(n_u).reshape(-1, 2)
+    slots[theta_node, 2] = np.arange(n_u, n_u + int(theta_node.sum()))
+    order = dissection_order(cloud.positions, cloud.delta)
+    return FrontTree(*order, pairs=np.flatnonzero(coupled), slots=slots)
 
 
 @dataclass
@@ -386,10 +404,8 @@ class Discretization:
 class BlockSystem:
     """Square sparse system over interior displacements and dilatations.
 
-    The scalar unknowns: the first ``2 * n_u_points`` interleave (ux, uy)
-    per interior node; the remaining ``n_theta`` are dilatation values.
-    ``u_index`` and ``theta_index`` map node ids to slots (-1 where a
-    node carries no unknown of that kind), and ``rhs`` is in this layout.
+    The scalar unknowns are laid out by ``fronts.slots``, the
+    discretization's ``FrontTree``, and ``rhs`` is in that layout.
 
     The matrix is stored by bond, in the order of the neighbor lists:
     ``blocks[p]`` couples the equations of node ``row_index[p]`` (rows
@@ -397,7 +413,7 @@ class BlockSystem:
     of its neighbor ``indices[p]``; ``diag[i]`` couples node ``i`` to
     itself.  Rows and columns of unknowns a node does not carry hold
     zeros.  ``row_index`` and ``indices`` are the ``Neighborhoods``'
-    arrays, not copies.  ``fronts`` is the discretization's ``FrontTree``.
+    arrays, not copies.
     """
 
     row_index: np.ndarray
@@ -405,32 +421,26 @@ class BlockSystem:
     blocks: np.ndarray
     diag: np.ndarray
     rhs: np.ndarray
-    u_index: np.ndarray
-    theta_index: np.ndarray
-    n_u_points: int
-    n_theta: int
     fronts: FrontTree
 
     @property
     def n_unknowns(self) -> int:
-        return 2 * self.n_u_points + self.n_theta
+        return self.rhs.size
 
-    @property
-    def slot_index(self) -> np.ndarray:
-        """(N, 3) scalar unknown of each node's (ux, uy, theta), -1 where absent."""
-        u, th = self.u_index, self.theta_index
-        slots = np.column_stack((2 * u, 2 * u + 1, 2 * self.n_u_points + th))
-        slots[u < 0, :2] = -1
-        slots[th < 0, 2] = -1
-        return slots
+    def extract(self, x: np.ndarray, fill: float = np.nan) -> np.ndarray:
+        """(N, 3) each node's (ux, uy, theta) in ``x``, ``fill`` where absent."""
+        slots = self.fronts.slots
+        has = slots >= 0
+        out = np.full(slots.shape, fill)
+        out[has] = x[slots[has]]
+        return out
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The product of the matrix with ``x``, both in the scalar layout."""
-        slots = self.slot_index
+        slots = self.fronts.slots
         has = slots >= 0
         n = has.shape[0]
-        xs = np.zeros(has.shape)
-        xs[has] = x[slots[has]]
+        xs = self.extract(x, 0.0)
         bonds = np.einsum("pab,pb->pa", self.blocks, np.take(xs, self.indices, axis=0))
         y = np.einsum("iab,ib->ia", self.diag, xs)
         for a in range(3):
@@ -444,14 +454,11 @@ class BlockSystem:
         ``x``, from ``blocks[:, 2, :2]`` and ``diag[:, 2, :2]`` only: one
         value per node that carries a dilatation, in node order.  Where the
         dilatations of ``x`` are zero they are the whole rows."""
-        slots = self.slot_index[:, :2]
-        has = slots >= 0
-        us = np.zeros(has.shape)
-        us[has] = x[slots[has]]
+        us = self.extract(x, 0.0)[:, :2]
         bonds = np.einsum("pb,pb->p", self.blocks[:, 2, :2], np.take(us, self.indices, axis=0))
         y = np.einsum("ib,ib->i", self.diag[:, 2, :2], us)
-        y += np.bincount(self.row_index, weights=bonds, minlength=has.shape[0])
-        return y[self.theta_index >= 0]
+        y += np.bincount(self.row_index, weights=bonds, minlength=us.shape[0])
+        return y[self.fronts.slots[:, 2] >= 0]
 
     @property
     def matrix(self) -> scipy.sparse.csr_matrix:
@@ -463,7 +470,7 @@ class BlockSystem:
         """
         import scipy.sparse as sp
 
-        slots = self.slot_index
+        slots = self.fronts.slots
         node = np.arange(slots.shape[0])
         rows = np.r_[self.row_index, node]
         cols = np.r_[self.indices, node]
@@ -473,22 +480,6 @@ class BlockSystem:
         keep = (vals != 0.0) & (r >= 0) & (c >= 0)
         shape = (self.n_unknowns, self.n_unknowns)
         return sp.csr_matrix((vals[keep], (r[keep], c[keep])), shape=shape)
-
-    def extract_u(self, x: np.ndarray) -> np.ndarray:
-        """Scatter the solved displacements back onto the cloud (NaN elsewhere)."""
-        n = len(self.u_index)
-        u = np.full((n, 2), np.nan)
-        has = self.u_index >= 0
-        u[has, 0] = x[2 * self.u_index[has]]
-        u[has, 1] = x[2 * self.u_index[has] + 1]
-        return u
-
-    def extract_theta(self, x: np.ndarray) -> np.ndarray:
-        n = len(self.theta_index)
-        th = np.full(n, np.nan)
-        has = self.theta_index >= 0
-        th[has] = x[2 * self.n_u_points + self.theta_index[has]]
-        return th
 
 
 def _pair_entries(disc: Discretization, material: MaterialField):
@@ -564,25 +555,19 @@ def assemble_system(
     the displacements of all other nodes, applied to ``dirichlet``
     (evaluated at the perturbed positions), move to the RHS, so
     ``dirichlet`` must be finite wherever a surviving bond of such a row
-    reaches.
+    reaches.  The unknowns are those of ``disc.fronts.slots``.
     """
-    cloud, nbrs = disc.cloud, disc.nbrs
-    n = cloud.n_points
+    nbrs, slots = disc.nbrs, disc.fronts.slots
+    n = nbrs.n_points
     present = disc.bonds.present
-    u_unknown = cloud.interior & present
-    theta_mask = disc.family.computed & present
-
-    n_u, n_theta = int(u_unknown.sum()), int(theta_mask.sum())
-    u_index = np.full(n, -1, dtype=np.int64)
-    u_index[u_unknown] = np.arange(n_u)
-    theta_index = np.full(n, -1, dtype=np.int64)
-    theta_index[theta_mask] = np.arange(n_theta)
+    has = slots >= 0
+    u_unknown, theta_mask = has[:, 0], has[:, 2]
 
     i_pair, j_pair = nbrs.row_index, nbrs.indices
     live = disc.weights != 0.0
     if np.any(live & ~(present[i_pair] & present[j_pair])):
         raise AssemblyError("a surviving bond references a removed node")
-    if np.any(live & u_unknown[i_pair] & (theta_index[j_pair] < 0)):
+    if np.any(live & u_unknown[i_pair] & ~theta_mask[j_pair]):
         raise AssemblyError("a momentum row references a node with no dilatation")
 
     # One pass per entry: it is summed into the diagonal and into the
@@ -627,17 +612,10 @@ def assemble_system(
     diag[~u_unknown, :2] = 0.0
     diag[~u_unknown, 2, :2] = 0.0
 
+    b = np.empty(int(has.sum()))
+    b[slots[has]] = rhs[has]
     return BlockSystem(
-        row_index=i_pair,
-        indices=j_pair,
-        blocks=blocks,
-        diag=diag,
-        rhs=np.concatenate((rhs[u_unknown, :2].ravel(), rhs[theta_mask, 2])),
-        u_index=u_index,
-        theta_index=theta_index,
-        n_u_points=n_u,
-        n_theta=n_theta,
-        fronts=disc.fronts,
+        row_index=i_pair, indices=j_pair, blocks=blocks, diag=diag, rhs=b, fronts=disc.fronts
     )
 
 

@@ -16,14 +16,14 @@ cloud on any platform.
 The pairs within one horizon are found by a cell list in numpy alone
 (``build_neighborhoods``); only ``uniformity_metrics`` uses a k-d tree.
 Rows are kept only for the nodes that can carry a dilatation
-(``dilatation_nodes``): the outer half of the collar is data that other
-nodes' rows read, and its own rows would hold no weight.
+(``Neighborhoods.kept``): the outer half of the collar is data that
+other nodes' rows read, and its own rows would hold no weight.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "Neighborhoods",
     "generate_perturbed_lattice",
     "build_neighborhoods",
-    "dilatation_nodes",
     "uniformity_metrics",
 ]
 
@@ -108,20 +107,24 @@ class Neighborhoods:
 
     Stored in CSR layout with one row per node of the cloud.  For node
     ``i`` the neighbor ids are ``indices[indptr[i]:indptr[i+1]]``, sorted
-    ascending, self excluded.  The row of a node outside
-    ``dilatation_nodes`` is empty, though the node still appears as a
-    neighbor in the rows of others; the rows of two kept nodes agree on
-    their bond.  ``offsets`` holds the bond vectors ``x_j - x_i`` and
+    ascending, self excluded; ``row_index`` is the source node of each
+    directed bond.  ``kept`` marks the nodes of ``_dilatation_rule``, the
+    ones that can carry a dilatation.  The row of a node outside ``kept``
+    is empty, though the node still appears as a neighbor in the rows of
+    others; the rows of two kept nodes agree on their bond, and a kept
+    node may still have an empty row when no other node lies within its
+    horizon.  ``offsets`` holds the bond vectors ``x_j - x_i`` and
     ``distances`` their lengths, precomputed once because every
     downstream stage (quadrature, assembly, damage) walks the same pairs.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
+    row_index: np.ndarray
     offsets: np.ndarray
     distances: np.ndarray
+    kept: np.ndarray
     delta: float
-    _row_index: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_points(self) -> int:
@@ -130,14 +133,6 @@ class Neighborhoods:
     @property
     def n_pairs(self) -> int:
         return self.indices.shape[0]
-
-    @property
-    def row_index(self) -> np.ndarray:
-        """Pair-aligned array mapping each directed bond to its source node."""
-        if self._row_index is None:
-            counts = np.diff(self.indptr)
-            self._row_index = np.repeat(np.arange(self.n_points), counts)
-        return self._row_index
 
     def pair_slice(self, i: int) -> slice:
         return slice(int(self.indptr[i]), int(self.indptr[i + 1]))
@@ -217,17 +212,19 @@ _HALF_STENCIL = ((0, 0), (1, -1), (1, 0), (1, 1), (0, 1))
 def _dilatation_rule(cloud: PointCloud, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """The nodes that can carry a dilatation: those whose unperturbed
     center lies within ``delta`` of the square, and every neighbor of an
-    interior node.  The pairs ``(i, j)`` must hold every bond of every
-    interior node, in either direction or in both."""
+    interior node (under jitter above about a third of ``h`` a momentum
+    row can reach a node whose center lies just beyond ``delta``).  The
+    pairs ``(i, j)`` must hold every bond of every interior node, in
+    either direction or in both."""
     near = cloud.center_distance_to_domain() <= cloud.delta * (1.0 + 1e-12)
     near[j[cloud.interior[i]]] = True
     near[i[cloud.interior[j]]] = True
     return near
 
 
-def _pairs_within(cloud: PointCloud) -> tuple[np.ndarray, np.ndarray]:
+def _pairs_within(cloud: PointCloud) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Directed pairs ``(i, j)`` with ``0 < |x_j - x_i| <= delta``, sorted,
-    for the nodes ``i`` of ``_dilatation_rule``.
+    for the nodes ``i`` of ``_dilatation_rule``, and the rule's node mask.
 
     A cell list (the linked-cell method): the nodes are binned into square
     cells of width ``delta * (1 + 1e-9)``, so a pair within the radius
@@ -272,19 +269,19 @@ def _pairs_within(cloud: PointCloud) -> tuple[np.ndarray, np.ndarray]:
     i, j = by_cell[np.concatenate(found_a)], by_cell[np.concatenate(found_b)]
     kept = _dilatation_rule(cloud, i, j)
     key = np.sort(np.concatenate([(i * n + j)[kept[i]], (j * n + i)[kept[j]]]))
-    return np.divmod(key, n)
+    return *np.divmod(key, n), kept
 
 
 def build_neighborhoods(cloud: PointCloud) -> Neighborhoods:
     """Find the pairs within the horizon of every node of
-    ``dilatation_nodes`` using a cell list; every other row is empty.
+    ``_dilatation_rule`` using a cell list; every other row is empty.
 
     The radius test is inclusive and coincident nodes (zero distance)
     are excluded along with the node itself.
     """
     pos = cloud.positions
     n = pos.shape[0]
-    i_arr, j_arr = _pairs_within(cloud)
+    i_arr, j_arr, kept = _pairs_within(cloud)
 
     counts = np.bincount(i_arr, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
@@ -295,23 +292,12 @@ def build_neighborhoods(cloud: PointCloud) -> Neighborhoods:
     return Neighborhoods(
         indptr=indptr,
         indices=j_arr,
+        row_index=i_arr,
         offsets=offsets,
         distances=distances,
+        kept=kept,
         delta=cloud.delta,
     )
-
-
-def dilatation_nodes(cloud: PointCloud, nbrs: Neighborhoods) -> np.ndarray:
-    """Nodes that carry a dilatation: those within one horizon of the square.
-
-    That is every node whose unperturbed center lies within ``delta`` of
-    the unit square, plus every neighbor of an interior node: under
-    jitter above about a third of ``h`` a momentum row can reach a node
-    whose center lies just beyond ``delta``.  These are the nodes whose
-    rows ``build_neighborhoods`` keeps; a kept node may still have an
-    empty row when no other node lies within its horizon.
-    """
-    return _dilatation_rule(cloud, nbrs.row_index, nbrs.indices)
 
 
 def uniformity_metrics(cloud: PointCloud, refine: int = 4) -> tuple[float, float]:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureError
-from .pointcloud import Neighborhoods, PointCloud, dilatation_nodes
+from .pointcloud import Neighborhoods, PointCloud
 
 __all__ = [
     "weighted_volume",
@@ -333,7 +333,7 @@ def compute_family(
     """Solve the per-node weight problems for every node that needs them.
 
     Weights are consumed by momentum rows, dilatation rows and damage
-    sums, all of which live on the nodes of ``dilatation_nodes``; those
+    sums, all of which live on the nodes of ``nbrs.kept``; those
     nodes have full balls by the collar construction, so the full-ball
     constraints are consistent there.  Outer collar nodes are skipped
     (their truncated balls cannot match full-ball moments and none of
@@ -354,7 +354,7 @@ def compute_family(
     Parameters
     ----------
     needed : (N,) bool array, optional
-        Override the default node set, ``dilatation_nodes``.
+        Override the default node set, ``nbrs.kept``.
 
     Raises
     ------
@@ -363,7 +363,7 @@ def compute_family(
         exceeds ``RESIDUAL_TOL``.
     """
     if needed is None:
-        needed = dilatation_nodes(cloud, nbrs)
+        needed = nbrs.kept
 
     basis = exact_ball_moments(cloud.delta, include_dilatation=include_dilatation)
     funcs, row_of, solve = _solve_set(basis)

@@ -3,20 +3,20 @@
 The block systems are nonsymmetric and moderately conditioned (the
 near-incompressible cases push the dilatation coupling hard).  They are
 solved by a multifrontal LU over the discretization's nested-dissection
-tree (``model.front_tree``: the node order, its parts, and the pairs
-whose blocks may hold an entry).  One symbolic pass goes from that tree
-straight to the plan the front loop reads.  Each part (a leaf or a
-separator) is one dense front over its own nodes (the pivots) and the
-later nodes that its pairs and its children's updates reach (its
-boundary).  A node's unknowns sit together in every front, so whole
-bond blocks are scattered in, and a child's update is added run by run,
-where a run is a stretch of its boundary that lies consecutive in the
-parent's front.  The pass depends on the geometry alone: the first
-solve on a tree makes it and keeps it there (``FrontTree.plans``), once
-per set of unknowns, so every later solve, for any material, only moves
-numbers.  The pivot block is factored by LAPACK with partial pivoting
-inside it, and the Schur complement of the boundary is added into the
-parent's front.  The system has one right-hand side, so it rides as one
+tree (``model.front_tree``: the node order, its parts, the pairs whose
+blocks may hold an entry and the layout of the unknowns).  One symbolic
+pass goes from that tree straight to the plan the front loop reads.
+Each part (a leaf or a separator) is one dense front over its own nodes
+(the pivots) and the later nodes that its pairs and its children's
+updates reach (its boundary).  A node's unknowns sit together in every
+front, so whole bond blocks are scattered in, and a child's update is
+added run by run, where a run is a stretch of its boundary that lies
+consecutive in the parent's front.  The pass depends on the geometry
+alone: the first solve on a tree makes it and keeps it there
+(``FrontTree.plans``), once per number of unknown kinds solved for, so
+every later solve, for any material, only moves numbers.  The pivot
+block is factored by LAPACK with partial pivoting inside it, and the
+Schur complement of the boundary is added into the parent's front.  The system has one right-hand side, so it rides as one
 more column of each front: the forward substitution runs during the
 factorization and each front keeps only ``[X | w] = F11^-1 [F12 | y_p]``
 for the back substitution.
@@ -47,7 +47,7 @@ from scipy.linalg.blas import dgemm, dgemv
 from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import SolveError
-from .model import BlockSystem, FrontTree
+from .model import BlockSystem
 
 __all__ = ["SolveReport", "solve", "rms_norm"]
 
@@ -78,7 +78,7 @@ def solve(system: BlockSystem) -> SolveReport:
         tree, a singular pivot block, or a residual above the certificate
         threshold after one refinement step.
     """
-    slots = system.slot_index
+    slots = system.fronts.slots
     has = slots >= 0
     empty = has & ~(system.diag != 0.0).any(axis=2)
     if empty.any():
@@ -98,7 +98,7 @@ def solve(system: BlockSystem) -> SolveReport:
 
     def solve_for(b):
         x = np.zeros_like(b)
-        x[unknowns], lu_nnz = _multifrontal(system, has[:, :kinds], b[unknowns])
+        x[unknowns], lu_nnz = _multifrontal(system, kinds, b[unknowns])
         if not coupled:
             x[theta] = b[theta] - system.theta_rows(x)
         return x, lu_nnz
@@ -128,8 +128,8 @@ def _norm(v: np.ndarray) -> float:
 
 @dataclass
 class _Plan:
-    """The symbolic pass over a front tree for the unknowns ``solved``
-    marks, as the front loop reads it.
+    """The symbolic pass over a front tree for the first ``kinds`` of each
+    node's unknowns, as the front loop reads it.
 
     ``fronts`` lists, for every front with entries: its part ``k``; its
     ``m``, ``p`` and ``nb`` unknowns (all, pivots, boundary); its pivots'
@@ -142,16 +142,15 @@ class _Plan:
     front's pivot rows, and the first of those rows.
     """
 
-    solved: np.ndarray
     fronts: list
     lu_nnz: int
 
 
-def _plan(system: BlockSystem, solved: np.ndarray) -> _Plan:
+def _plan(system: BlockSystem, kinds: int) -> _Plan:
     """The symbolic pass of the multifrontal LU over the system's front
-    tree, for the unknowns ``solved`` marks: (N, kinds), the first
-    ``kinds`` of each node's (ux, uy, theta).  It reads the tree and the
-    neighbor lists only, so every material on the geometry shares it.
+    tree, for the first ``kinds`` of each node's (ux, uy, theta) that the
+    tree's ``slots`` hold.  It reads the tree and the neighbor lists only,
+    so every material on the geometry shares it.
 
     Raises
     ------
@@ -161,7 +160,7 @@ def _plan(system: BlockSystem, solved: np.ndarray) -> _Plan:
     """
     tree = system.fronts
     order, part_end, part_parent = tree.order, tree.part_end, tree.part_parent
-    kinds = solved.shape[1]
+    solved = tree.slots[:, :kinds] >= 0
     n, n_parts = order.size, part_end.size
     part_start = np.r_[0, part_end[:-1]]
     n_piv = part_end - part_start
@@ -311,23 +310,22 @@ def _plan(system: BlockSystem, solved: np.ndarray) -> _Plan:
         for k, (m_k, p_k, nb_k, d0, d1, q0, q1, y0, a0) in enumerate(zip(*(v.tolist() for v in ends)))
         if m_k
     ]
-    return _Plan(solved=solved.copy(), fronts=fronts, lu_nnz=int(np.sum(p * p + 2 * p * nb)))
+    return _Plan(fronts=fronts, lu_nnz=int(np.sum(p * p + 2 * p * nb)))
 
 
-def _multifrontal(system: BlockSystem, solved: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
-    """Solve over the system's front tree for the unknowns ``solved``
-    marks: (N, kinds), the first ``kinds`` of each node's (ux, uy, theta).
+def _multifrontal(system: BlockSystem, kinds: int, y: np.ndarray) -> tuple[np.ndarray, int]:
+    """Solve over the system's front tree for the first ``kinds`` of each
+    node's (ux, uy, theta).
 
     ``y`` is the right-hand side in elimination order: part by part, node
     by node, each node's unknowns together.  Returns the solution in that
-    order and the fronts' LU entry count.  The tree's plan for ``solved``
+    order and the fronts' LU entry count.  The tree's plan for ``kinds``
     is made on the first call and read by every later one.
     """
     tree = system.fronts
-    kinds = solved.shape[1]
     plan = tree.plans.get(kinds)
-    if plan is None or not np.array_equal(plan.solved, solved):
-        plan = tree.plans[kinds] = _plan(system, solved)
+    if plan is None:
+        plan = tree.plans[kinds] = _plan(system, kinds)
     diag = system.diag[tree.order, :kinds, :kinds]
     blocks = system.blocks[:, :kinds, :kinds]
 

@@ -3,8 +3,9 @@
 ``build_neighborhoods`` keeps the rows of the nodes that can carry a
 dilatation only.  The neighbor oracles find every pair by brute force,
 state that rule on their own, and build full-row neighborhoods for the
-tests that need the rows the search drops.  ``divergence_free_case`` is
-a manufactured field for the near-incompressible tests.
+tests that need the rows the search drops.  ``unknown_layout`` states
+the scalar layout of the unknowns node by node.  ``divergence_free_case``
+is a manufactured field for the near-incompressible tests.
 """
 
 import math
@@ -38,7 +39,7 @@ def dilatation_rule(cloud, i, j):
 
 
 def neighborhood_arrays(positions, i, j):
-    """The four arrays of ``Neighborhoods`` for the directed pairs (i, j),
+    """The pair arrays of ``Neighborhoods`` for the directed pairs (i, j),
     given sorted by (i, j), formed as ``build_neighborhoods`` forms them."""
     indptr = np.zeros(positions.shape[0] + 1, dtype=np.int64)
     np.cumsum(np.bincount(i, minlength=positions.shape[0]), out=indptr[1:])
@@ -46,6 +47,7 @@ def neighborhood_arrays(positions, i, j):
     return {
         "indptr": indptr,
         "indices": j,
+        "row_index": i,
         "offsets": offsets,
         "distances": np.hypot(offsets[:, 0], offsets[:, 1]),
     }
@@ -60,9 +62,33 @@ def kept_pairs(cloud):
 
 
 def full_neighborhoods(cloud):
-    """Every node's row, the outer collar's included, by brute force."""
+    """Every node's row, the outer collar's included, by brute force; the
+    rule's nodes are still the ones marked ``kept``."""
     i, j = brute_force_pairs(cloud.positions, cloud.delta).T
-    return Neighborhoods(**neighborhood_arrays(cloud.positions, i, j), delta=cloud.delta)
+    return Neighborhoods(
+        **neighborhood_arrays(cloud.positions, i, j),
+        kept=dilatation_rule(cloud, i, j),
+        delta=cloud.delta,
+    )
+
+
+def unknown_layout(disc):
+    """(N, 3) scalar unknown of each node's (ux, uy, theta), -1 where it has
+    none, counted node by node: a present interior node takes the next two
+    unknowns for (ux, uy); then each present node with weights takes the
+    next one for theta."""
+    present = disc.bonds.present
+    slots = np.full((disc.cloud.n_points, 3), -1)
+    k = 0
+    for i in range(disc.cloud.n_points):
+        if disc.cloud.interior[i] and present[i]:
+            slots[i, :2] = k, k + 1
+            k += 2
+    for i in range(disc.cloud.n_points):
+        if disc.family.computed[i] and present[i]:
+            slots[i, 2] = k
+            k += 1
+    return slots
 
 
 def divergence_free_trig(points, moduli, frequency=math.pi):

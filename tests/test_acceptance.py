@@ -317,7 +317,7 @@ def test_dilatation_correction_exactness():
         weights=weights,
         correction=corr_d,
         damage=damage_field(family, nbrs, weights),
-        fronts=front_tree(cloud, nbrs, damaged, weights),
+        fronts=front_tree(cloud, nbrs, family, damaged, weights),
     )
 
     mat = MaterialField(

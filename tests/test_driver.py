@@ -221,6 +221,8 @@ def test_reference_errors_lookup():
     table = reference_errors(RunConfig(case="inclusion", n=16, grid="uniform", nu2=0.49))
     assert table["64"] == 0.0226
     assert len(table) == 5
+    for nu in (None, 0.495):
+        assert reference_errors(RunConfig(case="smooth-nearinc", n=24, nu=nu))["24"] == 0.13057
 
 
 def test_reference_errors_empty_when_unmatched():
@@ -229,6 +231,8 @@ def test_reference_errors_empty_when_unmatched():
     assert reference_errors(RunConfig(case="inclusion", n=16, mu_ratio=2.0)) == {}
     assert reference_errors(RunConfig(case="inclusion", n=16, nu1=0.3)) == {}
     assert reference_errors(RunConfig(case="inclusion", n=16, k2=5.0)) == {}
+    # The smooth-nearinc table is published for nu = 0.495 only.
+    assert reference_errors(RunConfig(case="smooth-nearinc", n=24, nu=0.3)) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +394,29 @@ def test_cli_non_finite_input_exits_2(argv, tmp_path, capsys):
     reached the lattice or the solver; both are configuration errors."""
     assert main([*argv, "--n", "12", "--out", str(tmp_path)]) == 2
     assert "error [config]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["run", "--n", "16", "--case", "smooth", "--nu", "0.3"], ["--nu"]),
+        (["run", "--n", "16", "--case", "smooth", "--nu2", "0.49", "--k1", "5"], ["--nu2", "--k1"]),
+        (["run", "--n", "16", "--case", "smooth", "--mu-ratio", "4"], ["--mu-ratio"]),
+        (["run", "--n", "16", "--case", "patch", "--k2", "3"], ["--k2"]),
+        (["run", "--n", "16", "--case", "smooth-nearinc", "--nu1", "0.3"], ["--nu1"]),
+        (["run", "--n", "16", "--case", "hole", "--mu-ratio", "4"], ["--mu-ratio"]),
+        (["run", "--n", "16", "--case", "inclusion", "--nu", "0.3"], ["--nu"]),
+        (["converge", "--case", "smooth", "--n-list", "12,16", "--nu", "0.3"], ["--nu"]),
+    ],
+)
+def test_cli_material_flag_the_case_does_not_read_exits_2(argv, flags, tmp_path, capsys):
+    """A material flag the case never reads is a configuration error that
+    names it, raised before anything runs, not silently ignored."""
+    out = tmp_path / "d"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error [config]" in err and all(flag in err for flag in flags)
+    assert not out.exists()
 
 
 def test_cli_quadrature_failure_exits_3(tmp_path, capsys):

@@ -31,11 +31,14 @@ from perilps import (
     make_patch_case,
     make_smooth_case,
     moduli_from_K_nu,
+    solve,
     weighted_volume,
 )
 from perilps.driver import _build_case
 from perilps.errors import AssemblyError
 from perilps.model import C_ALPHA, C_BETA, DIM
+
+from oracles import kept_pairs, unknown_layout
 
 
 def _discretize(cloud, nbrs, family, bonds):
@@ -49,7 +52,7 @@ def _discretize(cloud, nbrs, family, bonds):
         weights=weights,
         correction=compute_moment_tensors(nbrs, family, weights),
         damage=damage_field(family, nbrs, weights),
-        fronts=front_tree(cloud, nbrs, bonds, weights),
+        fronts=front_tree(cloud, nbrs, family, bonds, weights),
     )
 
 
@@ -169,8 +172,10 @@ def _two_node_geometry(p0, p1):
     nbrs = Neighborhoods(
         indptr=np.array([0, 1, 2]),
         indices=np.array([1, 0]),
+        row_index=np.array([0, 1]),
         offsets=off,
         distances=np.hypot(off[:, 0], off[:, 1]),
+        kept=np.ones(2, dtype=bool),
         delta=100.0,
     )
     cloud = PointCloud(
@@ -415,7 +420,7 @@ def test_hole_geometry_skips_removed_nodes(seed, perturb, delta_factor, n):
     system = assemble_system(
         disc, MaterialField(lam=ones, mu=ones), dirichlet=zeros, forcing=zeros
     )
-    np.testing.assert_array_equal(system.theta_index >= 0, disc.family.computed)
+    np.testing.assert_array_equal(system.fronts.slots[:, 2] >= 0, disc.family.computed)
 
 
 @given(
@@ -433,6 +438,39 @@ def test_hole_damage_is_a_share(seed, perturb, delta_factor, n):
     disc = build_discretization(config, Disk(center=(0.5, 0.5), radius=0.2))
     damage = disc.damage[disc.bonds.present & disc.family.computed]
     assert np.all((damage >= 0.0) & (damage <= 1.0))
+
+
+@given(
+    case=st.sampled_from(["hole", "inclusion", "smooth"]),
+    n=st.integers(12, 20),
+    seed=st.integers(0, 2**32 - 1),
+    perturb=st.floats(0.0, 0.45, exclude_max=True),
+    delta_factor=st.floats(3.0, 4.5),
+)
+# At this jitter the rule keeps two nodes whose centers lie beyond delta.
+@example(case="hole", n=16, seed=3, perturb=0.45 - 1e-9, delta_factor=3.5)
+def test_geometry_decides_each_fact_once(case, n, seed, perturb, delta_factor):
+    """The geometry step's kept mask and row index are the brute-force
+    search's bit for bit, its front tree's layout is the one stated node
+    by node, and every material assembled on it reads that one tree:
+    lam = mu and lam != mu, whose solves make both of the tree's plans."""
+    config = RunConfig(case=case, n=n, seed=seed, perturb=perturb, delta_factor=delta_factor)
+    disc = build_discretization(config, _build_case(config)[1])
+    i, j, keep = kept_pairs(disc.cloud)
+    for name, want in (("kept", keep), ("row_index", i), ("indices", j)):
+        np.testing.assert_array_equal(getattr(disc.nbrs, name), want, err_msg=name, strict=True)
+    slots = disc.fronts.slots
+    np.testing.assert_array_equal(slots, unknown_layout(disc), strict=True)
+
+    pos = disc.cloud.positions
+    u = np.column_stack([np.sin(3.0 * pos[:, 0]), np.cos(2.0 * pos[:, 1])])
+    for lam in (1.0, 4.0):
+        mat = MaterialField(lam=np.full(len(pos), lam), mu=np.ones(len(pos)))
+        system = assemble_system(disc, mat, dirichlet=u, forcing=np.zeros_like(u))
+        assert system.fronts is disc.fronts and system.n_unknowns == (slots >= 0).sum()
+        fields = system.extract(solve(system).x)
+        np.testing.assert_array_equal(np.isnan(fields), slots < 0)
+    assert sorted(disc.fronts.plans) == [2, 3]
 
 
 def _case_discretization(case, nu, nu1, n, seed, perturb, delta_factor):
@@ -508,26 +546,24 @@ def _check_assembly_matches_matrix_free(analytic_case, disc, mat, lam_equals_mu)
     system = assemble_system(disc, mat, dirichlet=w, forcing=f)
     mom, theta = apply_operator(disc, mat, w)
 
+    slots = system.fronts.slots
+    np.testing.assert_array_equal(slots, unknown_layout(disc))
+    has = slots >= 0
     x = np.zeros(system.n_unknowns)
-    has_u = system.u_index >= 0
-    x[2 * system.u_index[has_u]] = w[has_u, 0]
-    x[2 * system.u_index[has_u] + 1] = w[has_u, 1]
-    has_t = system.theta_index >= 0
-    x[2 * system.n_u_points + system.theta_index[has_t]] = theta[has_t]
+    x[slots[has]] = np.column_stack((w, theta))[has]
 
     residual = system.matrix @ x - system.rhs
     expected = np.zeros_like(residual)
-    ids = np.nonzero(has_u)[0]
-    expected[2 * system.u_index[ids]] = mom[ids, 0] - f[ids, 0]
-    expected[2 * system.u_index[ids] + 1] = mom[ids, 1] - f[ids, 1]
+    ids = np.nonzero(has[:, 0])[0]
+    expected[slots[ids, :2]] = mom[ids] - f[ids]
     # Each momentum row sums bond terms of size lam or mu times |w|.
     scale = max(1.0, float(np.abs(mat.lam).max() + np.abs(mat.mu).max()))
     assert np.abs(residual - expected).max() < 1e-11 * scale
-    coupled = np.abs(system.matrix[: 2 * system.n_u_points, 2 * system.n_u_points :]).sum()
+    n_u = 2 * ids.size
+    coupled = np.abs(system.matrix[:n_u, n_u:]).sum()
     assert (coupled == 0.0) == lam_equals_mu
     # The blocks hold nothing in the rows and columns of unknowns a node
     # does not carry.
-    slots = system.slot_index
     absent = (slots[system.row_index][:, :, None] < 0) | (slots[system.indices][:, None, :] < 0)
     assert not system.blocks[absent].any()
     assert not system.diag[(slots[:, :, None] < 0) | (slots[:, None, :] < 0)].any()
@@ -581,22 +617,17 @@ def test_block_system_roundtrip(perturbed12):
     mat = MaterialField.from_case(case, cloud)
     u = case.displacement(cloud.positions)
     system = assemble_system(disc, mat, dirichlet=u, forcing=case.forcing(cloud.positions))
-    assert system.n_unknowns == 2 * system.n_u_points + system.n_theta
-    assert system.n_u_points == cloud.n_interior
+    slots = unknown_layout(disc)
+    np.testing.assert_array_equal(system.fronts.slots, slots)
+    assert system.n_unknowns == (slots >= 0).sum() == 2 * cloud.n_interior + family.computed.sum()
     # The bonds are the neighbor lists' own arrays, not copies.
     assert system.row_index is nbrs.row_index and system.indices is nbrs.indices
 
     x = np.arange(system.n_unknowns, dtype=float)
-    back = system.extract_u(x)
-    has_u = system.u_index >= 0
-    np.testing.assert_array_equal(back[has_u, 0], x[2 * system.u_index[has_u]])
-    assert np.isnan(back[~has_u]).all()
-    th = system.extract_theta(x)
-    has_t = system.theta_index >= 0
-    np.testing.assert_array_equal(
-        th[has_t], x[2 * system.n_u_points + system.theta_index[has_t]]
-    )
-    assert np.isnan(th[~has_t]).all()
+    back = system.extract(x)
+    has = slots >= 0
+    np.testing.assert_array_equal(back[has], x[slots[has]])
+    assert np.isnan(back[~has]).all()
 
 
 def test_assembly_rejects_missing_weights(perturbed12):

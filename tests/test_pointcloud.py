@@ -15,8 +15,6 @@ from perilps import (
     hole_removal_mask,
     uniformity_metrics,
 )
-from perilps.pointcloud import dilatation_nodes
-
 from oracles import dilatation_rule, kept_pairs, neighborhood_arrays
 
 
@@ -114,11 +112,11 @@ def test_hole_flags_strict_interior_centers():
 
 
 def _assert_kept_rows_match_brute_force(cloud, nbrs):
-    """Every kept row equals brute force bit for bit, the kept rows are
-    the rule's nodes and every other row is empty."""
+    """Every kept row, and each bond's row index, equals brute force bit
+    for bit, the kept rows are the rule's nodes and every other row is
+    empty."""
     i, j, keep = kept_pairs(cloud)
-    _assert_neighborhoods_equal(nbrs, neighborhood_arrays(cloud.positions, i, j))
-    np.testing.assert_array_equal(dilatation_nodes(cloud, nbrs), keep)
+    _assert_neighborhoods_equal(nbrs, {**neighborhood_arrays(cloud.positions, i, j), "kept": keep})
 
 
 def test_neighborhoods_match_brute_force():
@@ -127,7 +125,7 @@ def test_neighborhoods_match_brute_force():
     _assert_kept_rows_match_brute_force(cloud, nbrs)
     # At this horizon every kept node has neighbors: the nonempty rows
     # are the rule's nodes, and they leave out the outer collar.
-    keep = dilatation_nodes(cloud, nbrs)
+    keep = nbrs.kept
     np.testing.assert_array_equal(np.diff(nbrs.indptr) > 0, keep)
     assert 0 < keep.sum() < cloud.n_points
 
@@ -206,8 +204,8 @@ def test_neighborhoods_match_kdtree_at_n64(perturb):
     i, j = i[perm], j[perm]
     keep = dilatation_rule(cloud, i, j)
     nbrs = build_neighborhoods(cloud)
-    _assert_neighborhoods_equal(nbrs, neighborhood_arrays(pos, i[keep[i]], j[keep[i]]))
-    np.testing.assert_array_equal(dilatation_nodes(cloud, nbrs), keep)
+    expected = neighborhood_arrays(pos, i[keep[i]], j[keep[i]])
+    _assert_neighborhoods_equal(nbrs, {**expected, "kept": keep})
 
 
 def test_neighborhoods_are_symmetric():
@@ -215,7 +213,7 @@ def test_neighborhoods_are_symmetric():
     to a dropped one is in the kept row only."""
     cloud = generate_perturbed_lattice(9, seed=6)
     nbrs = build_neighborhoods(cloud)
-    keep = dilatation_nodes(cloud, nbrs)
+    keep = nbrs.kept
     pairs = set(zip(nbrs.row_index.tolist(), nbrs.indices.tolist()))
     assert all(keep[i] for i, _ in pairs)
     assert all(((j, i) in pairs) == keep[j] for i, j in pairs)

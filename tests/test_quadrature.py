@@ -26,7 +26,6 @@ from perilps import (
 from perilps import quadrature
 from perilps.driver import RunConfig, run_case
 from perilps.errors import EXIT_QUADRATURE
-from perilps.pointcloud import dilatation_nodes
 from perilps.quadrature import RESIDUAL_TOL, ball_monomial_moment
 
 from oracles import full_neighborhoods, neighborhood_arrays
@@ -238,6 +237,7 @@ def test_scaling_covariance():
     # lattice metadata on the unit square, so the search would keep other rows.
     nbrs2 = Neighborhoods(
         **neighborhood_arrays(scaled.positions, nbrs.row_index, nbrs.indices),
+        kept=nbrs.kept,
         delta=scaled.delta,
     )
     family2 = compute_family(
@@ -310,8 +310,10 @@ def test_empty_neighborhood_raises():
     stripped = Neighborhoods(
         indptr=np.concatenate([[0], np.cumsum(counts)]),
         indices=nbrs.indices[keep],
+        row_index=nbrs.row_index[keep],
         offsets=nbrs.offsets[keep],
         distances=nbrs.distances[keep],
+        kept=nbrs.kept,
         delta=nbrs.delta,
     )
     needed = np.zeros(cloud.n_points, dtype=bool)
@@ -325,8 +327,7 @@ def test_kept_node_without_neighbors_raises():
     its horizon: the quadrature names it with the typed error (exit 3)."""
     cloud = generate_perturbed_lattice(8, delta_factor=1.0, seed=1)
     nbrs = build_neighborhoods(cloud)
-    kept = dilatation_nodes(cloud, nbrs)
-    lonely = np.nonzero(kept & (np.diff(nbrs.indptr) == 0))[0]
+    lonely = np.nonzero(nbrs.kept & (np.diff(nbrs.indptr) == 0))[0]
     assert lonely.size and not cloud.interior[lonely].any()
     with pytest.raises(QuadratureError, match=f"node {lonely[0]} has an empty neighborhood") as exc:
         compute_family(cloud, nbrs)
@@ -370,7 +371,7 @@ def test_batched_weights_match_per_node_lstsq(
     )
     nbrs = build_neighborhoods(cloud)
     basis = exact_ball_moments(cloud.delta, include_dilatation)
-    needed = dilatation_nodes(cloud, nbrs)
+    needed = nbrs.kept
     reference = {}
     for i in np.nonzero(needed)[0]:
         sl = nbrs.pair_slice(i)
@@ -400,7 +401,7 @@ def test_weights_do_not_depend_on_block_members(seed, perturb, delta_factor, n):
         n, delta_factor=delta_factor, perturb_frac=perturb, seed=seed
     )
     nbrs = build_neighborhoods(cloud)
-    needed = dilatation_nodes(cloud, nbrs)
+    needed = nbrs.kept
     kept = needed & ~hole_removal_mask(cloud, Disk((0.5, 0.5), 0.2))
     full = compute_family(cloud, nbrs, needed=needed)
     part = compute_family(cloud, nbrs, needed=kept)
@@ -421,7 +422,7 @@ def test_weights_do_not_depend_on_lane_count(seed, perturb, delta_factor, n, emp
         n, delta_factor=delta_factor, perturb_frac=perturb, seed=seed
     )
     nbrs = build_neighborhoods(cloud)
-    needed = dilatation_nodes(cloud, nbrs) & (not empty)
+    needed = nbrs.kept & (not empty)
     outcomes = []
     for lanes in (1, 3):
         with pytest.MonkeyPatch.context() as mp:

@@ -43,7 +43,8 @@ def test_rms_norm_scalar_field():
 
 def _toy_system(dense, u_index, theta_index, part_end=None, part_parent=None):
     """A hand-built system over the scalar unknowns of ``dense``, in the
-    ``BlockSystem`` layout of ``u_index`` and ``theta_index``; by default
+    ``FrontTree.slots`` layout of the nodes' displacement and dilatation
+    numbers ``u_index`` and ``theta_index`` (-1 where absent); by default
     one part holds every node.  Every two nodes are neighbors, and a
     pair whose block holds an entry of ``dense`` couples them."""
     u_index, theta_index = np.asarray(u_index), np.asarray(theta_index)
@@ -65,6 +66,7 @@ def _toy_system(dense, u_index, theta_index, part_end=None, part_parent=None):
         part_end=np.array([n] if part_end is None else part_end),
         part_parent=np.array([-1] if part_parent is None else part_parent),
         pairs=np.flatnonzero(blocks.any(axis=(1, 2))),
+        slots=slots,
     )
     return BlockSystem(
         row_index=rows,
@@ -72,10 +74,6 @@ def _toy_system(dense, u_index, theta_index, part_end=None, part_parent=None):
         blocks=blocks,
         diag=np.array([block(i, i) for i in range(n)]),
         rhs=np.ones(dense.shape[0]),
-        u_index=u_index,
-        theta_index=theta_index,
-        n_u_points=n_u,
-        n_theta=int((theta_index >= 0).sum()),
         fronts=fronts,
     )
 
@@ -151,7 +149,7 @@ def test_patch_system_reproduces_quadratic_displacement(patch_system):
     """Collar data from the quadratic field drives the interior solution
     back to that same field to round-off."""
     cloud, system, u_true = patch_system
-    u = system.extract_u(solve(system).x)
+    u = system.extract(solve(system).x)[:, :2]
     interior = cloud.interior
     assert np.abs(u[interior] - u_true[interior]).max() < 1e-12
 
@@ -176,9 +174,9 @@ def _factored_sizes(monkeypatch):
     sizes = []
     factor = solver._multifrontal
 
-    def spy(system, solved, y):
+    def spy(system, kinds, y):
         sizes.append(y.size)
-        return factor(system, solved, y)
+        return factor(system, kinds, y)
 
     monkeypatch.setattr(solver, "_multifrontal", spy)
     return sizes
@@ -195,8 +193,9 @@ PIVOT_CORNER = dict(case="hole", nu=0.495, n=24, seed=2, perturb=0.45, delta_fac
 POISSON = [0.25, 0.3, 0.45, 0.495, 0.4999]
 
 
-def _check_plan(system, plan):
-    """The plan's fronts against the tree they expand.
+def _check_plan(system, kinds, plan):
+    """The plan's fronts for the first ``kinds`` of each node's unknowns
+    against the tree they expand.
 
     The fronts' pivots tile the unknowns in elimination order, and each
     front lists its pivots, then later unknowns only.  Every entry of its
@@ -205,8 +204,8 @@ def _check_plan(system, plan):
     not carry one.  A child's update lands on the same unknowns in this
     front.  The fronts take every pair of the tree once, and no other
     pair's block holds an entry."""
-    tree, solved = system.fronts, plan.solved
-    kinds = solved.shape[1]
+    tree = system.fronts
+    solved = tree.slots[:, :kinds] >= 0
     # The elimination index of each node's unknowns, -1 where absent.
     elim = np.full(solved.shape, -1)
     ordered = solved[tree.order]
@@ -300,8 +299,9 @@ def test_dissection_solve_matches_default_lu(case, nu, nu1, n, seed, perturb, de
         assert not np.any((side[i] == 1) & (side[j] == 2))
 
     report = solve(system)
-    for plan in tree.plans.values():
-        _check_plan(system, plan)
+    assert system.fronts is tree and tree.plans
+    for kinds, plan in tree.plans.items():
+        _check_plan(system, kinds, plan)
     reference = spla.splu(system.matrix.tocsc()).solve(system.rhs)
     assert np.linalg.norm(report.x - reference) <= 1e-10 * np.linalg.norm(reference)
     assert report.residual <= RESIDUAL_CERT
@@ -314,7 +314,7 @@ def test_uncoupled_system_factors_the_displacement_block_alone(monkeypatch):
     2 n_u displacement unknowns are factored, and the dilatations then
     satisfy their own rows to round-off."""
     _, system = _case_system(RunConfig(case="smooth", n=24))
-    n_u = 2 * system.n_u_points
+    n_u = int((system.fronts.slots[:, :2] >= 0).sum())
     assert system.matrix[:n_u, n_u:].nnz == 0
     sizes = _factored_sizes(monkeypatch)
     report = solve(system)
@@ -325,7 +325,7 @@ def test_uncoupled_system_factors_the_displacement_block_alone(monkeypatch):
 
 def test_coupled_system_factors_all_unknowns(monkeypatch):
     _, system = _case_system(RunConfig(case="hole", n=24, nu=0.495))
-    n_u = 2 * system.n_u_points
+    n_u = int((system.fronts.slots[:, :2] >= 0).sum())
     assert system.matrix[:n_u, n_u:].nnz > 0
     sizes = _factored_sizes(monkeypatch)
     report = solve(system)
