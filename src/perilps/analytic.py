@@ -29,6 +29,10 @@ __all__ = [
     "inclusion_coefficients",
     "inclusion_displacement",
     "AnalyticCase",
+    "make_patch_case",
+    "make_smooth_case",
+    "make_hole_case",
+    "make_inclusion_case",
 ]
 
 
@@ -233,11 +237,9 @@ def inclusion_displacement(points: np.ndarray, params: InclusionParams) -> np.nd
 class AnalyticCase:
     """A benchmark bundle: displacement, forcing and material fields."""
 
-    tag: str
     displacement: Callable[[np.ndarray], np.ndarray]
     forcing: Callable[[np.ndarray], np.ndarray]
     lame_fields: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-    params: object = None
 
 
 def _homogeneous_fields(moduli: ElasticModuli):
@@ -254,33 +256,25 @@ def _zero_forcing(points: np.ndarray) -> np.ndarray:
 
 def make_patch_case() -> AnalyticCase:
     return AnalyticCase(
-        tag="patch",
         displacement=lambda p: manufactured_poly(p)[0],
         forcing=lambda p: manufactured_poly(p)[1],
         lame_fields=_homogeneous_fields(PATCH_MODULI),
-        params=PATCH_MODULI,
     )
 
 
-def make_smooth_case(
-    moduli: ElasticModuli, tag: str = "smooth", frequency: float = 1.0
-) -> AnalyticCase:
+def make_smooth_case(moduli: ElasticModuli, frequency: float = 1.0) -> AnalyticCase:
     return AnalyticCase(
-        tag=tag,
         displacement=lambda p: manufactured_trig(p, moduli, frequency)[0],
         forcing=lambda p: manufactured_trig(p, moduli, frequency)[1],
         lame_fields=_homogeneous_fields(moduli),
-        params=moduli,
     )
 
 
 def make_hole_case(params: HoleParams) -> AnalyticCase:
     return AnalyticCase(
-        tag="hole",
         displacement=lambda p: hole_displacement(p, params, clamp_radius=True),
         forcing=_zero_forcing,
         lame_fields=_homogeneous_fields(params.moduli),
-        params=params,
     )
 
 
@@ -295,9 +289,7 @@ def make_inclusion_case(params: InclusionParams) -> AnalyticCase:
         return lam, mu
 
     return AnalyticCase(
-        tag="inclusion",
         displacement=lambda p: inclusion_displacement(p, params),
         forcing=_zero_forcing,
         lame_fields=fields,
-        params=params,
     )

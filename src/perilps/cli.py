@@ -26,9 +26,11 @@ from pathlib import Path
 import numpy as np
 
 from . import driver
-from .errors import EXIT_OK, ConfigError, PerilpsError
+from .errors import EXIT_OK, PerilpsError
 from .pointcloud import build_neighborhoods, generate_perturbed_lattice
 from .quadrature import compute_family
+
+__all__ = ["build_parser", "main"]
 
 
 def _int_list(text: str) -> list[int]:
@@ -60,16 +62,6 @@ def _add_geometry(p: argparse.ArgumentParser) -> None:
                    help="directory the artifacts are written to")
 
 
-#: The material flags each case reads, as ``RunConfig`` fields.
-_MATERIAL = {
-    "patch": (),
-    "smooth": (),
-    "smooth-nearinc": ("nu",),
-    "hole": ("nu",),
-    "inclusion": ("k1", "k2", "nu1", "nu2", "mu_ratio"),
-}
-
-
 def _add_material(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nu", type=float,
                    help="Poisson ratio of smooth-nearinc (default 0.495) and hole (default 0.25)")
@@ -84,15 +76,9 @@ def _add_material(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from(args: argparse.Namespace, case: str, n: int) -> driver.RunConfig:
-    """A config from the flags given, the others at their defaults; a
-    material flag that ``case`` does not read is a ``ConfigError``."""
+    """A config from the flags given, the others at their defaults."""
     names = {f.name for f in dataclasses.fields(driver.RunConfig)} - {"case", "n"}
     flags = {k: v for k, v in vars(args).items() if k in names and v is not None}
-    material = set().union(*_MATERIAL.values())
-    unread = [k for k in flags if k in material and k not in _MATERIAL[case]]
-    if unread:
-        given = ", ".join("--" + k.replace("_", "-") for k in unread)
-        raise ConfigError(f"case {case!r} does not read {given}")
     return driver.RunConfig(case=case, n=n, **flags)
 
 

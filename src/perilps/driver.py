@@ -56,7 +56,17 @@ __all__ = [
     "reference_errors",
 ]
 
-CASES = ("patch", "smooth", "smooth-nearinc", "hole", "inclusion")
+#: The material fields each case reads, with their defaults; a
+#: ``RunConfig`` that sets any other material field is rejected.
+_MATERIAL = {
+    "patch": {},
+    "smooth": {},
+    "smooth-nearinc": {"nu": 0.495},
+    "hole": {"nu": 0.25},
+    "inclusion": {"k1": 2.0, "k2": 1.0, "nu1": 0.25, "nu2": 0.25, "mu_ratio": None},
+}
+
+CASES = tuple(_MATERIAL)
 
 GRIDS = ("perturbed", "uniform")
 
@@ -97,16 +107,24 @@ class RunConfig:
     grid: str = "perturbed"
     seed: int = 7
     nu: float | None = None
-    nu1: float = 0.25
-    nu2: float = 0.25
-    k1: float = 2.0
-    k2: float = 1.0
+    nu1: float | None = None
+    nu2: float | None = None
+    k1: float | None = None
+    k2: float | None = None
     mu_ratio: float | None = None
     strict_vh: bool = False
 
     def __post_init__(self):
         if self.case not in CASES:
             raise ConfigError(f"unknown case {self.case!r}; choose from {CASES}")
+        unread = [
+            k
+            for k in ("nu", "nu1", "nu2", "k1", "k2", "mu_ratio")
+            if getattr(self, k) is not None and k not in _MATERIAL[self.case]
+        ]
+        if unread:
+            given = ", ".join(f"{k} (--{k.replace('_', '-')})" for k in unread)
+            raise ConfigError(f"case {self.case!r} does not read {given}")
         if self.grid not in GRIDS:
             raise ConfigError(f"unknown grid {self.grid!r}; choose from {GRIDS}")
         if self.n <= 0:
@@ -115,6 +133,11 @@ class RunConfig:
     @property
     def effective_perturb(self) -> float:
         return 0.0 if self.grid == "uniform" else self.perturb
+
+    def material(self, name: str) -> float | None:
+        """Material field ``name``, or its case's default when unset."""
+        value = getattr(self, name)
+        return _MATERIAL[self.case][name] if value is None else value
 
 
 @dataclass
@@ -156,8 +179,8 @@ def _inclusion_params(config: RunConfig) -> InclusionParams:
         inner = analytic.moduli_from_K_nu(2.0, 0.25)
         outer = analytic.moduli_from_K_nu(2.0 * config.mu_ratio, 0.25)
     else:
-        inner = analytic.moduli_from_K_nu(config.k1, config.nu1)
-        outer = analytic.moduli_from_K_nu(config.k2, config.nu2)
+        inner = analytic.moduli_from_K_nu(config.material("k1"), config.material("nu1"))
+        outer = analytic.moduli_from_K_nu(config.material("k2"), config.material("nu2"))
     return InclusionParams(inner=inner, outer=outer)
 
 
@@ -170,15 +193,10 @@ def _build_case(config: RunConfig) -> tuple[AnalyticCase, Disk | None]:
         case = analytic.make_smooth_case(moduli, frequency=math.pi)
         return case, None
     if config.case == "smooth-nearinc":
-        nu = config.nu if config.nu is not None else 0.495
-        moduli = analytic.moduli_from_E_nu(1.0, nu)
-        case = analytic.make_smooth_case(
-            moduli, tag="smooth-nearinc", frequency=math.pi
-        )
-        return case, None
+        moduli = analytic.moduli_from_E_nu(1.0, config.material("nu"))
+        return analytic.make_smooth_case(moduli, frequency=math.pi), None
     if config.case == "hole":
-        nu = config.nu if config.nu is not None else 0.25
-        params = HoleParams(moduli=analytic.moduli_from_E_nu(1.0, nu))
+        params = HoleParams(moduli=analytic.moduli_from_E_nu(1.0, config.material("nu")))
         disk = Disk(center=params.center, radius=params.radius)
         return analytic.make_hole_case(params), disk
     if config.case == "inclusion":
@@ -191,14 +209,15 @@ def reference_errors(config: RunConfig) -> dict[str, float]:
     key = None
     if config.case == "inclusion":
         # The published tables are for k1 = 2 inside and k2 = 1 outside.
-        published = config.mu_ratio is None and (config.k1, config.k2) == (2.0, 1.0)
-        if published and abs(config.nu1 - 0.25) < 1e-12:
-            for nu2 in (0.25, 0.49):
-                if abs(config.nu2 - nu2) < 1e-12:
-                    key = ("inclusion", (config.grid, nu2))
+        k1, k2, nu1, nu2 = (config.material(k) for k in ("k1", "k2", "nu1", "nu2"))
+        published = config.mu_ratio is None and (k1, k2) == (2.0, 1.0)
+        if published and abs(nu1 - 0.25) < 1e-12:
+            for table_nu2 in (0.25, 0.49):
+                if abs(nu2 - table_nu2) < 1e-12:
+                    key = ("inclusion", (config.grid, table_nu2))
     elif config.case in ("patch", "smooth", "smooth-nearinc"):
         # The smooth-nearinc table is published for nu = 0.495 only.
-        published = config.case != "smooth-nearinc" or config.nu in (None, 0.495)
+        published = config.case != "smooth-nearinc" or config.material("nu") == 0.495
         if published and config.grid == "perturbed":
             key = (config.case, None)
     table = _REFERENCE_ERRORS.get(key, {})

@@ -5,6 +5,19 @@ tell a bad configuration apart from, say, a singular linear system.  The CLI
 maps each class to a distinct exit code.
 """
 
+__all__ = [
+    "EXIT_OK",
+    "EXIT_CONFIG",
+    "EXIT_QUADRATURE",
+    "EXIT_ASSEMBLY",
+    "EXIT_SOLVE",
+    "PerilpsError",
+    "ConfigError",
+    "QuadratureError",
+    "AssemblyError",
+    "SolveError",
+]
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_QUADRATURE = 3

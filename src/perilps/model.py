@@ -67,6 +67,7 @@ __all__ = [
     "FrontTree",
     "front_tree",
     "break_bonds_crossing_circle",
+    "hole_removal_mask",
     "damage_field",
     "dissection_order",
     "compute_moment_tensors",

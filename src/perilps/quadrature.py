@@ -8,20 +8,23 @@ induce through the kernel, and the dilatation integrands.  Among all
 weight vectors satisfying those constraints, the minimum Euclidean norm
 solution is selected.
 
-The 36 constraint rows hold 22 distinct functions, three of which are
-sums of others, so 19 rows (15 without dilatation) span the same row
-space and give the same least-norm solution.  Those rows are solved
-for blocks of nodes at once, through a zero-padded batched Gram system
-on bond vectors scaled by the horizon.  The blocks are dealt round-robin
-into one lane per CPU the process may use; lane 0 runs in the calling
-thread and the others on threads that live only for the call, each
-block writing only its own nodes' entries.  numpy releases the GIL in
-the batched products and solves, so the lanes run side by side.  Every
-node is certified against the full constraint set; the nodes whose
-batched weights fail that certificate are gathered from all lanes and
-solved again, lowest node first, by a rank-truncated least squares
-solve (``least_norm_weights``) and counted in
-``QuadratureFamily.fallback``.
+``ConstraintBasis`` holds each function of the family once, with the
+function of each of its 36 constraint rows (26 without dilatation).
+The rows name 22 distinct functions (15), three of which are sums of
+others, so 19 of them (all 15) span the same row space and give the
+same least-norm solution.  One evaluator, ``_evaluate_functions``,
+serves the batched solve, the per-node fallback and the full-set
+certificate.  The 19 are solved for blocks of nodes at once, through a
+zero-padded batched Gram system on bond vectors scaled by the horizon.
+The blocks are dealt round-robin into one lane per CPU the process may
+use; lane 0 runs in the calling thread and the others on threads that
+live only for the call, each block writing only its own nodes'
+entries.  numpy releases the GIL in the batched products and solves,
+so the lanes run side by side.  Every node is certified against the
+full constraint set; the nodes whose batched weights fail that
+certificate are gathered from all lanes and solved again, lowest node
+first, by a rank-truncated least squares solve (``least_norm_weights``)
+and counted in ``QuadratureFamily.fallback``.
 
 All reproducing functions have the form ``z1**a * z2**b / |z|**s``, so
 their ball integrals reduce to a radial power times a trigonometric
@@ -42,7 +45,6 @@ from .pointcloud import Neighborhoods, PointCloud
 
 __all__ = [
     "weighted_volume",
-    "MomentDescriptor",
     "ConstraintBasis",
     "QuadratureFamily",
     "ball_monomial_moment",
@@ -100,37 +102,28 @@ def ball_monomial_moment(a: int, b: int, s: int, delta: float) -> float:
 
 
 @dataclass(frozen=True)
-class MomentDescriptor:
-    """One scalar reproducing function ``z1^a z2^b / |z|^s`` and its moment."""
-
-    a: int
-    b: int
-    s: int
-    family: str
-    moment: float
-
-    def evaluate(self, z: np.ndarray, r: np.ndarray) -> np.ndarray:
-        v = z[:, 0] ** self.a * z[:, 1] ** self.b
-        if self.s:
-            v = v / r**self.s
-        return v
-
-
-@dataclass(frozen=True)
 class ConstraintBasis:
-    """The full list of scalar constraints for one horizon."""
+    """The reproducing family for one horizon, each function held once.
+
+    ``functions`` lists the distinct ``(a, b, s)`` of ``z1^a z2^b / |z|^s``
+    in order of first use and ``function_moments`` their exact ball
+    integrals; ``rows`` holds the function of each constraint row.  A
+    row's group follows from ``s``: 0 for ``P``, 3 for ``S``, 1 for ``D``.
+    """
 
     delta: float
-    descriptors: tuple[MomentDescriptor, ...]
+    functions: tuple[tuple[int, int, int], ...]
+    function_moments: np.ndarray
+    rows: np.ndarray
     include_dilatation: bool
 
     @property
     def n_constraints(self) -> int:
-        return len(self.descriptors)
+        return self.rows.size
 
     @property
     def moments(self) -> np.ndarray:
-        return np.array([d.moment for d in self.descriptors])
+        return self.function_moments[self.rows]
 
 
 def exact_ball_moments(delta: float, include_dilatation: bool = True) -> ConstraintBasis:
@@ -150,32 +143,46 @@ def exact_ball_moments(delta: float, include_dilatation: bool = True) -> Constra
     """
     if delta <= 0.0:
         raise QuadratureError(f"horizon must be positive, got {delta}")
-    rows: list[MomentDescriptor] = []
-
-    for a, b in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]:
-        rows.append(MomentDescriptor(a, b, 0, "P", ball_monomial_moment(a, b, 0, delta)))
-
-    for ma, mb in _SHIFTED_MONOMIALS:
-        for i in (0, 1):
-            for j in (0, 1):
-                a = ma + (i == 0) + (j == 0)
-                b = mb + (i == 1) + (j == 1)
-                rows.append(
-                    MomentDescriptor(a, b, 3, "S", ball_monomial_moment(a, b, 3, delta))
-                )
-
+    rows = [(a, b, 0) for a, b in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]]
+    rows += [
+        (ma + (i == 0) + (j == 0), mb + (i == 1) + (j == 1), 3)
+        for ma, mb in _SHIFTED_MONOMIALS
+        for i in (0, 1)
+        for j in (0, 1)
+    ]
     if include_dilatation:
-        for ma, mb in _SHIFTED_MONOMIALS:
-            for k in (0, 1):
-                a = ma + (k == 0)
-                b = mb + (k == 1)
-                rows.append(
-                    MomentDescriptor(a, b, 1, "D", ball_monomial_moment(a, b, 1, delta))
-                )
-
+        rows += [
+            (ma + (k == 0), mb + (k == 1), 1) for ma, mb in _SHIFTED_MONOMIALS for k in (0, 1)
+        ]
+    functions = tuple(dict.fromkeys(rows))
     return ConstraintBasis(
-        delta=delta, descriptors=tuple(rows), include_dilatation=include_dilatation
+        delta=delta,
+        functions=functions,
+        function_moments=np.array([ball_monomial_moment(*f, delta) for f in functions]),
+        rows=np.array([functions.index(f) for f in rows]),
+        include_dilatation=include_dilatation,
     )
+
+
+def _evaluate_functions(
+    functions: tuple[tuple[int, int, int], ...], z: np.ndarray, r: np.ndarray
+) -> np.ndarray:
+    """Every function ``(a, b, s)`` of ``functions`` at the bond vectors ``z``, as (n, F).
+
+    Each power of ``z1``, ``z2`` and ``1/|z|`` is formed once and shared,
+    so a function costs two products.
+    """
+    powers = []
+    for col, top in zip((z[:, 0], z[:, 1], 1.0 / r), np.max(functions, axis=0)):
+        p = [np.ones_like(r)]
+        for _ in range(top):
+            p.append(p[-1] * col)
+        powers.append(p)
+    out = np.empty((len(functions), r.shape[0]))
+    for k, (a, b, s) in enumerate(functions):
+        np.multiply(powers[0][a], powers[1][b], out=out[k])
+        out[k] *= powers[2][s]
+    return out.T
 
 
 def assemble_constraints(
@@ -187,10 +194,7 @@ def assemble_constraints(
     the bond vector ``z_j``; the right-hand side is the vector of exact
     ball moments.
     """
-    n = offsets.shape[0]
-    B = np.empty((basis.n_constraints, n))
-    for r, d in enumerate(basis.descriptors):
-        B[r] = d.evaluate(offsets, distances)
+    B = _evaluate_functions(basis.functions, offsets, distances)[:, basis.rows].T
     return B, basis.moments
 
 
@@ -232,62 +236,19 @@ class QuadratureFamily:
     basis: ConstraintBasis
 
 
-def _solve_set(
-    basis: ConstraintBasis,
-) -> tuple[list[MomentDescriptor], np.ndarray, np.ndarray]:
-    """Reduce the constraint rows to an independent set with the same row space.
+def _independent(basis: ConstraintBasis) -> np.ndarray:
+    """The indices of the functions solved for, a subset with the same span.
 
-    Returns the distinct functions ``z1^a z2^b / |z|^s`` of the basis,
-    the index of each basis row into them, and the indices of the
-    distinct functions that are solved for.  A dilatation function
-    ``z1^a z2^b / |z|`` is left out of the solve when
+    A dilatation function ``z1^a z2^b / |z|`` is left out when
     ``z1^(a+2) z2^b / |z|^3`` and ``z1^a z2^(b+2) / |z|^3`` are present,
     because ``|z|^2 = z1^2 + z2^2`` makes it their sum.
     """
-    funcs: list[MomentDescriptor] = []
-    position: dict[tuple[int, int, int], int] = {}
-    row_of = []
-    for d in basis.descriptors:
-        key = (d.a, d.b, d.s)
-        if key not in position:
-            position[key] = len(funcs)
-            funcs.append(d)
-        row_of.append(position[key])
-    solve = [
+    present = set(basis.functions)
+    return np.array([
         k
-        for k, f in enumerate(funcs)
-        if not (
-            f.s == 1
-            and (f.a + 2, f.b, 3) in position
-            and (f.a, f.b + 2, 3) in position
-        )
-    ]
-    return funcs, np.array(row_of), np.array(solve)
-
-
-def _evaluate_functions(
-    funcs: list[MomentDescriptor], z: np.ndarray, r: np.ndarray
-) -> np.ndarray:
-    """Every function of ``funcs`` at the bond vectors ``z``, as (n, F).
-
-    Each power of ``z1``, ``z2`` and ``1/|z|`` is formed once and shared,
-    so a function costs two products.
-    """
-    powers = []
-    for col, top in (
-        (z[:, 0], max(f.a for f in funcs)),
-        (z[:, 1], max(f.b for f in funcs)),
-        (1.0 / r, max(f.s for f in funcs)),
-    ):
-        p = [np.ones_like(r)]
-        for _ in range(top):
-            p.append(p[-1] * col)
-        powers.append(p)
-    out = np.empty((len(funcs), r.shape[0]))
-    for k, f in enumerate(funcs):
-        np.multiply(powers[0][f.a], powers[1][f.b], out=out[k])
-        out[k] *= powers[2][f.s]
-    return out.T
+        for k, (a, b, s) in enumerate(basis.functions)
+        if not (s == 1 and (a + 2, b, 3) in present and (a, b + 2, 3) in present)
+    ])
 
 
 def _gram_weights(S: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -366,7 +327,7 @@ def compute_family(
         needed = nbrs.kept
 
     basis = exact_ball_moments(cloud.delta, include_dilatation=include_dilatation)
-    funcs, row_of, solve = _solve_set(basis)
+    solve = _independent(basis)
     n = cloud.n_points
     weights = np.full(nbrs.n_pairs, np.nan)
     residual = np.full(n, np.nan)
@@ -383,10 +344,8 @@ def compute_family(
     g_norm = np.linalg.norm(g)
     # z1^a z2^b / |z|^s is homogeneous of degree a + b - s, so scaling
     # row r by delta^-(a+b-s) evaluates it at z / delta.
-    row_scale = np.array(
-        [cloud.delta ** -(funcs[k].a + funcs[k].b - funcs[k].s) for k in solve]
-    )
-    g_solve = np.array([funcs[k].moment for k in solve]) * row_scale
+    row_scale = np.array([cloud.delta ** -(a + b - s) for a, b, s in basis.functions])[solve]
+    g_solve = basis.function_moments[solve] * row_scale
     width = counts[nodes].max(initial=0)
 
     def solve_lane(blocks: list[np.ndarray]) -> list[int]:
@@ -399,14 +358,14 @@ def compute_family(
             slot = np.arange(c.sum()) - first[owner]
             pairs = nbrs.indptr[block][owner] + slot
 
-            A = np.zeros((block.size, width, len(funcs)))
+            A = np.zeros((block.size, width, len(basis.functions)))
             A[owner, slot] = _evaluate_functions(
-                funcs, nbrs.offsets[pairs], nbrs.distances[pairs]
+                basis.functions, nbrs.offsets[pairs], nbrs.distances[pairs]
             )
 
             w = _gram_weights(A[:, :, solve] * row_scale, g_solve)
 
-            fit = (w[:, None, :] @ A)[:, 0, row_of]
+            fit = (w[:, None, :] @ A)[:, 0, basis.rows]
             res = np.linalg.norm(fit - g, axis=1) / g_norm
             weights[pairs] = w[owner, slot]
             residual[block] = res

@@ -113,9 +113,7 @@ def divergence_free_case(moduli):
         return np.full(n, moduli.lam), np.full(n, moduli.mu)
 
     return AnalyticCase(
-        tag="divergence-free",
         displacement=lambda p: divergence_free_trig(p, moduli)[0],
         forcing=lambda p: divergence_free_trig(p, moduli)[1],
         lame_fields=fields,
-        params=moduli,
     )

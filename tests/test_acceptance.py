@@ -262,8 +262,8 @@ def test_quadrature_certificates():
     basis = exact_ball_moments(cloud.delta)
     scale = math.pi * cloud.delta**2
     worst_moment = max(
-        abs(d.moment - _polar_moment(d.a, d.b, d.s, cloud.delta)) / scale
-        for d in basis.descriptors
+        abs(moment - _polar_moment(a, b, s, cloud.delta)) / scale
+        for (a, b, s), moment in zip(basis.functions, basis.function_moments)
     )
 
     probe = verify_family(family, cloud, nbrs, probe_count=100, seed=0)

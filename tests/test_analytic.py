@@ -345,7 +345,6 @@ def test_smooth_case_frequency_passthrough():
     case = make_smooth_case(moduli, frequency=math.pi)
     pts = np.array([[0.5, 0.5]])
     assert case.displacement(pts)[0, 0] == pytest.approx(1.0)
-    assert case.tag == "smooth"
 
 
 def test_hole_case_zero_forcing_and_clamped_displacement(hole_params):

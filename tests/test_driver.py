@@ -59,6 +59,35 @@ def test_config_rejects_bad_n():
         RunConfig(case="patch", n=-4)
 
 
+@pytest.mark.parametrize(
+    "case, fields",
+    [
+        ("smooth", dict(nu=0.3, k1=9.0)),
+        ("patch", dict(k2=3.0)),
+        ("smooth-nearinc", dict(nu1=0.3)),
+        ("hole", dict(mu_ratio=4.0, nu2=0.3)),
+        ("inclusion", dict(nu=0.3)),
+    ],
+)
+def test_config_rejects_material_field_the_case_does_not_read(case, fields):
+    """The library itself rejects a material field its case never reads,
+    naming each one, on construction and on ``replace``."""
+    with pytest.raises(ConfigError) as info:
+        RunConfig(case=case, n=16, **fields)
+    assert all(k in str(info.value) for k in fields)
+    with pytest.raises(ConfigError):
+        replace(RunConfig(case=case, n=16), **fields)
+
+
+def test_config_material_defaults():
+    """An unset material field reads as its case's default."""
+    assert RunConfig(case="hole", n=16).material("nu") == 0.25
+    assert RunConfig(case="smooth-nearinc", n=16).material("nu") == 0.495
+    inc = RunConfig(case="inclusion", n=16, k2=3.0)
+    fields = ("k1", "k2", "nu1", "nu2", "mu_ratio")
+    assert [inc.material(k) for k in fields] == [2.0, 3.0, 0.25, 0.25, None]
+
+
 def test_uniform_grid_suppresses_jitter():
     assert RunConfig(case="patch", n=16, grid="uniform", perturb=0.2).effective_perturb == 0.0
     assert RunConfig(case="patch", n=16, perturb=0.15).effective_perturb == 0.15

@@ -12,6 +12,7 @@ from perilps import (
     ConfigError,
     Disk,
     Discretization,
+    InclusionParams,
     MaterialField,
     Neighborhoods,
     PointCloud,
@@ -94,24 +95,19 @@ def test_material_field_validation():
 
 def test_material_field_from_inclusion_case_is_piecewise():
     """Nodes take the phase of their perturbed position, not their center."""
-    case = make_inclusion_case_default()
+    params = InclusionParams(
+        inner=moduli_from_K_nu(2.0, 0.25), outer=moduli_from_K_nu(1.0, 0.25)
+    )
+    case = make_inclusion_case(params)
     cloud = generate_perturbed_lattice(16, perturb_frac=0.2, seed=5)
     mat = MaterialField.from_case(case, cloud)
     d = cloud.positions - np.array([0.5, 0.5])
     inside = np.hypot(d[:, 0], d[:, 1]) < 0.2
-    inner, outer = case.params.inner, case.params.outer
+    inner, outer = params.inner, params.outer
     np.testing.assert_allclose(mat.lam[inside], inner.lam)
     np.testing.assert_allclose(mat.lam[~inside], outer.lam)
     np.testing.assert_allclose(mat.mu[inside], inner.mu)
     np.testing.assert_allclose(mat.mu[~inside], outer.mu)
-
-
-def make_inclusion_case_default():
-    from perilps import InclusionParams
-
-    return make_inclusion_case(
-        InclusionParams(inner=moduli_from_K_nu(2.0, 0.25), outer=moduli_from_K_nu(1.0, 0.25))
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +475,7 @@ def _case_discretization(case, nu, nu1, n, seed, perturb, delta_factor):
     ``nu1`` that of its inner phase."""
     config = RunConfig(
         case=case, n=n, seed=seed, perturb=perturb, delta_factor=delta_factor,
-        nu=nu, nu1=nu1, nu2=nu,
+        **(dict(nu1=nu1, nu2=nu) if case == "inclusion" else dict(nu=nu)),
     )
     analytic_case, hole = _build_case(config)
     disc = build_discretization(config, hole)

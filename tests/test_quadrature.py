@@ -78,36 +78,47 @@ def test_all_basis_moments_against_numeric_oracle():
     delta = 0.21875  # 3.5/16, a realistic horizon
     basis = exact_ball_moments(delta)
     scale = math.pi * delta**2
-    for d in basis.descriptors:
-        numeric = numeric_ball_moment(d.a, d.b, d.s, delta)
-        assert d.moment == pytest.approx(numeric, abs=1e-10 * scale), (
-            d.family,
-            d.a,
-            d.b,
-            d.s,
-        )
+    for (a, b, s), moment in zip(basis.functions, basis.function_moments):
+        numeric = numeric_ball_moment(a, b, s, delta)
+        assert moment == pytest.approx(numeric, abs=1e-10 * scale), (a, b, s)
+    np.testing.assert_array_equal(basis.moments, basis.function_moments[basis.rows])
 
 
 def test_basis_row_counts():
+    """36 rows (P 6, S 20, D 10) name 22 distinct functions, 19 solved for;
+    the strict family's 26 rows name 15, all solved for."""
     full = exact_ball_moments(0.1)
     strict = exact_ball_moments(0.1, include_dilatation=False)
     assert full.n_constraints == 36
     assert strict.n_constraints == 26
-    by_family = {}
-    for d in full.descriptors:
-        by_family[d.family] = by_family.get(d.family, 0) + 1
-    assert by_family == {"P": 6, "S": 20, "D": 10}
-    assert not any(d.family == "D" for d in strict.descriptors)
+    groups = {0: "P", 3: "S", 1: "D"}
+    by_group = {}
+    for k in full.rows:
+        g = groups[full.functions[k][2]]
+        by_group[g] = by_group.get(g, 0) + 1
+    assert by_group == {"P": 6, "S": 20, "D": 10}
+    assert not any(strict.functions[k][2] == 1 for k in strict.rows)
+    assert len(full.functions) == len(set(full.functions)) == 22
+    assert len(strict.functions) == len(set(strict.functions)) == 15
+    assert sorted(set(full.rows.tolist())) == list(range(22))
+    assert quadrature._independent(full).size == 19
+    assert quadrature._independent(strict).tolist() == list(range(15))
 
 
-def test_descriptor_evaluate_matches_formula():
-    basis = exact_ball_moments(1.0)
+def test_constraint_rows_match_formula():
+    """Every row of ``assemble_constraints`` is its function ``z1^a z2^b / |z|^s``."""
     rng = np.random.default_rng(3)
     z = rng.uniform(-0.7, 0.7, size=(50, 2))
     r = np.hypot(z[:, 0], z[:, 1])
-    for d in basis.descriptors[::5]:
-        expected = z[:, 0] ** d.a * z[:, 1] ** d.b / r**d.s
-        np.testing.assert_allclose(d.evaluate(z, r), expected, rtol=1e-13)
+    for include_dilatation in (True, False):
+        basis = exact_ball_moments(1.0, include_dilatation)
+        B, g = assemble_constraints(basis, z, r)
+        assert B.shape == (basis.n_constraints, 50)
+        np.testing.assert_array_equal(g, basis.moments)
+        for row, k in enumerate(basis.rows):
+            a, b, s = basis.functions[k]
+            expected = z[:, 0] ** a * z[:, 1] ** b / r**s
+            np.testing.assert_allclose(B[row], expected, rtol=1e-13)
 
 
 def test_least_norm_weights_hand_cases():
@@ -145,11 +156,10 @@ def test_constraint_matrix_shape_and_content():
     B, g = assemble_constraints(basis, nbrs.offsets[sl], nbrs.distances[sl])
     assert B.shape == (36, sl.stop - sl.start)
     np.testing.assert_allclose(g, basis.moments)
-    # spot-check one row against the descriptor
-    d = basis.descriptors[7]
-    np.testing.assert_allclose(
-        B[7], d.evaluate(nbrs.offsets[sl], nbrs.distances[sl])
-    )
+    # spot-check one row against its function
+    a, b, s = basis.functions[basis.rows[7]]
+    z, r = nbrs.offsets[sl], nbrs.distances[sl]
+    np.testing.assert_allclose(B[7], z[:, 0] ** a * z[:, 1] ** b / r**s, rtol=1e-13)
 
 
 @pytest.fixture(scope="module")

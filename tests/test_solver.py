@@ -266,7 +266,7 @@ def test_dissection_solve_matches_default_lu(case, nu, nu1, n, seed, perturb, de
     phase, so an inclusion may mix lam = mu bonds with lam != mu ones."""
     config = RunConfig(
         case=case, n=n, seed=seed, perturb=perturb, delta_factor=delta_factor,
-        nu=nu, nu1=nu1, nu2=nu,
+        **(dict(nu1=nu1, nu2=nu) if case == "inclusion" else dict(nu=nu)),
     )
     disc, system = _case_system(config)
     n_points = disc.cloud.n_points
