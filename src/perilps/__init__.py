@@ -44,7 +44,6 @@ from .model import (
     Discretization,
     FrontTree,
     MaterialField,
-    apply_operator,
     assemble_system,
     break_bonds_crossing_circle,
     hole_removal_mask,

@@ -125,6 +125,10 @@ class RunConfig:
         if unread:
             given = ", ".join(f"{k} (--{k.replace('_', '-')})" for k in unread)
             raise ConfigError(f"case {self.case!r} does not read {given}")
+        overridden = [k for k in ("k1", "k2", "nu1", "nu2") if getattr(self, k) is not None]
+        if self.mu_ratio is not None and overridden:
+            given = ", ".join(f"{k} (--{k})" for k in overridden)
+            raise ConfigError(f"mu_ratio (--mu-ratio) sets both phases and would drop {given}")
         if self.grid not in GRIDS:
             raise ConfigError(f"unknown grid {self.grid!r}; choose from {GRIDS}")
         if self.n <= 0:

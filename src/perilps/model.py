@@ -7,8 +7,8 @@ nodes, the surviving pair weights, the dilatation correction and the
 damage.  A hole is nothing but broken bonds and removed nodes on the
 shared cloud (``break_bonds_crossing_circle``, ``hole_removal_mask``).
 The material enters only through the pair moduli of
-``assemble_system`` and ``apply_operator``, so one discretization
-serves any number of materials on the same cloud.
+``assemble_system``, so one discretization serves any number of
+materials on the same cloud.
 
 The unknowns are the displacements of present interior nodes plus a
 nonlocal dilatation value at every present node with quadrature weights.
@@ -72,7 +72,6 @@ __all__ = [
     "dissection_order",
     "compute_moment_tensors",
     "assemble_system",
-    "apply_operator",
 ]
 
 #: Smallest singular value of a moment tensor, relative to its largest,
@@ -619,45 +618,3 @@ def assemble_system(
         row_index=i_pair, indices=j_pair, blocks=blocks, diag=diag, rhs=b, fronts=disc.fronts
     )
 
-
-def apply_operator(
-    disc: Discretization, material: MaterialField, u_all: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the discrete operator to a displacement given at all nodes.
-
-    First evaluates the corrected dilatation wherever weights exist,
-    then the momentum sums at present interior nodes.  This is the
-    direct (matrix-free) route over the same bond entries as
-    ``assemble_system``; it exists mainly so tests can confront the
-    assembled matrix with an independent evaluation.
-
-    Returns
-    -------
-    momentum : (N, 2) array, NaN at non-interior nodes
-    theta : (N,) array, NaN where not computed
-    """
-    cloud, nbrs, computed = disc.cloud, disc.nbrs, disc.family.computed
-    n = cloud.n_points
-    blocks = np.zeros((nbrs.n_pairs, 3, 3))
-    for a, b, values in _pair_entries(disc, material):
-        blocks[:, a, b] = values
-    i_pair = nbrs.row_index
-    j_pair = nbrs.indices
-    du = u_all[j_pair] - u_all[i_pair]
-
-    theta = np.full(n, np.nan)
-    contrib = -np.einsum("pb,pb->p", blocks[:, 2, :2], du)
-    th = np.bincount(i_pair, weights=contrib, minlength=n)
-    theta[computed] = th[computed]
-
-    mom = np.full((n, 2), np.nan)
-    # Dead bonds carry zero coefficients but may point at nodes with no
-    # dilatation; zero those values instead of letting 0 * NaN spread.
-    theta_fill = np.where(np.isnan(theta), 0.0, theta)
-    th_sum = theta_fill[i_pair] + theta_fill[j_pair]
-    force = np.einsum("pab,pb->pa", blocks[:, :2, :2], du) + blocks[:, :2, 2] * th_sum[:, None]
-    live_int = cloud.interior & disc.bonds.present
-    for a in (0, 1):
-        total = np.bincount(i_pair, weights=force[:, a], minlength=n)
-        mom[live_int, a] = total[live_int]
-    return mom, theta

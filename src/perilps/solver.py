@@ -16,10 +16,13 @@ alone: the first solve on a tree makes it and keeps it there
 (``FrontTree.plans``), once per number of unknown kinds solved for, so
 every later solve, for any material, only moves numbers.  The pivot
 block is factored by LAPACK with partial pivoting inside it, and the
-Schur complement of the boundary is added into the parent's front.  The system has one right-hand side, so it rides as one
-more column of each front: the forward substitution runs during the
-factorization and each front keeps only ``[X | w] = F11^-1 [F12 | y_p]``
-for the back substitution.
+Schur complement of the boundary is added into the parent's front.  The
+system has one right-hand side, so it rides as one more column of each
+front: the forward substitution runs during the factorization and each
+front keeps only ``[X | w] = F11^-1 [F12 | y_p]`` for the back
+substitution.  A solve holds nothing else per front: every front is a
+prefix of one workspace, and the updates that wait for their parents
+sit on one stack, both sized by the symbolic pass.
 
 Where no momentum row has a dilatation column (lambda = mu on every
 live bond), the displacement block is solved alone over the same tree,
@@ -140,10 +143,17 @@ class _Plan:
     front's column of each of the child's boundary unknowns, and the
     child's runs: the update's rows ``a0:a1``, whether they go to this
     front's pivot rows, and the first of those rows.
+
+    ``work`` is the largest front buffer, ``m * (m + 2) + 1`` entries, and
+    ``stack`` the deepest the pending updates reach when the fronts are
+    taken in order: each front pops its children's updates, then pushes
+    its own of ``nb * (nb + 1)`` entries (``nb * m`` without pivots).
     """
 
     fronts: list
     lu_nnz: int
+    work: int
+    stack: int
 
 
 def _plan(system: BlockSystem, kinds: int) -> _Plan:
@@ -310,7 +320,16 @@ def _plan(system: BlockSystem, kinds: int) -> _Plan:
         for k, (m_k, p_k, nb_k, d0, d1, q0, q1, y0, a0) in enumerate(zip(*(v.tolist() for v in ends)))
         if m_k
     ]
-    return _Plan(fronts=fronts, lu_nnz=int(np.sum(p * p + 2 * p * nb)))
+    # Replay the postorder: a front's children's updates lie at the top
+    # of the stack, and its own update replaces them.
+    pushed = np.where(p > 0, nb * (nb + 1), nb * m).tolist()
+    tops, stack = [0], 0
+    for kids, size in zip(children, pushed):
+        del tops[len(tops) - len(kids) :]
+        tops.append(tops[-1] + size)
+        stack = max(stack, tops[-1])
+    work = int(np.max(m * (m + 2) + 1))
+    return _Plan(fronts=fronts, lu_nnz=int(np.sum(p * p + 2 * p * nb)), work=work, stack=stack)
 
 
 def _multifrontal(system: BlockSystem, kinds: int, y: np.ndarray) -> tuple[np.ndarray, int]:
@@ -329,21 +348,37 @@ def _multifrontal(system: BlockSystem, kinds: int, y: np.ndarray) -> tuple[np.nd
     diag = system.diag[tree.order, :kinds, :kinds]
     blocks = system.blocks[:, :kinds, :kinds]
 
+    # Every front is a prefix of ``work``; the updates that wait for their
+    # parents lie on ``stack`` in postorder, so a front's children's are
+    # at its top.
+    work, stack = np.empty(plan.work), np.empty(plan.stack)
+    top = 0
+
+    def push(rows, cols):
+        """The F-ordered (rows, cols) slice at the top of the stack."""
+        nonlocal top
+        start, top = top, top + rows * cols
+        return start, stack[start:top].reshape((rows, cols), order="F")
+
     xws, updates = {}, {}
     for k, m_k, p_k, nb_k, piv, diag_at, pairs, pair_at, y_at, bnd, children in plan.fronts:
-        buf = np.zeros(m_k * (m_k + 2) + 1)
+        buf = work[: m_k * (m_k + 2) + 1]
+        buf.fill(0.0)
         upper = buf[: p_k * (m_k + 2)].reshape((p_k, m_k + 2), order="F")
         lower = buf[p_k * (m_k + 2) : -1].reshape((nb_k, m_k + 2), order="F")
         buf[diag_at] = diag[piv].ravel()
         buf[pair_at] = blocks[pairs].ravel()
         for c, cols, spans in children:
-            update = updates.pop(c, None)
-            if update is None:
+            if c not in updates:
                 continue
+            start, update = updates.pop(c)
+            top = min(top, start)
             for a0, a1, in_upper, row in spans:
                 (upper if in_upper else lower)[row : row + a1 - a0, cols] += update[a0:a1]
         if p_k == 0:
-            updates[k] = lower[:, :m_k]
+            start, update = push(nb_k, m_k)
+            update[:] = lower[:, :m_k]
+            updates[k] = start, update
             continue
         ys = y[y_at]
         upper[:, m_k] = ys
@@ -356,15 +391,18 @@ def _multifrontal(system: BlockSystem, kinds: int, y: np.ndarray) -> tuple[np.nd
         dgetrs(lu, ipiv, xw, overwrite_b=True)
         ys[:] = xw[:, nb_k]
         if nb_k:
-            # A new array, so that the front's buffer is freed while the
-            # update waits for the parent.
-            update = dgemm(-1.0, lower[:, :p_k], xw, 1.0, lower[:, p_k : m_k + 1])
+            # The update leaves the front for the stack, where the next
+            # front cannot overwrite it; dgemm writes it in place only
+            # because the slice is F-contiguous.
+            start, update = push(nb_k, nb_k + 1)
+            update[:] = lower[:, p_k : m_k + 1]
+            dgemm(-1.0, lower[:, :p_k], xw, 1.0, update, overwrite_c=True)
             # Each front keeps its own [X | w]: small arrays fit the holes
             # of the heap the assembly has just freed, where one buffer for
             # all of them needs one hole that large.
             xws[k] = np.array(xw, order="F"), y_at, bnd
             y[bnd] += update[:, nb_k]
-            updates[k] = update[:, :nb_k]
+            updates[k] = start, update[:, :nb_k]
 
     # Back substitution, root first: y_p = w - X y_bnd.
     for xw, y_at, bnd in reversed(xws.values()):

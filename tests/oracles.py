@@ -4,16 +4,19 @@
 dilatation only.  The neighbor oracles find every pair by brute force,
 state that rule on their own, and build full-row neighborhoods for the
 tests that need the rows the search drops.  ``unknown_layout`` states
-the scalar layout of the unknowns node by node.  ``divergence_free_case``
-is a manufactured field for the near-incompressible tests.
+the scalar layout of the unknowns node by node, and ``apply_operator``
+applies the discrete operator without assembling it.
+``divergence_free_case`` is a manufactured field for the
+near-incompressible tests.
 """
 
 import math
 
 import numpy as np
 
-from perilps import Neighborhoods
+from perilps import Discretization, MaterialField, Neighborhoods
 from perilps.analytic import AnalyticCase
+from perilps.model import _pair_entries
 
 
 def brute_force_pairs(positions, radius):
@@ -89,6 +92,49 @@ def unknown_layout(disc):
             slots[i, 2] = k
             k += 1
     return slots
+
+
+def apply_operator(
+    disc: Discretization, material: MaterialField, u_all: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the discrete operator to a displacement given at all nodes.
+
+    First evaluates the corrected dilatation wherever weights exist,
+    then the momentum sums at present interior nodes.  This is the
+    direct (matrix-free) route over the same bond entries as
+    ``assemble_system``, so that the tests can confront the assembled
+    matrix with an independent evaluation.
+
+    Returns
+    -------
+    momentum : (N, 2) array, NaN at non-interior nodes
+    theta : (N,) array, NaN where not computed
+    """
+    cloud, nbrs, computed = disc.cloud, disc.nbrs, disc.family.computed
+    n = cloud.n_points
+    blocks = np.zeros((nbrs.n_pairs, 3, 3))
+    for a, b, values in _pair_entries(disc, material):
+        blocks[:, a, b] = values
+    i_pair = nbrs.row_index
+    j_pair = nbrs.indices
+    du = u_all[j_pair] - u_all[i_pair]
+
+    theta = np.full(n, np.nan)
+    contrib = -np.einsum("pb,pb->p", blocks[:, 2, :2], du)
+    th = np.bincount(i_pair, weights=contrib, minlength=n)
+    theta[computed] = th[computed]
+
+    mom = np.full((n, 2), np.nan)
+    # Dead bonds carry zero coefficients but may point at nodes with no
+    # dilatation; zero those values instead of letting 0 * NaN spread.
+    theta_fill = np.where(np.isnan(theta), 0.0, theta)
+    th_sum = theta_fill[i_pair] + theta_fill[j_pair]
+    force = np.einsum("pab,pb->pa", blocks[:, :2, :2], du) + blocks[:, :2, 2] * th_sum[:, None]
+    live_int = cloud.interior & disc.bonds.present
+    for a in (0, 1):
+        total = np.bincount(i_pair, weights=force[:, a], minlength=n)
+        mom[live_int, a] = total[live_int]
+    return mom, theta
 
 
 def divergence_free_trig(points, moduli, frequency=math.pi):

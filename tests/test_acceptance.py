@@ -17,7 +17,6 @@ from perilps import (
     BondSet,
     Discretization,
     MaterialField,
-    apply_operator,
     build_neighborhoods,
     compute_family,
     compute_moment_tensors,
@@ -34,6 +33,7 @@ from perilps.driver import (
     sweep_contrast,
 )
 from perilps.quadrature import exact_ball_moments
+from oracles import apply_operator
 
 
 def _report(num: int, title: str, ok: bool, detail: str) -> None:

@@ -79,6 +79,18 @@ def test_config_rejects_material_field_the_case_does_not_read(case, fields):
         replace(RunConfig(case=case, n=16), **fields)
 
 
+@pytest.mark.parametrize("fields", [dict(k1=5.0), dict(k1=5.0, nu2=0.3), dict(k2=3.0, nu1=0.3)])
+def test_config_rejects_material_fields_mu_ratio_overrides(fields):
+    """``mu_ratio`` sets both phases, so a modulus or Poisson ratio given
+    with it would be dropped; the library rejects the pair and names each
+    dropped field, on construction and on ``replace``."""
+    with pytest.raises(ConfigError) as info:
+        RunConfig(case="inclusion", n=16, mu_ratio=4.0, **fields)
+    assert all(k in str(info.value) for k in fields)
+    with pytest.raises(ConfigError):
+        replace(RunConfig(case="inclusion", n=16, **fields), mu_ratio=4.0)
+
+
 def test_config_material_defaults():
     """An unset material field reads as its case's default."""
     assert RunConfig(case="hole", n=16).material("nu") == 0.25
@@ -445,6 +457,17 @@ def test_cli_material_flag_the_case_does_not_read_exits_2(argv, flags, tmp_path,
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "error [config]" in err and all(flag in err for flag in flags)
+    assert not out.exists()
+
+
+def test_cli_mu_ratio_with_phase_flags_exits_2(tmp_path, capsys):
+    """``--mu-ratio`` with ``--k1``/``--nu2`` exited 0 with the error of
+    ``--mu-ratio`` alone; it is a configuration error naming both flags."""
+    out = tmp_path / "d"
+    argv = ["run", "--case", "inclusion", "--n", "16", "--mu-ratio", "4", "--k1", "5", "--nu2", "0.3"]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error [config]" in err and "--k1" in err and "--nu2" in err
     assert not out.exists()
 
 

@@ -17,7 +17,6 @@ from perilps import (
     Neighborhoods,
     PointCloud,
     RunConfig,
-    apply_operator,
     assemble_system,
     break_bonds_crossing_circle,
     build_discretization,
@@ -39,7 +38,7 @@ from perilps.driver import _build_case
 from perilps.errors import AssemblyError
 from perilps.model import C_ALPHA, C_BETA, DIM
 
-from oracles import kept_pairs, unknown_layout
+from oracles import apply_operator, kept_pairs, unknown_layout
 
 
 def _discretize(cloud, nbrs, family, bonds):

@@ -309,6 +309,59 @@ def test_dissection_solve_matches_default_lu(case, nu, nu1, n, seed, perturb, de
         assert report.residual <= 1e-12
 
 
+def _replay_stack(plan):
+    """The deepest the pending updates reach when ``plan``'s fronts are
+    taken in order, each front's children's updates being the top of the
+    stack when it takes them."""
+    pending, deepest = {}, 0
+    for k, m, p, nb, *_, children in plan.fronts:
+        kids = [c for c, _, _ in children if c in pending]
+        assert list(pending)[len(pending) - len(kids) :] == kids
+        for c in kids:
+            del pending[c]
+        if nb:
+            pending[k] = nb * (nb + 1) if p else nb * m
+        deepest = max(deepest, sum(pending.values()))
+    return deepest
+
+
+@given(
+    case=st.sampled_from(["patch", "smooth", "hole"]),
+    n=st.integers(16, 24),
+    seed=st.integers(0, 2**32 - 1),
+    perturb=st.floats(0.0, 0.45),
+    delta_factor=st.floats(3.0, 5.0),
+)
+@example(case="patch", n=24, seed=7, perturb=0.2, delta_factor=3.5)
+@example(case="hole", n=24, seed=7, perturb=0.2, delta_factor=3.5)
+def test_front_workspace_and_update_stack_fit_the_fronts(case, n, seed, perturb, delta_factor):
+    """The plan's ``work`` is the largest front buffer and its ``stack``
+    the deepest an independent replay of the postorder reaches.  Patch
+    and smooth solve the displacements alone (two kinds), where some
+    fronts have no pivots and push their whole front; the hole at
+    nu = 0.495 solves all three kinds.  The solve over those two arrays
+    agrees with SuperLU, and one entry less of stack fails loudly."""
+    config = RunConfig(
+        case=case, n=n, seed=seed, perturb=perturb, delta_factor=delta_factor,
+        **(dict(nu=0.495) if case == "hole" else {}),
+    )
+    _, system = _case_system(config)
+    report = solve(system)
+    reference = spla.splu(system.matrix.tocsc()).solve(system.rhs)
+    assert np.linalg.norm(report.x - reference) <= 1e-10 * np.linalg.norm(reference)
+
+    [(kinds, plan)] = system.fronts.plans.items()
+    assert kinds == (3 if case == "hole" else 2)
+    assert plan.work == max(m * (m + 2) + 1 for _, m, *_ in plan.fronts)
+    assert plan.stack == _replay_stack(plan)
+    pivotless = sum(p == 0 for _, _, p, *_ in plan.fronts)
+    assert (pivotless > 0) == (kinds == 2)
+
+    system.fronts.plans[kinds] = replace(plan, stack=plan.stack - 1)
+    with pytest.raises(ValueError):
+        solve(system)
+
+
 def test_uncoupled_system_factors_the_displacement_block_alone(monkeypatch):
     """With lam = mu no momentum row has a dilatation column: only the
     2 n_u displacement unknowns are factored, and the dilatations then
