@@ -41,7 +41,7 @@ RUNS = {
 
 FULL_RUNS = {
     "hole nu=0.495, n=256": ["run", "--case", "hole", "--n", "256", "--nu", "0.495"],
-    "inclusion uniform, n=256": ["run", "--case", "inclusion", "--grid", "uniform", "--n", "256"],
+    "inclusion uniform, n=256": ["run", "--case", "inclusion", "--perturb", "0", "--n", "256"],
 }
 
 #: Stage name of each function the driver and the CLI call.  The table

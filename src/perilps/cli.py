@@ -51,9 +51,7 @@ def _add_geometry(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta-factor", type=float, default=3.5,
                    help="horizon in units of h (default 3.5)")
     p.add_argument("--perturb", type=float, default=0.2,
-                   help="jitter amplitude in units of h (default 0.2)")
-    p.add_argument("--grid", choices=driver.GRIDS, default="perturbed",
-                   help="'uniform' sets the jitter to zero (default perturbed)")
+                   help="jitter amplitude in units of h; 0 is the uniform grid (default 0.2)")
     p.add_argument("--seed", type=int, default=7,
                    help="key of the jitter draw (default 7)")
     p.add_argument("--strict-vh", action="store_true",
@@ -147,7 +145,7 @@ def _cmd_check_quadrature(args) -> int:
     cloud = generate_perturbed_lattice(
         n=config.n,
         delta_factor=config.delta_factor,
-        perturb_frac=config.effective_perturb,
+        perturb_frac=config.perturb,
         seed=config.seed,
     )
     nbrs = build_neighborhoods(cloud)

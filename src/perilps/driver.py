@@ -68,10 +68,10 @@ _MATERIAL = {
 
 CASES = tuple(_MATERIAL)
 
-GRIDS = ("perturbed", "uniform")
-
 #: Published RMS errors of the originating convergence study, keyed by
-#: case (and grid / outer Poisson ratio for the inclusion tables).
+#: case (and, for the inclusion tables, the grid and the outer Poisson
+#: ratio).  The "uniform" tables are those of the unjittered lattice, a
+#: run with ``perturb == 0``; every other run reads the "perturbed" ones.
 #: Embedded in summaries so a run can be eyeballed against them.
 _REFERENCE_ERRORS = {
     ("patch", None): {24: 4.11e-14, 48: 2.47e-13, 96: 2.69e-12, 192: 4.01e-13},
@@ -104,7 +104,6 @@ class RunConfig:
     n: int
     delta_factor: float = 3.5
     perturb: float = 0.2
-    grid: str = "perturbed"
     seed: int = 7
     nu: float | None = None
     nu1: float | None = None
@@ -129,14 +128,8 @@ class RunConfig:
         if self.mu_ratio is not None and overridden:
             given = ", ".join(f"{k} (--{k})" for k in overridden)
             raise ConfigError(f"mu_ratio (--mu-ratio) sets both phases and would drop {given}")
-        if self.grid not in GRIDS:
-            raise ConfigError(f"unknown grid {self.grid!r}; choose from {GRIDS}")
         if self.n <= 0:
             raise ConfigError(f"n must be positive, got {self.n}")
-
-    @property
-    def effective_perturb(self) -> float:
-        return 0.0 if self.grid == "uniform" else self.perturb
 
     def material(self, name: str) -> float | None:
         """Material field ``name``, or its case's default when unset."""
@@ -211,6 +204,7 @@ def _build_case(config: RunConfig) -> tuple[AnalyticCase, Disk | None]:
 def reference_errors(config: RunConfig) -> dict[str, float]:
     """Published errors matching this configuration, keyed by resolution."""
     key = None
+    grid = "perturbed" if config.perturb else "uniform"
     if config.case == "inclusion":
         # The published tables are for k1 = 2 inside and k2 = 1 outside.
         k1, k2, nu1, nu2 = (config.material(k) for k in ("k1", "k2", "nu1", "nu2"))
@@ -218,11 +212,11 @@ def reference_errors(config: RunConfig) -> dict[str, float]:
         if published and abs(nu1 - 0.25) < 1e-12:
             for table_nu2 in (0.25, 0.49):
                 if abs(nu2 - table_nu2) < 1e-12:
-                    key = ("inclusion", (config.grid, table_nu2))
+                    key = ("inclusion", (grid, table_nu2))
     elif config.case in ("patch", "smooth", "smooth-nearinc"):
         # The smooth-nearinc table is published for nu = 0.495 only.
         published = config.case != "smooth-nearinc" or config.material("nu") == 0.495
-        if published and config.grid == "perturbed":
+        if published and grid == "perturbed":
             key = (config.case, None)
     table = _REFERENCE_ERRORS.get(key, {})
     return {str(n): v for n, v in sorted(table.items())}
@@ -240,7 +234,7 @@ def build_discretization(
     cloud = generate_perturbed_lattice(
         n=config.n,
         delta_factor=config.delta_factor,
-        perturb_frac=config.effective_perturb,
+        perturb_frac=config.perturb,
         seed=config.seed,
     )
     nbrs = build_neighborhoods(cloud)

@@ -118,10 +118,6 @@ class ConstraintBasis:
     include_dilatation: bool
 
     @property
-    def n_constraints(self) -> int:
-        return self.rows.size
-
-    @property
     def moments(self) -> np.ndarray:
         return self.function_moments[self.rows]
 

@@ -22,7 +22,8 @@ front: the forward substitution runs during the factorization and each
 front keeps only ``[X | w] = F11^-1 [F12 | y_p]`` for the back
 substitution.  A solve holds nothing else per front: every front is a
 prefix of one workspace, and the updates that wait for their parents
-sit on one stack, both sized by the symbolic pass.
+sit on one stack.  The symbolic pass sizes both and places every update
+on the stack, so the front loop only reads and writes at its offsets.
 
 Where no momentum row has a dilatation column (lambda = mu on every
 live bond), the displacement block is solved alone over the same tree,
@@ -139,15 +140,18 @@ class _Plan:
     rows of the ordered diagonal blocks and the buffer index of each of
     their entries; its pairs and the buffer index of each entry of their
     blocks; its pivots' slice of the right-hand side; the slots of its
-    boundary unknowns; and, for each child, the child's part, this
-    front's column of each of the child's boundary unknowns, and the
-    child's runs: the update's rows ``a0:a1``, whether they go to this
-    front's pivot rows, and the first of those rows.
+    boundary unknowns; the offset of its own update on the stack; and,
+    for each child that pushes an update, that update's offset and the
+    child's ``nb``, this front's column of each of the child's boundary
+    unknowns, and the child's runs: the update's rows ``a0:a1``, whether
+    they go to this front's pivot rows, and the first of those rows.
 
-    ``work`` is the largest front buffer, ``m * (m + 2) + 1`` entries, and
-    ``stack`` the deepest the pending updates reach when the fronts are
-    taken in order: each front pops its children's updates, then pushes
-    its own of ``nb * (nb + 1)`` entries (``nb * m`` without pivots).
+    ``work`` is the largest front buffer, ``m * (m + 2) + 1`` entries.
+    The offsets replay the postorder: each front pops its children's
+    updates, which lie at the top of the stack, then pushes its own of
+    ``nb * (nb + 1)`` entries (``nb * m`` without pivots) where the first
+    of them began; a front's update is read as its leading ``nb * nb``
+    entries.  ``stack`` is the deepest the pending updates reach.
     """
 
     fronts: list
@@ -287,6 +291,17 @@ def _plan(system: BlockSystem, kinds: int) -> _Plan:
     slot = np.repeat(first[nodes] - at[:-1], count[nodes]) + np.arange(at[-1])
     y_start = np.r_[0, np.cumsum(p)]
 
+    # Replay the postorder: a front's children's updates lie at the top
+    # of the stack, and its own update replaces them, from the first
+    # child's offset on.
+    pushed = np.where(p > 0, nb * (nb + 1), nb * m).tolist()
+    tops, offsets = [0], []
+    for kids, size in zip(children, pushed):
+        del tops[len(tops) - len(kids) :]
+        offsets.append(tops[-1])
+        tops.append(tops[-1] + size)
+    stack = max(start + size for start, size in zip(offsets, pushed))
+
     # A child's update adds into this front run by run: its rows r0:r1 go
     # to this front's pivot rows (upper) or boundary rows (lower) from
     # ``row`` on.
@@ -303,8 +318,13 @@ def _plan(system: BlockSystem, kinds: int) -> _Plan:
     nb_start = np.r_[0, np.cumsum(nb)]
     to_column = np.repeat(to - r0 - nb_start[run_part], r1 - r0) + np.arange(nb_start[-1])
     run_start = [0, *run_end[:-1]]
+    nbs = nb.tolist()
     updates = [
-        [(c, to_column[nb_start[c] : nb_start[c + 1]], spans[run_start[c] : run_end[c]]) for c in kids]
+        [
+            (offsets[c], nbs[c], to_column[nb_start[c] : nb_start[c + 1]], spans[run_start[c] : run_end[c]])
+            for c in kids
+            if nbs[c]
+        ]
         for kids in children
     ]
 
@@ -315,19 +335,11 @@ def _plan(system: BlockSystem, kinds: int) -> _Plan:
             slice(d0, d1), diag_at[d0:d1].ravel(),
             pairs[q0:q1], pair_at[q0:q1].ravel(),
             slice(y0, y0 + p_k), slot[a0 + p_k : a0 + m_k],
-            updates[k],
+            offsets[k], updates[k],
         )
         for k, (m_k, p_k, nb_k, d0, d1, q0, q1, y0, a0) in enumerate(zip(*(v.tolist() for v in ends)))
         if m_k
     ]
-    # Replay the postorder: a front's children's updates lie at the top
-    # of the stack, and its own update replaces them.
-    pushed = np.where(p > 0, nb * (nb + 1), nb * m).tolist()
-    tops, stack = [0], 0
-    for kids, size in zip(children, pushed):
-        del tops[len(tops) - len(kids) :]
-        tops.append(tops[-1] + size)
-        stack = max(stack, tops[-1])
     work = int(np.max(m * (m + 2) + 1))
     return _Plan(fronts=fronts, lu_nnz=int(np.sum(p * p + 2 * p * nb)), work=work, stack=stack)
 
@@ -348,37 +360,23 @@ def _multifrontal(system: BlockSystem, kinds: int, y: np.ndarray) -> tuple[np.nd
     diag = system.diag[tree.order, :kinds, :kinds]
     blocks = system.blocks[:, :kinds, :kinds]
 
-    # Every front is a prefix of ``work``; the updates that wait for their
-    # parents lie on ``stack`` in postorder, so a front's children's are
-    # at its top.
+    # Every front is a prefix of ``work``; each update waits for its
+    # parent on ``stack``, F-ordered from the offset the plan gives it.
     work, stack = np.empty(plan.work), np.empty(plan.stack)
-    top = 0
-
-    def push(rows, cols):
-        """The F-ordered (rows, cols) slice at the top of the stack."""
-        nonlocal top
-        start, top = top, top + rows * cols
-        return start, stack[start:top].reshape((rows, cols), order="F")
-
-    xws, updates = {}, {}
-    for k, m_k, p_k, nb_k, piv, diag_at, pairs, pair_at, y_at, bnd, children in plan.fronts:
+    xws = []
+    for k, m_k, p_k, nb_k, piv, diag_at, pairs, pair_at, y_at, bnd, at, children in plan.fronts:
         buf = work[: m_k * (m_k + 2) + 1]
         buf.fill(0.0)
         upper = buf[: p_k * (m_k + 2)].reshape((p_k, m_k + 2), order="F")
         lower = buf[p_k * (m_k + 2) : -1].reshape((nb_k, m_k + 2), order="F")
         buf[diag_at] = diag[piv].ravel()
         buf[pair_at] = blocks[pairs].ravel()
-        for c, cols, spans in children:
-            if c not in updates:
-                continue
-            start, update = updates.pop(c)
-            top = min(top, start)
+        for c_at, c_nb, cols, spans in children:
+            update = stack[c_at : c_at + c_nb * c_nb].reshape((c_nb, c_nb), order="F")
             for a0, a1, in_upper, row in spans:
                 (upper if in_upper else lower)[row : row + a1 - a0, cols] += update[a0:a1]
         if p_k == 0:
-            start, update = push(nb_k, m_k)
-            update[:] = lower[:, :m_k]
-            updates[k] = start, update
+            stack[at : at + nb_k * m_k].reshape((nb_k, m_k), order="F")[:] = lower[:, :m_k]
             continue
         ys = y[y_at]
         upper[:, m_k] = ys
@@ -394,18 +392,17 @@ def _multifrontal(system: BlockSystem, kinds: int, y: np.ndarray) -> tuple[np.nd
             # The update leaves the front for the stack, where the next
             # front cannot overwrite it; dgemm writes it in place only
             # because the slice is F-contiguous.
-            start, update = push(nb_k, nb_k + 1)
+            update = stack[at : at + nb_k * (nb_k + 1)].reshape((nb_k, nb_k + 1), order="F")
             update[:] = lower[:, p_k : m_k + 1]
             dgemm(-1.0, lower[:, :p_k], xw, 1.0, update, overwrite_c=True)
             # Each front keeps its own [X | w]: small arrays fit the holes
             # of the heap the assembly has just freed, where one buffer for
             # all of them needs one hole that large.
-            xws[k] = np.array(xw, order="F"), y_at, bnd
+            xws.append((np.array(xw, order="F"), y_at, bnd))
             y[bnd] += update[:, nb_k]
-            updates[k] = start, update[:, :nb_k]
 
     # Back substitution, root first: y_p = w - X y_bnd.
-    for xw, y_at, bnd in reversed(xws.values()):
+    for xw, y_at, bnd in reversed(xws):
         ys = y[y_at]
         ys[:] = dgemv(-1.0, xw[:, :-1], y[bnd], 1.0, ys)
     return y, plan.lu_nnz

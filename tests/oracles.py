@@ -5,7 +5,8 @@ dilatation only.  The neighbor oracles find every pair by brute force,
 state that rule on their own, and build full-row neighborhoods for the
 tests that need the rows the search drops.  ``unknown_layout`` states
 the scalar layout of the unknowns node by node, and ``apply_operator``
-applies the discrete operator without assembling it.
+applies the discrete operator bond by bond from the model's formulas,
+without assembling it.
 ``divergence_free_case`` is a manufactured field for the
 near-incompressible tests.
 """
@@ -16,7 +17,8 @@ import numpy as np
 
 from perilps import Discretization, MaterialField, Neighborhoods
 from perilps.analytic import AnalyticCase
-from perilps.model import _pair_entries
+from perilps.model import C_ALPHA, C_BETA, DIM
+from perilps.quadrature import weighted_volume
 
 
 def brute_force_pairs(positions, radius):
@@ -94,16 +96,31 @@ def unknown_layout(disc):
     return slots
 
 
+def harmonic_mean(a, b):
+    """``2 a b / (a + b)`` elementwise, and 0 where both vanish."""
+    total = a + b
+    return np.divide(2.0 * a * b, total, out=np.zeros_like(total), where=total > 0.0)
+
+
 def apply_operator(
     disc: Discretization, material: MaterialField, u_all: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the discrete operator to a displacement given at all nodes.
+    """Apply the discrete operator to a displacement given at all nodes,
+    bond by bond from the model's formulas.
 
-    First evaluates the corrected dilatation wherever weights exist,
-    then the momentum sums at present interior nodes.  This is the
-    direct (matrix-free) route over the same bond entries as
-    ``assemble_system``, so that the tests can confront the assembled
-    matrix with an independent evaluation.
+    Over the bonds (i, j) with ``z = x_j - x_i``, kernel ``k = 1/|z|``,
+    surviving weight ``w``, ``m = weighted_volume(delta)`` and the
+    harmonic means ``lam`` and ``mu`` of the bond's two nodes:
+
+    * the corrected dilatation, wherever weights exist, sums
+      ``(DIM/m) k w (M_i^-1 z) . (u_j - u_i)``;
+    * the momentum, at present interior nodes, sums the bond force
+      ``(C_BETA/m) mu k w (z (x) z / |z|^2) (u_j - u_i)`` and the
+      dilatation force ``(C_ALPHA/m) (lam - mu) k w z (theta_i + theta_j)``.
+
+    It shares no code with ``assemble_system``, so the tests can confront
+    the assembled blocks' entries, not only their scatter, with an
+    independent evaluation.
 
     Returns
     -------
@@ -112,28 +129,30 @@ def apply_operator(
     """
     cloud, nbrs, computed = disc.cloud, disc.nbrs, disc.family.computed
     n = cloud.n_points
-    blocks = np.zeros((nbrs.n_pairs, 3, 3))
-    for a, b, values in _pair_entries(disc, material):
-        blocks[:, a, b] = values
-    i_pair = nbrs.row_index
-    j_pair = nbrs.indices
-    du = u_all[j_pair] - u_all[i_pair]
+    i, j = nbrs.row_index, nbrs.indices
+    z = nbrs.offsets
+    z2 = np.einsum("pa,pa->p", z, z)
+    kw = disc.weights / np.sqrt(z2)
+    m = weighted_volume(cloud.delta)
+    lam = harmonic_mean(material.lam[i], material.lam[j])
+    mu = harmonic_mean(material.mu[i], material.mu[j])
+    du = u_all[j] - u_all[i]
 
+    corrected = np.einsum("pab,pb->pa", disc.correction.inverses[i], z)
+    bond_theta = DIM / m * kw * np.einsum("pa,pa->p", corrected, du)
     theta = np.full(n, np.nan)
-    contrib = -np.einsum("pb,pb->p", blocks[:, 2, :2], du)
-    th = np.bincount(i_pair, weights=contrib, minlength=n)
-    theta[computed] = th[computed]
+    theta[computed] = np.bincount(i, weights=bond_theta, minlength=n)[computed]
 
-    mom = np.full((n, 2), np.nan)
-    # Dead bonds carry zero coefficients but may point at nodes with no
-    # dilatation; zero those values instead of letting 0 * NaN spread.
+    # Dead bonds carry w = 0 but may point at nodes with no dilatation;
+    # zero those values instead of letting 0 * NaN spread.
     theta_fill = np.where(np.isnan(theta), 0.0, theta)
-    th_sum = theta_fill[i_pair] + theta_fill[j_pair]
-    force = np.einsum("pab,pb->pa", blocks[:, :2, :2], du) + blocks[:, :2, 2] * th_sum[:, None]
+    bond = C_BETA / m * mu * kw * np.einsum("pa,pa->p", z, du) / z2
+    dilatation = C_ALPHA / m * (lam - mu) * kw * (theta_fill[i] + theta_fill[j])
+    force = (bond + dilatation)[:, None] * z
+    mom = np.full((n, 2), np.nan)
     live_int = cloud.interior & disc.bonds.present
     for a in (0, 1):
-        total = np.bincount(i_pair, weights=force[:, a], minlength=n)
-        mom[live_int, a] = total[live_int]
+        mom[live_int, a] = np.bincount(i, weights=force[:, a], minlength=n)[live_int]
     return mom, theta
 
 

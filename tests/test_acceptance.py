@@ -74,7 +74,7 @@ def inclusion_uniform_ladders():
     out = {}
     t0 = time.perf_counter()
     for nu2 in (0.25, 0.49):
-        cfg = RunConfig(case="inclusion", n=16, grid="uniform", nu2=nu2)
+        cfg = RunConfig(case="inclusion", n=16, perturb=0.0, nu2=nu2)
         out[nu2], _ = _timed_ladder(cfg, [16, 32, 64, 128])
     return out, time.perf_counter() - t0
 

@@ -1,9 +1,12 @@
 """Driver and CLI tests: configuration validation, artifact schemas,
 deterministic reruns, reference tables, and exit codes."""
 
+import argparse
 import dataclasses
+import hashlib
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -45,11 +48,6 @@ from oracles import full_neighborhoods
 def test_config_rejects_unknown_case():
     with pytest.raises(ConfigError, match="unknown case"):
         RunConfig(case="torsion", n=16)
-
-
-def test_config_rejects_unknown_grid():
-    with pytest.raises(ConfigError, match="unknown grid"):
-        RunConfig(case="patch", n=16, grid="chebyshev")
 
 
 def test_config_rejects_bad_n():
@@ -98,11 +96,6 @@ def test_config_material_defaults():
     inc = RunConfig(case="inclusion", n=16, k2=3.0)
     fields = ("k1", "k2", "nu1", "nu2", "mu_ratio")
     assert [inc.material(k) for k in fields] == [2.0, 3.0, 0.25, 0.25, None]
-
-
-def test_uniform_grid_suppresses_jitter():
-    assert RunConfig(case="patch", n=16, grid="uniform", perturb=0.2).effective_perturb == 0.0
-    assert RunConfig(case="patch", n=16, perturb=0.15).effective_perturb == 0.15
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +252,7 @@ def test_two_rung_ladder_has_no_slope():
 
 def test_reference_errors_lookup():
     assert reference_errors(RunConfig(case="patch", n=24))["24"] == 4.11e-14
-    table = reference_errors(RunConfig(case="inclusion", n=16, grid="uniform", nu2=0.49))
+    table = reference_errors(RunConfig(case="inclusion", n=16, perturb=0.0, nu2=0.49))
     assert table["64"] == 0.0226
     assert len(table) == 5
     for nu in (None, 0.495):
@@ -268,7 +261,7 @@ def test_reference_errors_lookup():
 
 def test_reference_errors_empty_when_unmatched():
     assert reference_errors(RunConfig(case="hole", n=32)) == {}
-    assert reference_errors(RunConfig(case="smooth", n=24, grid="uniform")) == {}
+    assert reference_errors(RunConfig(case="smooth", n=24, perturb=0.0)) == {}
     assert reference_errors(RunConfig(case="inclusion", n=16, mu_ratio=2.0)) == {}
     assert reference_errors(RunConfig(case="inclusion", n=16, nu1=0.3)) == {}
     assert reference_errors(RunConfig(case="inclusion", n=16, k2=5.0)) == {}
@@ -401,17 +394,71 @@ def test_cli_bad_resolution_exits_2(tmp_path, capsys):
     assert "config" in capsys.readouterr().err
 
 
+#: One small call of each subcommand.
+COMMANDS = [
+    ["run", "--case", "patch", "--n", "12"],
+    ["converge", "--case", "patch", "--n-list", "12,16"],
+    ["check-quadrature", "--n", "12"],
+    ["sweep", "--n", "12"],
+]
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**128)])
-@pytest.mark.parametrize(
-    "command",
-    [["run", "--case", "patch", "--n", "12"], ["converge", "--case", "patch", "--n-list", "12,16"],
-     ["check-quadrature", "--n", "12"], ["sweep", "--n", "12"]],
-)
+@pytest.mark.parametrize("command", COMMANDS)
 def test_cli_seed_outside_philox_key_exits_2(command, seed, tmp_path, capsys):
     """The jitter's Philox key lies in [0, 2**128); any other seed is a
     configuration error of every subcommand, not numpy's ValueError."""
     assert main([*command, "--seed", seed, "--out", str(tmp_path)]) == 2
     assert "error [config]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("perturb", ["-0.1", "0.5", "0.7"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_perturb_outside_range_exits_2(command, perturb, tmp_path, capsys):
+    """The jitter amplitude lies in [0, 0.5) in units of h; any other is a
+    configuration error of every subcommand."""
+    assert main([*command, "--perturb", perturb, "--out", str(tmp_path)]) == 2
+    assert "error [config]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_grid_flag_exits_2(command, tmp_path):
+    """The jitter amplitude alone sets the grid: no subcommand takes a
+    ``--grid``, which could drop a ``--perturb`` given beside it."""
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--grid", "uniform", "--perturb", "0.3", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+#: sha256 of the ``fields.csv`` of ``run --case inclusion --n 16`` on the
+#: uniform grid, as it was written when ``--grid uniform`` still spelled it.
+UNIFORM_INCLUSION_16_FIELDS = "edded4c6c451dcdc8219a817b227eb9ae38a9220d14e79af044f129c4c3645ef"
+
+
+def test_cli_perturb_zero_is_the_uniform_grid(tmp_path):
+    """``--perturb 0`` is the uniform grid: every node sits on its cell
+    center, the fields are those the uniform grid has always written, and
+    the summary carries the uniform-grid table, not the perturbed one."""
+    argv = ["run", "--case", "inclusion", "--n", "16", "--perturb", "0", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    fields = (tmp_path / "fields.csv").read_bytes()
+    assert hashlib.sha256(fields).hexdigest() == UNIFORM_INCLUSION_16_FIELDS
+    xy = np.loadtxt(tmp_path / "fields.csv", delimiter=",", skiprows=1, usecols=(0, 1))
+    assert xy.shape == (256, 2) and np.isin(xy, (np.arange(16) + 0.5) / 16).all()
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    uniform = driver._REFERENCE_ERRORS[("inclusion", ("uniform", 0.25))]
+    assert summary["paper_reference_values"] == {str(n): v for n, v in uniform.items()}
+
+
+def test_readme_names_every_cli_flag():
+    """The README's "Command line" section names exactly the subcommands'
+    option strings, so a flag added, renamed or removed shows there."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    [commands] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {s for p in commands.choices.values() for a in p._actions for s in a.option_strings}
+    assert documented == flags - {"-h", "--help"}
 
 
 @pytest.mark.parametrize(
@@ -581,11 +628,12 @@ def test_benchmark_trace_targets_fire(argv, bonds, tmp_path, monkeypatch):
 
 
 def test_cli_check_quadrature_takes_geometry_flags(tmp_path, monkeypatch):
-    """check-quadrature takes every geometry flag, ``--grid`` included, and
-    reaches the three layers the benchmark traces through the CLI's names."""
+    """check-quadrature takes every geometry flag, ``--perturb 0`` for the
+    uniform grid, and reaches the three layers the benchmark traces
+    through the CLI's names."""
     tracing = _load_benchmark_tracing(monkeypatch)
     tracer = tracing.Tracer({"cli": cli, "driver": driver})
-    argv = ["check-quadrature", "--n", "10", "--grid", "uniform", "--out", str(tmp_path)]
+    argv = ["check-quadrature", "--n", "10", "--perturb", "0", "--out", str(tmp_path)]
     with tracer.traced("check-quadrature", "cli.check-quadrature"):
         rc = cli.main(argv)
     assert rc == 0

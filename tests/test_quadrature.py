@@ -89,8 +89,8 @@ def test_basis_row_counts():
     the strict family's 26 rows name 15, all solved for."""
     full = exact_ball_moments(0.1)
     strict = exact_ball_moments(0.1, include_dilatation=False)
-    assert full.n_constraints == 36
-    assert strict.n_constraints == 26
+    assert full.rows.size == 36
+    assert strict.rows.size == 26
     groups = {0: "P", 3: "S", 1: "D"}
     by_group = {}
     for k in full.rows:
@@ -113,7 +113,7 @@ def test_constraint_rows_match_formula():
     for include_dilatation in (True, False):
         basis = exact_ball_moments(1.0, include_dilatation)
         B, g = assemble_constraints(basis, z, r)
-        assert B.shape == (basis.n_constraints, 50)
+        assert B.shape == (basis.rows.size, 50)
         np.testing.assert_array_equal(g, basis.moments)
         for row, k in enumerate(basis.rows):
             a, b, s = basis.functions[k]
@@ -199,7 +199,7 @@ def test_strict_family_skips_dilatation_probe():
     cloud = generate_perturbed_lattice(10, seed=4)
     nbrs = build_neighborhoods(cloud)
     family = compute_family(cloud, nbrs, include_dilatation=False)
-    assert family.basis.n_constraints == 26
+    assert family.basis.rows.size == 26
     report = verify_family(family, cloud, nbrs, probe_count=40, seed=0)
     assert report["dilatation_identity"] == 0.0
     assert report["tensor_identity"] <= 1e-10
