@@ -8,7 +8,9 @@ peak RSS is read.  A stage called more than once (the sweep assembles
 and solves once per ratio) shows its summed time and the peak after its
 last call.  "total" is the whole CLI call, writers included.  With
 ``--repeat k`` each run is made in k fresh processes, and the table
-shows the medians of the times and of the peaks.
+shows the medians of the times and of the peaks.  Each process makes
+one untimed LU solve before its call, so that the stall of a fresh
+process's first threaded BLAS calls stays out of the stage times.
 
 The matrix: the hole at nu = 0.495 at n = 64 and 128, the smooth field
 at n = 96 and the n = 32 contrast sweep; ``--full`` adds the hole and
@@ -65,10 +67,22 @@ def _peak_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def warm_up_blas() -> None:
+    """One untimed LU solve, large enough to wake the threaded BLAS: the
+    first threaded calls of a fresh process can stall, and a stall would
+    land in whichever stage called BLAS first."""
+    import numpy as np
+    from scipy.linalg import lu_factor, lu_solve
+
+    a = np.random.default_rng(0).random((512, 512)) + 512.0 * np.eye(512)
+    lu_solve(lu_factor(a), a)
+
+
 def run_one(argv: list[str]) -> dict:
     """Make one CLI call with every stage timed; return its record."""
     from perilps import cli, driver
 
+    warm_up_blas()
     rows: dict[str, list] = {}
     counts: dict[str, int] = {}
 

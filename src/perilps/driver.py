@@ -130,6 +130,8 @@ class RunConfig:
             raise ConfigError(f"mu_ratio (--mu-ratio) sets both phases and would drop {given}")
         if self.n <= 0:
             raise ConfigError(f"n must be positive, got {self.n}")
+        if not 0.0 <= self.perturb < 0.5:
+            raise ConfigError(f"perturb (--perturb) must lie in [0, 0.5), got {self.perturb}")
 
     def material(self, name: str) -> float | None:
         """Material field ``name``, or its case's default when unset."""
@@ -375,13 +377,12 @@ def sweep_contrast(
     """
     if not ratios:
         raise ConfigError("sweep needs at least one contrast ratio")
-    out_path = Path(out) if out is not None else None
-    if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
-
     configs = [replace(config, case="inclusion", mu_ratio=float(r)) for r in ratios]
     cases = [_build_case(cfg)[0] for cfg in configs]
     disc = build_discretization(config)
+    out_path = Path(out) if out is not None else None
+    if out_path is not None:
+        out_path.mkdir(parents=True, exist_ok=True)
 
     entries = []
     for cfg, case in zip(configs, cases):

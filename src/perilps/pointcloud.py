@@ -13,8 +13,10 @@ Random offsets come from a Philox counter-based generator, which is
 specified bit-for-bit by its key, so a (seed, n) pair reproduces the same
 cloud on any platform.
 
-The pairs within one horizon are found by a cell list in numpy alone
-(``build_neighborhoods``); only ``uniformity_metrics`` uses a k-d tree.
+The pairs within one horizon are found by lattice offset in numpy alone
+(``build_neighborhoods``): every node lies within ``h/2`` of its cell
+center, so a node's neighbors sit at a fixed stencil of offsets on the
+lattice.  Only ``uniformity_metrics`` uses a k-d tree.
 Rows are kept only for the nodes that can carry a dilatation
 (``Neighborhoods.kept``): the outer half of the collar is data that
 other nodes' rows read, and its own rows would hold no weight.
@@ -203,98 +205,94 @@ def generate_perturbed_lattice(
     )
 
 
-#: The half stencil of the cell list: a node's own cell (partners later
-#: in the cell order only) and the four cells after it, so that every
-#: unordered pair of adjacent cells is visited once.
-_HALF_STENCIL = ((0, 0), (1, -1), (1, 0), (1, 1), (0, 1))
-
-
-def _dilatation_rule(cloud: PointCloud, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+def _dilatation_rule(cloud: PointCloud, linked: np.ndarray) -> np.ndarray:
     """The nodes that can carry a dilatation: those whose unperturbed
     center lies within ``delta`` of the square, and every neighbor of an
     interior node (under jitter above about a third of ``h`` a momentum
-    row can reach a node whose center lies just beyond ``delta``).  The
-    pairs ``(i, j)`` must hold every bond of every interior node, in
-    either direction or in both."""
-    near = cloud.center_distance_to_domain() <= cloud.delta * (1.0 + 1e-12)
-    near[j[cloud.interior[i]]] = True
-    near[i[cloud.interior[j]]] = True
-    return near
+    row can reach a node whose center lies just beyond ``delta``).
+    ``linked`` marks the nodes with an interior node within ``delta``."""
+    return linked | (cloud.center_distance_to_domain() <= cloud.delta * (1.0 + 1e-12))
 
 
-def _pairs_within(cloud: PointCloud) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Directed pairs ``(i, j)`` with ``0 < |x_j - x_i| <= delta``, sorted,
-    for the nodes ``i`` of ``_dilatation_rule``, and the rule's node mask.
+def _stencil(cloud: PointCloud, shape: np.ndarray) -> np.ndarray:
+    """The lattice offsets ``(di, dj)`` at which two nodes can lie within
+    ``delta`` of each other, in the order of ``di * cols + dj``.
 
-    A cell list (the linked-cell method): the nodes are binned into square
-    cells of width ``delta * (1 + 1e-9)``, so a pair within the radius
-    lies in one cell or in two adjacent ones even where the binning
-    rounds, and each unordered candidate pair is met once over the half
-    stencil.  The candidates are then filtered by the exact test on
-    ``x_j - x_i``.  Cells are looked up by ``searchsorted`` over the
-    occupied ones, never as a dense grid, so a tiny radius costs no
-    memory.  Each unordered pair gives a direction for each of its kept
-    nodes, and one sort of the keys ``i * N + j`` orders them.  Kept
-    apart from ``build_neighborhoods`` so that the candidate arrays are
-    freed before the bond vectors are formed.
+    Two nodes at offset ``di`` lie at least ``|di| h - s`` apart in x,
+    where ``s`` is the spread of the jitter ``x - center`` in x over the
+    cloud, and likewise in y; on a generated lattice ``s`` stays below
+    ``2 * perturb_frac * h``.  The reach carries a margin of ``1e-9``, so
+    that rounding cannot drop a pair that sits exactly on the horizon.
+    No offset spans the grid, whose ``shape`` is (rows, cols).
     """
-    pos, radius = cloud.positions, cloud.delta
-    n = pos.shape[0]
-    cell_xy = ((pos - pos.min(axis=0)) / (radius * (1.0 + 1e-9))).astype(np.int64)
-    # Columns are padded by an empty cell at either end, so that a
-    # neighbor one cell up or down never wraps into the next column.
-    ny = int(cell_xy[:, 1].max()) + 3
-    cell = cell_xy[:, 0] * ny + cell_xy[:, 1] + 1
-    by_cell = np.argsort(cell)
-    cell, sorted_pos = cell[by_cell], pos[by_cell]
-    # Candidates are pairs (a, b) of positions in the cell order: each a
-    # meets every b in lo[a]:hi[a], the nodes of one stencil cell.
-    rank = np.arange(n)
-    found_a, found_b = [], []
-    for dx, dy in _HALF_STENCIL:
-        if dx == dy == 0:
-            lo = rank + 1
-        else:
-            lo = np.searchsorted(cell, cell + (dx * ny + dy), side="left")
-        hi = np.searchsorted(cell, cell + (dx * ny + dy), side="right")
-        counts = hi - lo
-        a = np.repeat(rank, counts)
-        b = np.arange(a.size) + np.repeat(lo - np.cumsum(counts) + counts, counts)
-        # ``take`` gathers rows several times faster than fancy indexing.
-        diff = np.take(sorted_pos, b, axis=0) - np.take(sorted_pos, a, axis=0)
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        hit = (d2 <= radius * radius) & (d2 > 0.0)
-        found_a.append(a[hit])
-        found_b.append(b[hit])
-    i, j = by_cell[np.concatenate(found_a)], by_cell[np.concatenate(found_b)]
-    kept = _dilatation_rule(cloud, i, j)
-    key = np.sort(np.concatenate([(i * n + j)[kept[i]], (j * n + i)[kept[j]]]))
-    return *np.divmod(key, n), kept
+    # One contiguous row per coordinate: numpy reduces the short axis of
+    # an (N, 2) array many times slower.
+    jitter = np.ascontiguousarray((cloud.positions - cloud.unperturbed_centers()).T)
+    spread = (jitter.max(axis=1) - jitter.min(axis=1)) / cloud.h
+    reach = cloud.delta * (1.0 + 1e-9) / cloud.h
+    span = np.minimum(np.floor(reach + spread).astype(np.int64), shape - 1)
+    di, dj = np.meshgrid(*(np.arange(-s, s + 1) for s in span), indexing="ij")
+    gap_x = np.maximum(np.abs(di) - spread[0], 0.0)
+    gap_y = np.maximum(np.abs(dj) - spread[1], 0.0)
+    near = (gap_x * gap_x + gap_y * gap_y <= reach * reach) & ((di != 0) | (dj != 0))
+    return np.column_stack([di[near], dj[near]])
 
 
 def build_neighborhoods(cloud: PointCloud) -> Neighborhoods:
     """Find the pairs within the horizon of every node of
-    ``_dilatation_rule`` using a cell list; every other row is empty.
+    ``_dilatation_rule`` by lattice offset; every other row is empty.
 
-    The radius test is inclusive and coincident nodes (zero distance)
-    are excluded along with the node itself.
+    The nodes form a ``rows x cols`` grid, stored row-major by
+    ``lattice_index``, so each offset of ``_stencil`` pairs the grid with
+    a shifted copy of itself.  The copy is padded with NaN, which fails
+    every test, so that no offset wraps at the grid's edge.  The radius
+    test is the exact one on ``x_j - x_i``, inclusive, and coincident
+    nodes (zero distance) are excluded along with the node itself.  The
+    hits fill a (node x offset) mask, whose nonzero entries come already
+    sorted by ``(i, j)``.
     """
-    pos = cloud.positions
+    pos, radius = cloud.positions, cloud.delta
     n = pos.shape[0]
-    i_arr, j_arr, kept = _pairs_within(cloud)
+    index = cloud.lattice_index
+    rows, cols = shape = index[-1] - index[0] + 1
+    if rows * cols != n or not np.array_equal(
+        index, index[0] + np.column_stack(np.divmod(np.arange(n), cols))
+    ):
+        raise ConfigError("the nodes must be stored row-major by lattice index")
 
-    counts = np.bincount(i_arr, minlength=n)
+    stencil = _stencil(cloud, shape)
+    pi, pj = np.abs(stencil).max(axis=0, initial=0)
+    inner = (slice(pi, pi + rows), slice(pj, pj + cols))
+    x, y = np.full((2, rows + 2 * pi, cols + 2 * pj), np.nan)
+    x[inner], y[inner] = pos.T.reshape(2, rows, cols)
+    interior = np.zeros(x.shape, dtype=bool)
+    interior[inner] = cloud.interior.reshape(rows, cols)
+    hit = np.empty((rows, cols, len(stencil)), dtype=bool)
+    linked = np.zeros((rows, cols), dtype=bool)
+    for k, (di, dj) in enumerate(stencil):
+        there = (slice(pi + di, pi + di + rows), slice(pj + dj, pj + dj + cols))
+        dx, dy = x[there] - x[inner], y[there] - y[inner]
+        d2 = dx * dx + dy * dy
+        hit[:, :, k] = (d2 <= radius * radius) & (d2 > 0.0)
+        linked |= hit[:, :, k] & interior[there]
+    kept = _dilatation_rule(cloud, linked.ravel())
+
+    # The flat indices of the mask's hits run in (i, offset) order, which
+    # is the (i, j) order of the rows.
+    hit = hit.reshape(n, -1) & kept[:, None]
+    counts = np.count_nonzero(hit, axis=1)
+    i = np.repeat(np.arange(n), counts)
+    step = stencil[:, 0] * cols + stencil[:, 1]
+    j = i + np.take(step, np.flatnonzero(hit) - i * len(step))
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-
-    offsets = np.take(pos, j_arr, axis=0) - np.take(pos, i_arr, axis=0)
-    distances = np.hypot(offsets[:, 0], offsets[:, 1])
+    offsets = np.take(pos, j, axis=0) - np.take(pos, i, axis=0)
     return Neighborhoods(
         indptr=indptr,
-        indices=j_arr,
-        row_index=i_arr,
+        indices=j,
+        row_index=i,
         offsets=offsets,
-        distances=distances,
+        distances=np.hypot(offsets[:, 0], offsets[:, 1]),
         kept=kept,
         delta=cloud.delta,
     )

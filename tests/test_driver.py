@@ -416,9 +416,25 @@ def test_cli_seed_outside_philox_key_exits_2(command, seed, tmp_path, capsys):
 @pytest.mark.parametrize("command", COMMANDS)
 def test_cli_perturb_outside_range_exits_2(command, perturb, tmp_path, capsys):
     """The jitter amplitude lies in [0, 0.5) in units of h; any other is a
-    configuration error of every subcommand."""
-    assert main([*command, "--perturb", perturb, "--out", str(tmp_path)]) == 2
+    configuration error in every subcommand, whose message names the
+    flag, raised before any artifact directory is made."""
+    out = tmp_path / "d"
+    assert main([*command, "--perturb", perturb, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error [config]" in err and "perturb (--perturb)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags", [["--perturb", "0.7"], ["--n", "7"], ["--seed", "-1"], ["--ratios", "1,-2"]]
+)
+def test_cli_sweep_config_error_leaves_no_directory(flags, tmp_path, capsys):
+    """A sweep whose configuration, cases or geometry fail exits 2 before
+    it makes its artifact directory, as ``run`` does."""
+    out = tmp_path / "d"
+    assert main(["sweep", "--n", "12", *flags, "--out", str(out)]) == 2
     assert "error [config]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", COMMANDS)

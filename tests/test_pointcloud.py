@@ -136,9 +136,16 @@ def test_neighborhoods_match_brute_force():
     perturb=st.floats(0.0, 0.45, exclude_max=True),
     delta_factor=st.floats(3.0, 5.0),
 )
-# On an unjittered grid with an integer horizon factor many pairs sit
-# exactly on the horizon, where a binned search can round them away.
+# On an unjittered grid with an integer horizon factor a ring of pairs
+# sits exactly on the horizon, at the stencil's outer offsets, where a
+# search that rounds its reach can drop them.
 @example(n=13, seed=0, perturb=0.0, delta_factor=3.0)
+@example(n=11, seed=0, perturb=0.0, delta_factor=3.0)
+@example(n=11, seed=0, perturb=0.0, delta_factor=4.0)
+@example(n=11, seed=0, perturb=0.0, delta_factor=5.0)
+# Jitter just below h/2 gives the widest stencil the lattice allows.
+@example(n=11, seed=7, perturb=0.4999, delta_factor=3.5)
+@example(n=11, seed=7, perturb=0.4999, delta_factor=5.0)
 def test_neighborhoods_match_brute_force_everywhere(n, seed, perturb, delta_factor):
     cloud = generate_perturbed_lattice(
         n, delta_factor=delta_factor, perturb_frac=perturb, seed=seed
@@ -161,7 +168,7 @@ def _assert_neighborhoods_equal(nbrs, expected):
     direction=st.sampled_from([(1.0, 0.0), (0.0, -1.0), (-0.6, 0.8), (0.8, 0.6)]),
 )
 # Scaled by 3 with an integer horizon factor and no jitter, many pairs sit
-# on the horizon, where the cells are widest relative to the rounding.
+# on the horizon, where a search that rounds its reach can drop them.
 @example(n=13, seed=0, perturb=0.0, delta_factor=3.0, layout="scaled", node=0, direction=(1.0, 0.0))
 def test_neighborhoods_match_brute_force_off_the_lattice(
     n, seed, perturb, delta_factor, layout, node, direction
@@ -264,6 +271,21 @@ def test_horizon_is_inclusive():
     nbrs = build_neighborhoods(moved)
     assert k + 1 in nbrs.indices[nbrs.pair_slice(k)]
     assert k in nbrs.indices[nbrs.pair_slice(k + 1)]
+
+
+def test_search_rejects_nodes_out_of_lattice_order():
+    """The search reads the lattice from the node order, so a cloud whose
+    nodes are not row-major by lattice index is refused, not searched
+    wrongly."""
+    cloud = generate_perturbed_lattice(8, seed=3)
+    swap = np.arange(cloud.n_points)
+    swap[[0, 1]] = [1, 0]
+    for moved in (
+        dataclasses.replace(cloud, positions=cloud.positions[swap], lattice_index=cloud.lattice_index[swap]),
+        dataclasses.replace(cloud, positions=cloud.positions[1:], lattice_index=cloud.lattice_index[1:]),
+    ):
+        with pytest.raises(ConfigError, match="row-major"):
+            build_neighborhoods(moved)
 
 
 def test_pair_slice_matches_neighbors():
