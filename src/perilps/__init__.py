@@ -58,7 +58,6 @@ from .pointcloud import (
     PointCloud,
     build_neighborhoods,
     generate_perturbed_lattice,
-    uniformity_metrics,
 )
 from .quadrature import (
     ConstraintBasis,
@@ -68,7 +67,6 @@ from .quadrature import (
     compute_family,
     exact_ball_moments,
     least_norm_weights,
-    verify_family,
     weighted_volume,
 )
 from .solver import SolveReport, rms_norm, solve

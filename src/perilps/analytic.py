@@ -140,33 +140,17 @@ class HoleParams:
     center: tuple[float, float] = (0.5, 0.5)
 
 
-def hole_displacement(
-    points: np.ndarray, params: HoleParams, clamp_radius: bool = False
-) -> np.ndarray:
+def hole_displacement(points: np.ndarray, params: HoleParams) -> np.ndarray:
     """Displacement of the hole-in-plate solution at the given points.
 
-    Raises
-    ------
-    ConfigError
-        If any point lies strictly inside the hole (there is no material
-        there) and ``clamp_radius`` is False.  With ``clamp_radius`` the
-        radius is clamped to the hole boundary, giving the free-surface
-        limit value; the driver uses that for jittered nodes that stray
-        marginally inside the circle.
+    The radius is clamped to the hole boundary, so a point inside the
+    hole (a jittered node that strays marginally inside the circle, or
+    one an ulp inside the rim from ``hypot`` round-off) gets the
+    free-surface limit value.
     """
     d = points - np.asarray(params.center)
-    r = np.hypot(d[:, 0], d[:, 1])
     a = params.radius
-    if clamp_radius:
-        r = np.maximum(r, a)
-    elif np.any(r < a * (1.0 - 1e-12)):
-        worst = float(r.min())
-        raise ConfigError(
-            f"hole solution evaluated inside the hole (r={worst:.6g} < a={a:g})"
-        )
-    else:
-        # Points an ulp inside the rim (from hypot round-off) count as on it.
-        r = np.maximum(r, a)
+    r = np.maximum(np.hypot(d[:, 0], d[:, 1]), a)
     theta = np.arctan2(d[:, 1], d[:, 0])
     kappa = params.moduli.kappa
     mu = params.moduli.mu
@@ -272,7 +256,7 @@ def make_smooth_case(moduli: ElasticModuli, frequency: float = 1.0) -> AnalyticC
 
 def make_hole_case(params: HoleParams) -> AnalyticCase:
     return AnalyticCase(
-        displacement=lambda p: hole_displacement(p, params, clamp_radius=True),
+        displacement=lambda p: hole_displacement(p, params),
         forcing=_zero_forcing,
         lame_fields=_homogeneous_fields(params.moduli),
     )

@@ -69,8 +69,6 @@ def _add_material(p: argparse.ArgumentParser) -> None:
                    help="2D bulk modulus of the inclusion phase (default 2)")
     p.add_argument("--k2", type=float,
                    help="2D bulk modulus of the matrix phase (default 1)")
-    p.add_argument("--mu-ratio", type=float,
-                   help="shear contrast mu2/mu1 (sets both phases; not with k1/k2/nu1/nu2)")
 
 
 def _config_from(args: argparse.Namespace, case: str, n: int) -> driver.RunConfig:

@@ -63,30 +63,34 @@ _MATERIAL = {
     "smooth": {},
     "smooth-nearinc": {"nu": 0.495},
     "hole": {"nu": 0.25},
-    "inclusion": {"k1": 2.0, "k2": 1.0, "nu1": 0.25, "nu2": 0.25, "mu_ratio": None},
+    "inclusion": {"k1": 2.0, "k2": 1.0, "nu1": 0.25, "nu2": 0.25},
 }
 
 CASES = tuple(_MATERIAL)
 
 #: Published RMS errors of the originating convergence study, keyed by
-#: case (and, for the inclusion tables, the grid and the outer Poisson
-#: ratio).  The "uniform" tables are those of the unjittered lattice, a
-#: run with ``perturb == 0``; every other run reads the "perturbed" ones.
-#: Embedded in summaries so a run can be eyeballed against them.
+#: case, grid and the case's material fields in ``_MATERIAL`` order.  The
+#: "uniform" tables are those of the unjittered lattice, a run with
+#: ``perturb == 0``; every other run reads the "perturbed" ones.  The
+#: inclusion tables hold for k1 = 2 inside and k2 = 1 outside, and the
+#: smooth-nearinc table for nu = 0.495 only.  Embedded in summaries so a
+#: run can be eyeballed against them.
 _REFERENCE_ERRORS = {
-    ("patch", None): {24: 4.11e-14, 48: 2.47e-13, 96: 2.69e-12, 192: 4.01e-13},
-    ("smooth", None): {24: 0.02207, 48: 0.00506, 96: 0.00117, 192: 0.00028},
-    ("smooth-nearinc", None): {24: 0.13057, 48: 0.02597, 96: 0.00632, 192: 0.00158},
-    ("inclusion", ("uniform", 0.25)): {
+    ("patch", "perturbed", ()): {24: 4.11e-14, 48: 2.47e-13, 96: 2.69e-12, 192: 4.01e-13},
+    ("smooth", "perturbed", ()): {24: 0.02207, 48: 0.00506, 96: 0.00117, 192: 0.00028},
+    ("smooth-nearinc", "perturbed", (0.495,)): {
+        24: 0.13057, 48: 0.02597, 96: 0.00632, 192: 0.00158,
+    },
+    ("inclusion", "uniform", (2.0, 1.0, 0.25, 0.25)): {
         16: 0.00569, 32: 0.00201, 64: 0.00099, 128: 0.00045, 256: 0.00023,
     },
-    ("inclusion", ("uniform", 0.49)): {
+    ("inclusion", "uniform", (2.0, 1.0, 0.25, 0.49)): {
         16: 0.04463, 32: 0.03926, 64: 0.02260, 128: 0.01205, 256: 0.00595,
     },
-    ("inclusion", ("perturbed", 0.25)): {
+    ("inclusion", "perturbed", (2.0, 1.0, 0.25, 0.25)): {
         16: 0.00661, 32: 0.00242, 64: 0.00144, 128: 0.00055, 256: 0.00044,
     },
-    ("inclusion", ("perturbed", 0.49)): {
+    ("inclusion", "perturbed", (2.0, 1.0, 0.25, 0.49)): {
         16: 0.04629, 32: 0.03941, 64: 0.02304, 128: 0.01211, 256: 0.00614,
     },
 }
@@ -110,7 +114,6 @@ class RunConfig:
     nu2: float | None = None
     k1: float | None = None
     k2: float | None = None
-    mu_ratio: float | None = None
     strict_vh: bool = False
 
     def __post_init__(self):
@@ -118,16 +121,12 @@ class RunConfig:
             raise ConfigError(f"unknown case {self.case!r}; choose from {CASES}")
         unread = [
             k
-            for k in ("nu", "nu1", "nu2", "k1", "k2", "mu_ratio")
+            for k in ("nu", "nu1", "nu2", "k1", "k2")
             if getattr(self, k) is not None and k not in _MATERIAL[self.case]
         ]
         if unread:
-            given = ", ".join(f"{k} (--{k.replace('_', '-')})" for k in unread)
+            given = ", ".join(f"{k} (--{k})" for k in unread)
             raise ConfigError(f"case {self.case!r} does not read {given}")
-        overridden = [k for k in ("k1", "k2", "nu1", "nu2") if getattr(self, k) is not None]
-        if self.mu_ratio is not None and overridden:
-            given = ", ".join(f"{k} (--{k})" for k in overridden)
-            raise ConfigError(f"mu_ratio (--mu-ratio) sets both phases and would drop {given}")
         if self.n <= 0:
             raise ConfigError(f"n must be positive, got {self.n}")
         if not 0.0 <= self.perturb < 0.5:
@@ -170,16 +169,8 @@ class ConvergenceReport:
 
 
 def _inclusion_params(config: RunConfig) -> InclusionParams:
-    if config.mu_ratio is not None:
-        if not config.mu_ratio > 0.0:
-            raise ConfigError(f"mu ratio must be positive, got {config.mu_ratio}")
-        # Fix nu = 1/4 in both phases and mu = 1 inside, so the 2D bulk
-        # modulus is twice the shear modulus in each phase.
-        inner = analytic.moduli_from_K_nu(2.0, 0.25)
-        outer = analytic.moduli_from_K_nu(2.0 * config.mu_ratio, 0.25)
-    else:
-        inner = analytic.moduli_from_K_nu(config.material("k1"), config.material("nu1"))
-        outer = analytic.moduli_from_K_nu(config.material("k2"), config.material("nu2"))
+    inner = analytic.moduli_from_K_nu(config.material("k1"), config.material("nu1"))
+    outer = analytic.moduli_from_K_nu(config.material("k2"), config.material("nu2"))
     return InclusionParams(inner=inner, outer=outer)
 
 
@@ -205,22 +196,9 @@ def _build_case(config: RunConfig) -> tuple[AnalyticCase, Disk | None]:
 
 def reference_errors(config: RunConfig) -> dict[str, float]:
     """Published errors matching this configuration, keyed by resolution."""
-    key = None
     grid = "perturbed" if config.perturb else "uniform"
-    if config.case == "inclusion":
-        # The published tables are for k1 = 2 inside and k2 = 1 outside.
-        k1, k2, nu1, nu2 = (config.material(k) for k in ("k1", "k2", "nu1", "nu2"))
-        published = config.mu_ratio is None and (k1, k2) == (2.0, 1.0)
-        if published and abs(nu1 - 0.25) < 1e-12:
-            for table_nu2 in (0.25, 0.49):
-                if abs(nu2 - table_nu2) < 1e-12:
-                    key = ("inclusion", (grid, table_nu2))
-    elif config.case in ("patch", "smooth", "smooth-nearinc"):
-        # The smooth-nearinc table is published for nu = 0.495 only.
-        published = config.case != "smooth-nearinc" or config.material("nu") == 0.495
-        if published and grid == "perturbed":
-            key = (config.case, None)
-    table = _REFERENCE_ERRORS.get(key, {})
+    material = tuple(config.material(k) for k in _MATERIAL[config.case])
+    table = _REFERENCE_ERRORS.get((config.case, grid, material), {})
     return {str(n): v for n, v in sorted(table.items())}
 
 
@@ -368,16 +346,22 @@ def sweep_contrast(
     """Inclusion runs over a range of shear contrasts, with profiles.
 
     The geometry is built once and shared by every ratio, which only
-    changes the material.  For each ratio the inclusion case is solved
-    at the configured resolution and the x-displacement along the
-    lattice row nearest the horizontal centerline is extracted next to
-    its analytic overlay.
+    changes the material.  A ratio ``r`` is the matrix phase's bulk
+    modulus ``k2 = 2 r`` beside the default inclusion phase (k1 = 2, and
+    nu = 1/4 in both), so it is the shear contrast mu2/mu1.  For each
+    ratio the inclusion case is solved at the configured resolution and
+    the x-displacement along the lattice row nearest the horizontal
+    centerline is extracted next to its analytic overlay.
 
     Returns a dict with per-ratio profile arrays and summary numbers.
     """
-    if not ratios:
-        raise ConfigError("sweep needs at least one contrast ratio")
-    configs = [replace(config, case="inclusion", mu_ratio=float(r)) for r in ratios]
+    ratios = [float(r) for r in ratios]
+    if not ratios or not all(r > 0.0 for r in ratios):
+        raise ConfigError(f"sweep needs one or more positive contrast ratios, got {ratios}")
+    given = [k for k in _MATERIAL["inclusion"] if getattr(config, k) is not None]
+    if given:
+        raise ConfigError(f"a contrast ratio sets both phases and would drop {', '.join(given)}")
+    configs = [replace(config, case="inclusion", k2=2.0 * r) for r in ratios]
     cases = [_build_case(cfg)[0] for cfg in configs]
     disc = build_discretization(config)
     out_path = Path(out) if out is not None else None
@@ -385,14 +369,14 @@ def sweep_contrast(
         out_path.mkdir(parents=True, exist_ok=True)
 
     entries = []
-    for cfg, case in zip(configs, cases):
+    for ratio, cfg, case in zip(ratios, configs, cases):
         result = _run_physics(cfg, case, disc)
         profile = _centerline_profile(result)
         err = rms_norm(profile["ux"] - profile["ux_exact"])
         scale = float(np.abs(result.u_exact[result.report_mask]).max())
         entries.append(
             {
-                "ratio": cfg.mu_ratio,
+                "ratio": ratio,
                 "profile": profile,
                 "profile_rms": err,
                 "max_abs_u": scale,
@@ -400,7 +384,7 @@ def sweep_contrast(
             }
         )
         if out_path is not None:
-            name = f"profile_ratio_{cfg.mu_ratio!r}.csv"
+            name = f"profile_ratio_{ratio!r}.csv"
             columns = [profile[c] for c in ("x", "y", "ux", "ux_exact")]
             write_csv(out_path / name, "x,y,ux,ux_exact", columns)
 

@@ -16,7 +16,7 @@ cloud on any platform.
 The pairs within one horizon are found by lattice offset in numpy alone
 (``build_neighborhoods``): every node lies within ``h/2`` of its cell
 center, so a node's neighbors sit at a fixed stencil of offsets on the
-lattice.  Only ``uniformity_metrics`` uses a k-d tree.
+lattice.
 Rows are kept only for the nodes that can carry a dilatation
 (``Neighborhoods.kept``): the outer half of the collar is data that
 other nodes' rows read, and its own rows would hold no weight.
@@ -37,7 +37,6 @@ __all__ = [
     "Neighborhoods",
     "generate_perturbed_lattice",
     "build_neighborhoods",
-    "uniformity_metrics",
 ]
 
 
@@ -297,24 +296,3 @@ def build_neighborhoods(cloud: PointCloud) -> Neighborhoods:
         delta=cloud.delta,
     )
 
-
-def uniformity_metrics(cloud: PointCloud, refine: int = 4) -> tuple[float, float]:
-    """Return ``(fill_distance, separation_distance)`` of the cloud.
-
-    The fill distance over the unit square is approximated by sampling a
-    lattice refined by ``refine`` in each direction; the separation
-    distance is half the minimal pairwise distance, computed exactly.
-    Loads ``scipy.spatial`` on the first call; no run needs it.
-    """
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(cloud.positions)
-    step = cloud.h / refine
-    g = np.arange(step / 2, 1.0, step)
-    sx, sy = np.meshgrid(g, g, indexing="ij")
-    samples = np.column_stack([sx.ravel(), sy.ravel()])
-    fill = float(tree.query(samples)[0].max())
-
-    nearest = tree.query(cloud.positions, k=2)[0][:, 1]
-    separation = float(nearest.min() / 2.0)
-    return fill, separation

@@ -52,7 +52,6 @@ __all__ = [
     "assemble_constraints",
     "least_norm_weights",
     "compute_family",
-    "verify_family",
 ]
 
 #: Relative singular value cutoff for the rank truncation.
@@ -402,106 +401,3 @@ def compute_family(
         basis=basis,
     )
 
-
-def _shifted_coefficients(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Expand ``p(y) - p(x)`` in the shifted monomials of ``z = y - x``.
-
-    ``coeffs`` is (2, 6) against the monomial basis
-    ``[1, y1, y2, y1^2, y1*y2, y2^2]`` per displacement component.
-    Returns (2, 5) coefficients against ``_SHIFTED_MONOMIALS``.
-    """
-    a0, a1, a2, a3, a4, a5 = coeffs.T
-    out = np.empty((2, 5))
-    out[:, 0] = a1 + 2.0 * a3 * x[0] + a4 * x[1]
-    out[:, 1] = a2 + a4 * x[0] + 2.0 * a5 * x[1]
-    out[:, 2] = a3
-    out[:, 3] = a4
-    out[:, 4] = a5
-    return out
-
-
-def _eval_quadratic(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    basis = np.column_stack(
-        [
-            np.ones(len(pts)),
-            pts[:, 0],
-            pts[:, 1],
-            pts[:, 0] ** 2,
-            pts[:, 0] * pts[:, 1],
-            pts[:, 1] ** 2,
-        ]
-    )
-    return basis @ coeffs.T
-
-
-def verify_family(
-    family: QuadratureFamily,
-    cloud: PointCloud,
-    nbrs: Neighborhoods,
-    probe_count: int = 100,
-    seed: int = 0,
-) -> dict:
-    """Probe the weights with random quadratic vector fields.
-
-    For each probe, a node with computed weights and a random quadratic
-    displacement ``p`` are drawn; the weighted sums of the tensor-kernel
-    integrand ``(z x z / |z|^3) (p(y) - p(x))`` and of the dilatation
-    integrand ``z . (p(y) - p(x)) / |z|`` are compared against their
-    closed-form ball integrals, assembled independently from the
-    monomial moment table.  The dilatation identity is only checked when
-    the family was built with the dilatation constraints; without them
-    it holds for linear fields alone.
-
-    Returns a dict with ``max_rel_residual`` (worst probe over both
-    identities) and the per-identity maxima.
-    """
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    candidates = np.nonzero(family.computed)[0]
-    if candidates.size == 0:
-        raise QuadratureError("no computed weights to verify")
-    delta = family.basis.delta
-    scale0 = math.pi * delta**3
-
-    worst_tensor = 0.0
-    worst_dil = 0.0
-    for _ in range(probe_count):
-        i = int(rng.choice(candidates))
-        coeffs = rng.uniform(-1.0, 1.0, size=(2, 6))
-        sl = nbrs.pair_slice(i)
-        z = nbrs.offsets[sl]
-        r = nbrs.distances[sl]
-        w = family.weights[sl]
-        x = cloud.positions[i]
-
-        dp = _eval_quadratic(coeffs, cloud.positions[nbrs.indices[sl]]) - _eval_quadratic(
-            coeffs, x[None, :]
-        )
-
-        zdp = np.einsum("pc,pc->p", z, dp)
-        tensor_num = np.einsum("pa,p,p->a", z, zdp / r**3, w)
-        dil_num = float(np.sum(zdp / r * w))
-
-        alpha = _shifted_coefficients(coeffs, x)
-        tensor_exact = np.zeros(2)
-        dil_exact = 0.0
-        for m, (ma, mb) in enumerate(_SHIFTED_MONOMIALS):
-            for c in (0, 1):
-                am = ma + (c == 0)
-                bm = mb + (c == 1)
-                dil_exact += alpha[c, m] * ball_monomial_moment(am, bm, 1, delta)
-                for comp in (0, 1):
-                    tensor_exact[comp] += alpha[c, m] * ball_monomial_moment(
-                        am + (comp == 0), bm + (comp == 1), 3, delta
-                    )
-
-        scale = scale0 * max(1.0, float(np.abs(alpha).max()))
-        worst_tensor = max(worst_tensor, float(np.abs(tensor_num - tensor_exact).max()) / scale)
-        if family.basis.include_dilatation:
-            worst_dil = max(worst_dil, abs(dil_num - dil_exact) / scale)
-
-    return {
-        "max_rel_residual": max(worst_tensor, worst_dil),
-        "tensor_identity": worst_tensor,
-        "dilatation_identity": worst_dil,
-        "probes": probe_count,
-    }

@@ -3,7 +3,9 @@
 ``build_neighborhoods`` keeps the rows of the nodes that can carry a
 dilatation only.  The neighbor oracles find every pair by brute force,
 state that rule on their own, and build full-row neighborhoods for the
-tests that need the rows the search drops.  ``unknown_layout`` states
+tests that need the rows the search drops.  ``quadratic_field_probes``
+checks the quadrature weights on random quadratic fields against ball
+integrals by polar quadrature.  ``unknown_layout`` states
 the scalar layout of the unknowns node by node, and ``apply_operator``
 applies the discrete operator bond by bond from the model's formulas,
 without assembling it.
@@ -75,6 +77,53 @@ def full_neighborhoods(cloud):
         kept=dilatation_rule(cloud, i, j),
         delta=cloud.delta,
     )
+
+
+def _probe_integrands(z, du):
+    """The tensor-kernel integrand ``z (z . du) / |z|^3`` and the dilatation
+    integrand ``z . du / |z|`` at bond vectors ``z``, as (m, 3)."""
+    r = np.hypot(z[:, 0], z[:, 1])
+    zdu = np.einsum("pc,pc->p", z, du)
+    return np.column_stack([z * (zdu / r**3)[:, None], zdu / r])
+
+
+def quadratic_field_probes(family, cloud, nbrs, probe_count, seed):
+    """The worst gaps of the weights on random quadratic fields.
+
+    Each probe draws a node ``x`` with weights and a quadratic field
+    ``p`` with coefficients in [-1, 1], and sums the weights times both
+    integrands of ``du = p(x + z) - p(x)`` over the node's bonds.  The
+    ball integrals come from polar quadrature: in ``r dr dphi`` the
+    integrands are polynomials of degree at most 3 in ``r``, which
+    4-point Gauss-Legendre integrates exactly, and trigonometric
+    polynomials of degree at most 4 in ``phi``, which the 16-point
+    trapezoid rule does.  Neither the moment formula nor the constraint
+    rows are used.  Gaps are relative to ``pi delta^3``.
+
+    Returns the worst gap of the tensor identity (both components) and
+    of the dilatation identity.
+    """
+    rng = np.random.default_rng(seed)
+    t, wt = np.polynomial.legendre.leggauss(4)
+    r = 0.5 * cloud.delta * (t + 1.0)
+    phi = 2.0 * math.pi * np.arange(16) / 16
+    z_ball = (r[:, None, None] * np.stack([np.cos(phi), np.sin(phi)], axis=-1)).reshape(-1, 2)
+    w_ball = np.repeat(0.5 * cloud.delta * wt * r * (2.0 * math.pi / 16), 16)
+
+    def field(coeffs, y):
+        y1, y2 = y[:, 0], y[:, 1]
+        return np.column_stack([np.ones_like(y1), y1, y2, y1**2, y1 * y2, y2**2]) @ coeffs
+
+    worst = np.zeros(3)
+    for i in rng.choice(np.nonzero(family.computed)[0], probe_count):
+        coeffs = rng.uniform(-1.0, 1.0, size=(6, 2))
+        x = cloud.positions[i : i + 1]
+        sl = nbrs.pair_slice(i)
+        y = cloud.positions[nbrs.indices[sl]]
+        sums = family.weights[sl] @ _probe_integrands(y - x, field(coeffs, y) - field(coeffs, x))
+        ball = w_ball @ _probe_integrands(z_ball, field(coeffs, x + z_ball) - field(coeffs, x))
+        worst = np.maximum(worst, np.abs(sums - ball) / (math.pi * cloud.delta**3))
+    return {"tensor": float(worst[:2].max()), "dilatation": float(worst[2])}
 
 
 def unknown_layout(disc):

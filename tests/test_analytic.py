@@ -240,10 +240,10 @@ def test_hole_surface_value_on_axis(hole_params):
 
 
 def test_hole_inside_raises_unless_clamped(hole_params):
+    """The radius is always clamped: a point inside the hole reads the
+    boundary value on its ray instead of raising."""
     inside = np.array([[0.5 + 0.5 * hole_params.radius, 0.5]])
-    with pytest.raises(ConfigError):
-        hole_displacement(inside, hole_params)
-    clamped = hole_displacement(inside, hole_params, clamp_radius=True)
+    clamped = hole_displacement(inside, hole_params)
     boundary = hole_displacement(
         np.array([[0.5 + hole_params.radius, 0.5]]), hole_params
     )

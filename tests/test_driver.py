@@ -63,7 +63,7 @@ def test_config_rejects_bad_n():
         ("smooth", dict(nu=0.3, k1=9.0)),
         ("patch", dict(k2=3.0)),
         ("smooth-nearinc", dict(nu1=0.3)),
-        ("hole", dict(mu_ratio=4.0, nu2=0.3)),
+        ("hole", dict(k1=4.0, nu2=0.3)),
         ("inclusion", dict(nu=0.3)),
     ],
 )
@@ -77,25 +77,13 @@ def test_config_rejects_material_field_the_case_does_not_read(case, fields):
         replace(RunConfig(case=case, n=16), **fields)
 
 
-@pytest.mark.parametrize("fields", [dict(k1=5.0), dict(k1=5.0, nu2=0.3), dict(k2=3.0, nu1=0.3)])
-def test_config_rejects_material_fields_mu_ratio_overrides(fields):
-    """``mu_ratio`` sets both phases, so a modulus or Poisson ratio given
-    with it would be dropped; the library rejects the pair and names each
-    dropped field, on construction and on ``replace``."""
-    with pytest.raises(ConfigError) as info:
-        RunConfig(case="inclusion", n=16, mu_ratio=4.0, **fields)
-    assert all(k in str(info.value) for k in fields)
-    with pytest.raises(ConfigError):
-        replace(RunConfig(case="inclusion", n=16, **fields), mu_ratio=4.0)
-
-
 def test_config_material_defaults():
     """An unset material field reads as its case's default."""
     assert RunConfig(case="hole", n=16).material("nu") == 0.25
     assert RunConfig(case="smooth-nearinc", n=16).material("nu") == 0.495
     inc = RunConfig(case="inclusion", n=16, k2=3.0)
-    fields = ("k1", "k2", "nu1", "nu2", "mu_ratio")
-    assert [inc.material(k) for k in fields] == [2.0, 3.0, 0.25, 0.25, None]
+    fields = ("k1", "k2", "nu1", "nu2")
+    assert [inc.material(k) for k in fields] == [2.0, 3.0, 0.25, 0.25]
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +250,7 @@ def test_reference_errors_lookup():
 def test_reference_errors_empty_when_unmatched():
     assert reference_errors(RunConfig(case="hole", n=32)) == {}
     assert reference_errors(RunConfig(case="smooth", n=24, perturb=0.0)) == {}
-    assert reference_errors(RunConfig(case="inclusion", n=16, mu_ratio=2.0)) == {}
+    assert reference_errors(RunConfig(case="inclusion", n=16, k2=4.0)) == {}
     assert reference_errors(RunConfig(case="inclusion", n=16, nu1=0.3)) == {}
     assert reference_errors(RunConfig(case="inclusion", n=16, k2=5.0)) == {}
     # The smooth-nearinc table is published for nu = 0.495 only.
@@ -295,6 +283,18 @@ def test_sweep_outputs(tmp_path):
     assert homog["rms_error"] < 1e-12
 
 
+@pytest.mark.parametrize("fields", [dict(k1=5.0), dict(k1=5.0, nu2=0.3), dict(k2=3.0, nu1=0.3)])
+def test_sweep_rejects_material_fields(fields, tmp_path):
+    """A contrast ratio sets both phases, so a modulus or Poisson ratio
+    given with it would be dropped; the sweep rejects the config, names
+    each dropped field and writes nothing."""
+    out = tmp_path / "d"
+    with pytest.raises(ConfigError) as info:
+        sweep_contrast(RunConfig(case="inclusion", n=12, **fields), [4.0], out=out)
+    assert all(k in str(info.value) for k in fields)
+    assert not out.exists()
+
+
 def test_sweep_profile_row_near_centerline(tmp_path):
     out = sweep_contrast(RunConfig(case="inclusion", n=12), [1.0], out=tmp_path)
     prof = out["entries"][0]["profile"]
@@ -310,7 +310,7 @@ def test_sweep_matches_single_runs_exactly():
     ratios = [0.5, 4.0]
     out = sweep_contrast(cfg, ratios)
     for entry, ratio in zip(out["entries"], ratios):
-        single = run_case(replace(cfg, case="inclusion", mu_ratio=ratio))
+        single = run_case(replace(cfg, k2=2.0 * ratio))
         assert entry["rms_error"] == single.rms_error
         np.testing.assert_array_equal(entry["profile"]["ux"], _centerline_profile(single)["ux"])
 
@@ -372,8 +372,9 @@ def test_sweep_analyses_the_fronts_once(tmp_path, monkeypatch):
 
 
 def test_sweep_requires_ratios():
-    with pytest.raises(ConfigError):
-        sweep_contrast(RunConfig(case="inclusion", n=12), [])
+    for ratios in ([], [1.0, 0.0], [-2.0]):
+        with pytest.raises(ConfigError, match="positive contrast ratios"):
+            sweep_contrast(RunConfig(case="inclusion", n=12), ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +463,7 @@ def test_cli_perturb_zero_is_the_uniform_grid(tmp_path):
     xy = np.loadtxt(tmp_path / "fields.csv", delimiter=",", skiprows=1, usecols=(0, 1))
     assert xy.shape == (256, 2) and np.isin(xy, (np.arange(16) + 0.5) / 16).all()
     summary = json.loads((tmp_path / "summary.json").read_text())
-    uniform = driver._REFERENCE_ERRORS[("inclusion", ("uniform", 0.25))]
+    uniform = driver._REFERENCE_ERRORS[("inclusion", "uniform", (2.0, 1.0, 0.25, 0.25))]
     assert summary["paper_reference_values"] == {str(n): v for n, v in uniform.items()}
 
 
@@ -483,8 +484,8 @@ def test_readme_names_every_cli_flag():
         ["run", "--case", "patch", "--delta-factor", "nan"],
         ["run", "--case", "patch", "--delta-factor", "inf"],
         ["check-quadrature", "--delta-factor", "nan"],
-        ["run", "--case", "inclusion", "--mu-ratio", "nan"],
-        ["run", "--case", "inclusion", "--mu-ratio", "inf"],
+        ["run", "--case", "inclusion", "--nu2", "nan"],
+        ["run", "--case", "inclusion", "--nu2", "inf"],
         ["sweep", "--ratios", "nan"],
         ["sweep", "--ratios", "1,inf"],
         ["run", "--case", "inclusion", "--k1", "nan"],
@@ -505,10 +506,10 @@ def test_cli_non_finite_input_exits_2(argv, tmp_path, capsys):
     [
         (["run", "--n", "16", "--case", "smooth", "--nu", "0.3"], ["--nu"]),
         (["run", "--n", "16", "--case", "smooth", "--nu2", "0.49", "--k1", "5"], ["--nu2", "--k1"]),
-        (["run", "--n", "16", "--case", "smooth", "--mu-ratio", "4"], ["--mu-ratio"]),
+        (["run", "--n", "16", "--case", "smooth", "--k2", "4"], ["--k2"]),
         (["run", "--n", "16", "--case", "patch", "--k2", "3"], ["--k2"]),
         (["run", "--n", "16", "--case", "smooth-nearinc", "--nu1", "0.3"], ["--nu1"]),
-        (["run", "--n", "16", "--case", "hole", "--mu-ratio", "4"], ["--mu-ratio"]),
+        (["run", "--n", "16", "--case", "hole", "--k2", "4"], ["--k2"]),
         (["run", "--n", "16", "--case", "inclusion", "--nu", "0.3"], ["--nu"]),
         (["converge", "--case", "smooth", "--n-list", "12,16", "--nu", "0.3"], ["--nu"]),
     ],
@@ -523,15 +524,15 @@ def test_cli_material_flag_the_case_does_not_read_exits_2(argv, flags, tmp_path,
     assert not out.exists()
 
 
-def test_cli_mu_ratio_with_phase_flags_exits_2(tmp_path, capsys):
-    """``--mu-ratio`` with ``--k1``/``--nu2`` exited 0 with the error of
-    ``--mu-ratio`` alone; it is a configuration error naming both flags."""
-    out = tmp_path / "d"
-    argv = ["run", "--case", "inclusion", "--n", "16", "--mu-ratio", "4", "--k1", "5", "--nu2", "0.3"]
-    assert main([*argv, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "error [config]" in err and "--k1" in err and "--nu2" in err
-    assert not out.exists()
+@pytest.mark.parametrize("command", [c for c in COMMANDS if c[0] in ("run", "converge")])
+def test_cli_mu_ratio_flag_exits_2(command, tmp_path):
+    """The inclusion phases have one spelling, ``--k1/--k2/--nu1/--nu2``:
+    ``--mu-ratio``, alone or beside a phase flag, is an argparse error."""
+    for extra in ([], ["--k1", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--mu-ratio", "4", *extra, "--out", str(tmp_path / "d")])
+        assert exc.value.code == 2
+    assert not (tmp_path / "d").exists()
 
 
 def test_cli_quadrature_failure_exits_3(tmp_path, capsys):
@@ -690,8 +691,14 @@ def test_cli_loads_no_spatial_sparse_or_special(tmp_path):
     """In a fresh process, importing the CLI and running each command loads
     neither scipy.spatial, scipy.sparse nor scipy.special, and no call
     loads a scipy module the import did not, so nothing is deferred into
-    a command's first call."""
+    a command's first call.  In the source, no module names scipy.spatial,
+    and only ``model.py`` names scipy.sparse, for ``BlockSystem.matrix``."""
     src = Path(cli.__file__).resolve().parent.parent
+    naming = {
+        heavy: sorted(p.name for p in (src / "perilps").glob("*.py") if heavy in p.read_text())
+        for heavy in ("scipy.spatial", "scipy.sparse")
+    }
+    assert naming == {"scipy.spatial": [], "scipy.sparse": ["model.py"]}
     calls = [
         ["run", "--case", "hole", "--n", "16"],
         ["check-quadrature", "--n", "12"],

@@ -13,7 +13,6 @@ from perilps import (
     build_neighborhoods,
     generate_perturbed_lattice,
     hole_removal_mask,
-    uniformity_metrics,
 )
 from oracles import dilatation_rule, kept_pairs, neighborhood_arrays
 
@@ -303,16 +302,3 @@ def test_separation_bound_under_jitter():
     nbrs = build_neighborhoods(cloud)
     assert nbrs.distances.min() >= 0.6 * cloud.h - 1e-12
 
-
-def test_uniformity_metrics_uniform_grid():
-    cloud = generate_perturbed_lattice(10, perturb_frac=0.0, seed=0)
-    fill, separation = uniformity_metrics(cloud)
-    assert separation == pytest.approx(cloud.h / 2)
-    assert fill >= separation
-    assert fill <= cloud.h
-
-
-def test_uniformity_metrics_jittered():
-    cloud = generate_perturbed_lattice(10, seed=21)
-    fill, separation = uniformity_metrics(cloud)
-    assert 0.0 < separation < fill < 2.0 * cloud.h
