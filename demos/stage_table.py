@@ -13,10 +13,11 @@ one untimed LU solve before its call, so that the stall of a fresh
 process's first threaded BLAS calls stays out of the stage times.
 
 The matrix: the hole at nu = 0.495 at n = 64 and 128, the smooth field
-at n = 96 and the n = 32 contrast sweep; ``--full`` adds the hole and
-the uniform inclusion at n = 256.  The table goes to stdout only: the
-runs write their artifacts into a temporary directory, and no artifact
-gains a timing.  To compare two checkouts, run the script once with
+at n = 96, the n = 32 contrast sweep and the quadrature check at n = 96,
+which solves nothing (its total less its stages is mostly the CSV
+writer); ``--full`` adds the hole and the uniform inclusion at n = 256.
+The table goes to stdout only: the runs write their artifacts into a
+temporary directory, and no artifact gains a timing.  To compare two checkouts, run the script once with
 each one's ``src`` on ``PYTHONPATH``:
 
     PYTHONPATH=src python3 demos/stage_table.py [--full] [--seed 7] [--repeat 1]
@@ -39,6 +40,7 @@ RUNS = {
     "hole nu=0.495, n=128": ["run", "--case", "hole", "--n", "128", "--nu", "0.495"],
     "smooth, n=96": ["run", "--case", "smooth", "--n", "96"],
     "sweep, n=32": ["sweep", "--n", "32"],
+    "check-quadrature, n=96": ["check-quadrature", "--n", "96"],
 }
 
 FULL_RUNS = {

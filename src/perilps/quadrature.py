@@ -15,16 +15,20 @@ others, so 19 of them (all 15) span the same row space and give the
 same least-norm solution.  One evaluator, ``_evaluate_functions``,
 serves the batched solve, the per-node fallback and the full-set
 certificate.  The 19 are solved for blocks of nodes at once, through a
-zero-padded batched Gram system on bond vectors scaled by the horizon.
-The blocks are dealt round-robin into one lane per CPU the process may
-use; lane 0 runs in the calling thread and the others on threads that
-live only for the call, each block writing only its own nodes'
-entries.  numpy releases the GIL in the batched products and solves,
-so the lanes run side by side.  Every node is certified against the
-full constraint set; the nodes whose batched weights fail that
-certificate are gathered from all lanes and solved again, lowest node
-first, by a rank-truncated least squares solve (``least_norm_weights``)
-and counted in ``QuadratureFamily.fallback``.
+batched Gram system on bond vectors scaled by the horizon.  A block is
+held functions-major, (functions, nodes, neighbors): each node's bonds
+are padded to the widest neighborhood by repeating a real bond, the
+functions are evaluated once on the padded bonds, and one multiply by
+the live mask zeroes the padded slots.  The blocks are dealt
+round-robin into one lane per CPU the process may use; lane 0 runs in
+the calling thread and the others on threads that live only for the
+call, each block writing only its own nodes' entries.  numpy releases
+the GIL in the batched products and solves, so the lanes run side by
+side.  Every node is certified against the full constraint set; the
+nodes whose batched weights fail that certificate are gathered from all
+lanes and solved again, lowest node first, by a rank-truncated least
+squares solve (``least_norm_weights``) and counted in
+``QuadratureFamily.fallback``.
 
 All reproducing functions have the form ``z1**a * z2**b / |z|**s``, so
 their ball integrals reduce to a radial power times a trigonometric
@@ -162,7 +166,7 @@ def exact_ball_moments(delta: float, include_dilatation: bool = True) -> Constra
 def _evaluate_functions(
     functions: tuple[tuple[int, int, int], ...], z: np.ndarray, r: np.ndarray
 ) -> np.ndarray:
-    """Every function ``(a, b, s)`` of ``functions`` at the bond vectors ``z``, as (n, F).
+    """Every function ``(a, b, s)`` of ``functions`` at the bond vectors ``z``, as (F, n).
 
     Each power of ``z1``, ``z2`` and ``1/|z|`` is formed once and shared,
     so a function costs two products.
@@ -177,7 +181,7 @@ def _evaluate_functions(
     for k, (a, b, s) in enumerate(functions):
         np.multiply(powers[0][a], powers[1][b], out=out[k])
         out[k] *= powers[2][s]
-    return out.T
+    return out
 
 
 def assemble_constraints(
@@ -189,7 +193,7 @@ def assemble_constraints(
     the bond vector ``z_j``; the right-hand side is the vector of exact
     ball moments.
     """
-    B = _evaluate_functions(basis.functions, offsets, distances)[:, basis.rows].T
+    B = _evaluate_functions(basis.functions, offsets, distances)[basis.rows]
     return B, basis.moments
 
 
@@ -247,30 +251,29 @@ def _independent(basis: ConstraintBasis) -> np.ndarray:
 
 
 def _gram_weights(S: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Least-norm solutions of ``B w = g`` for a stack ``S`` of ``B^T``.
+    """Least-norm solutions of ``B w = g`` for a stack ``S`` of ``B``.
 
-    Solves ``B B^T lam = g`` and returns ``w = B^T lam``, shaped
-    (nodes, neighbors).  If a Gram matrix of the stack is exactly
-    singular, every weight comes back NaN.
+    ``S`` is (nodes, functions, neighbors).  Solves ``B B^T lam = g``
+    and returns ``w = lam^T B``, shaped (nodes, neighbors).  If a Gram
+    matrix of the stack is exactly singular, every weight comes back NaN.
     """
-    gram = S.transpose(0, 2, 1) @ S
+    gram = S @ S.transpose(0, 2, 1)
     rhs = np.broadcast_to(g[:, None], (S.shape[0], g.size, 1))
     try:
         lam = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError:
-        return np.full(S.shape[:2], np.nan)
-    return (S @ lam)[:, :, 0]
+        return np.full((S.shape[0], S.shape[2]), np.nan)
+    return (lam.transpose(0, 2, 1) @ S)[:, 0]
 
 
-#: Nodes per batched weight solve.  A block's padded
-#: (nodes, neighbors, functions) arrays take a few MB; one block over all
-#: nodes of an n=96 cloud adds about 270 MB to the peak RSS.  Every lane
-#: holds one block at a time, and each lane's thread keeps its own malloc
-#: arena: at n=96 a second lane lifted the peak RSS by about 12 MB with
-#: 256-node blocks and by 2-10 MB with 128 (it varies with the order in
-#: which the threads free memory), while 32-node blocks took 1.8x as
-#: long per call.
-_BLOCK_NODES = 128
+#: Nodes per batched weight solve.  At n=96 (42 neighbors at most) a
+#: block's functions-major arrays peak at about 4.7 MB, freed before the
+#: lane's next block, and one block over all nodes would peak at about
+#: 190 MB.  Every lane holds one block at a time, and each lane's thread
+#: keeps its own malloc arena.  Against 128-node blocks, 256 took a
+#: ``check-quadrature --n 96`` call from 0.233 to 0.218 s and its peak
+#: RSS from 113.9 to 116.8 MB.
+_BLOCK_NODES = 256
 
 
 def _lanes() -> int:
@@ -296,11 +299,11 @@ def compute_family(
     their weights are ever referenced); ``build_neighborhoods`` keeps no
     row for them.
 
-    Nodes are solved in blocks of ``_BLOCK_NODES``, each gathered into a
-    zero-padded array (zero columns leave the least-norm solution
-    unchanged).  Every block is padded to the widest neighborhood of all
-    needed nodes, so a node's weights do not depend on which nodes share
-    its block.  Block ``k`` runs in lane ``k % _lanes()``; lane 0 is the
+    Nodes are solved in blocks of ``_BLOCK_NODES``, each evaluated into a
+    functions-major array whose padded slots are zero (zero columns
+    leave the least-norm solution unchanged).  Every block is padded to
+    the widest neighborhood of all needed nodes, so a node's weights do
+    not depend on which nodes share its block.  Block ``k`` runs in lane ``k % _lanes()``; lane 0 is the
     calling thread.  When every lane is done, the nodes whose batched
     weights fail the full-set certificate are solved again by
     ``least_norm_weights`` in ascending order, which then supplies their
@@ -343,31 +346,38 @@ def compute_family(
     g_solve = basis.function_moments[solve] * row_scale
     width = counts[nodes].max(initial=0)
 
+    def solve_block(block: np.ndarray) -> list[int]:
+        """Solve one block; return its nodes that fail the certificate.
+
+        Its arrays are freed on return, before the lane's next block.
+        """
+        slot = np.arange(width)
+        live = slot < counts[block][:, None]
+        # Padded slots repeat the node's first pair, so that every
+        # evaluated bond is a real one; the live mask zeroes them.
+        pairs = (nbrs.indptr[block][:, None] + np.where(live, slot, 0)).ravel()
+        A = _evaluate_functions(
+            basis.functions, nbrs.offsets[pairs], nbrs.distances[pairs]
+        ).reshape(-1, block.size, width)
+        A *= live
+
+        S = A[solve]
+        S *= row_scale[:, None, None]
+        w = _gram_weights(S.transpose(1, 0, 2), g_solve)
+
+        fit = (A.transpose(1, 0, 2) @ w[:, :, None])[:, :, 0].take(basis.rows, axis=1)
+        # take keeps each node's row contiguous (a fancy index would not),
+        # so the norm sums it in the same order at every block size.
+        res = np.linalg.norm(fit - g, axis=1) / g_norm
+        weights[pairs[live.ravel()]] = w[live]
+        residual[block] = res
+        rank[block] = solve.size
+        # Non-finite weights give a NaN residual, which fails this test too.
+        return block[~(res <= RESIDUAL_TOL)].tolist()
+
     def solve_lane(blocks: list[np.ndarray]) -> list[int]:
         """Solve ``blocks`` in turn; return the nodes that fail the certificate."""
-        failed = []
-        for block in blocks:
-            c = counts[block]
-            first = np.cumsum(c) - c
-            owner = np.repeat(np.arange(block.size), c)
-            slot = np.arange(c.sum()) - first[owner]
-            pairs = nbrs.indptr[block][owner] + slot
-
-            A = np.zeros((block.size, width, len(basis.functions)))
-            A[owner, slot] = _evaluate_functions(
-                basis.functions, nbrs.offsets[pairs], nbrs.distances[pairs]
-            )
-
-            w = _gram_weights(A[:, :, solve] * row_scale, g_solve)
-
-            fit = (w[:, None, :] @ A)[:, 0, basis.rows]
-            res = np.linalg.norm(fit - g, axis=1) / g_norm
-            weights[pairs] = w[owner, slot]
-            residual[block] = res
-            rank[block] = solve.size
-            # Non-finite weights give a NaN residual, which fails this test too.
-            failed += block[~(res <= RESIDUAL_TOL)].tolist()
-        return failed
+        return [i for block in blocks for i in solve_block(block)]
 
     blocks = [nodes[k:k + _BLOCK_NODES] for k in range(0, nodes.size, _BLOCK_NODES)]
     lanes = min(_lanes(), len(blocks)) or 1

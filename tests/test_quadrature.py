@@ -36,6 +36,24 @@ CONFIGS = dict(
 )
 
 
+def family_or_error(*args, **kwargs):
+    """``compute_family``'s result, or the message of its ``QuadratureError``."""
+    try:
+        return compute_family(*args, **kwargs)
+    except QuadratureError as exc:
+        return str(exc)
+
+
+def assert_same_outcome(x, y):
+    """Two ``family_or_error`` outcomes are the same error or bitwise the same family."""
+    if isinstance(x, str) or isinstance(y, str):
+        assert x == y
+        return
+    for field in ("weights", "residual", "rank", "fallback"):
+        a, b = getattr(x, field), getattr(y, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+
 def numeric_ball_moment(a, b, s, delta):
     """Polar quadrature of z1^a z2^b / |z|^s over the delta-ball."""
 
@@ -372,6 +390,39 @@ def test_failed_batched_node_is_solved_again_and_counted(small_family, monkeypat
     assert again.rank[victim] == family.rank[victim]
 
 
+def test_singular_gram_sends_its_whole_block_to_the_fallback(small_family, monkeypatch):
+    """A batched solve that finds a singular Gram matrix spoils its whole
+    block: every node of that block, and only those, is solved again.
+    One lane takes the blocks in order, so the k-th batched solve is
+    block k."""
+    cloud, nbrs, family = small_family
+    nodes = np.nonzero(family.computed)[0]
+    monkeypatch.setattr(quadrature, "_BLOCK_NODES", 7)
+    monkeypatch.setattr(quadrature, "_lanes", lambda: 1)
+    # The block that holds the middle node, a full one.
+    hit = nodes.size // 2 // 7
+    block = nodes[7 * hit:7 * (hit + 1)]
+    assert block.size == 7
+    solve = np.linalg.solve
+    sizes = []
+
+    def singular_block(a, b):
+        sizes.append(a.shape[0])
+        if len(sizes) == hit + 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_block)
+    again = compute_family(cloud, nbrs)
+    assert sum(sizes) == nodes.size and sizes[hit] == 7
+    np.testing.assert_array_equal(np.nonzero(again.fallback)[0], block)
+    spoiled = again.fallback[nbrs.row_index]
+    np.testing.assert_allclose(again.weights[spoiled], family.weights[spoiled], rtol=1e-10)
+    kept = family.computed[nbrs.row_index] & ~spoiled
+    np.testing.assert_array_equal(again.weights[kept], family.weights[kept])
+    assert again.residual[block].max() <= RESIDUAL_TOL
+
+
 @given(**CONFIGS, include_dilatation=st.booleans())
 def test_batched_weights_match_per_node_lstsq(
     seed, perturb, delta_factor, include_dilatation
@@ -401,6 +452,28 @@ def test_batched_weights_match_per_node_lstsq(
         assert family.rank[i] == diag["rank"], i
 
 
+@given(**CONFIGS, include_dilatation=st.booleans())
+# 320 needed nodes: the last block is partial at 7 nodes a block and at
+# the default size.
+@example(seed=0, perturb=0.3, delta_factor=3.0, include_dilatation=True)
+def test_weights_do_not_depend_on_block_size(seed, perturb, delta_factor, include_dilatation):
+    """One node a block, seven and the default give bitwise the same
+    family, or the same error: no padded slot leaks into a sum."""
+    cloud = generate_perturbed_lattice(
+        12, delta_factor=delta_factor, perturb_frac=perturb, seed=seed
+    )
+    nbrs = build_neighborhoods(cloud)
+    outcomes = []
+    for size in (1, 7, quadrature._BLOCK_NODES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quadrature, "_BLOCK_NODES", size)
+            outcomes.append(
+                family_or_error(cloud, nbrs, include_dilatation=include_dilatation)
+            )
+    for other in outcomes[1:]:
+        assert_same_outcome(outcomes[0], other)
+
+
 @given(**CONFIGS, n=st.integers(16, 24))
 # Found on a hole cloud: with each block padded to its own widest node,
 # skipping the removed nodes moved kept weights by up to 2.6e-15.
@@ -421,10 +494,14 @@ def test_weights_do_not_depend_on_block_members(seed, perturb, delta_factor, n):
     np.testing.assert_array_equal(part.residual[kept], full.residual[kept])
 
 
+#: A cloud whose needed nodes fill at least two blocks, so that more than
+#: one lane runs: 320 nodes.
+MULTI_BLOCK = dict(seed=0, perturb=0.3, delta_factor=3.0, n=12)
+
+
 # n >= 11 leaves room for the collar at every drawn horizon factor.
 @given(**CONFIGS, n=st.integers(11, 40), empty=st.booleans())
-# 192 needed nodes: two blocks for three lanes.
-@example(seed=0, perturb=0.3, delta_factor=3.0, n=8, empty=False)
+@example(**MULTI_BLOCK, empty=False)
 @example(seed=0, perturb=0.3, delta_factor=3.0, n=24, empty=True)
 def test_weights_do_not_depend_on_lane_count(seed, perturb, delta_factor, n, empty):
     """One lane and three lanes give bitwise the same family, or the
@@ -434,21 +511,14 @@ def test_weights_do_not_depend_on_lane_count(seed, perturb, delta_factor, n, emp
     )
     nbrs = build_neighborhoods(cloud)
     needed = nbrs.kept & (not empty)
+    if dict(seed=seed, perturb=perturb, delta_factor=delta_factor, n=n) == MULTI_BLOCK:
+        assert needed.sum() > quadrature._BLOCK_NODES
     outcomes = []
     for lanes in (1, 3):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(quadrature, "_lanes", lambda: lanes)
-            try:
-                outcomes.append(compute_family(cloud, nbrs, needed=needed))
-            except QuadratureError as exc:
-                outcomes.append(str(exc))
-    one, three = outcomes
-    if isinstance(one, str) or isinstance(three, str):
-        assert one == three
-        return
-    for field in ("weights", "residual", "rank", "fallback"):
-        a, b = getattr(one, field), getattr(three, field)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+            outcomes.append(family_or_error(cloud, nbrs, needed=needed))
+    assert_same_outcome(*outcomes)
 
 
 @given(**CONFIGS)
