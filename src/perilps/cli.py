@@ -48,12 +48,13 @@ def _float_list(text: str) -> list[float]:
 
 
 def _add_geometry(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--delta-factor", type=float, default=3.5,
-                   help="horizon in units of h (default 3.5)")
-    p.add_argument("--perturb", type=float, default=0.2,
-                   help="jitter amplitude in units of h; 0 is the uniform grid (default 0.2)")
-    p.add_argument("--seed", type=int, default=7,
-                   help="key of the jitter draw (default 7)")
+    # Unset flags stay None and their fields at RunConfig's defaults, which the help quotes.
+    default = {f.name: f.default for f in dataclasses.fields(driver.RunConfig)}
+    p.add_argument("--delta-factor", type=float,
+                   help=f"horizon in units of h (default {default['delta_factor']})")
+    p.add_argument("--perturb", type=float, help="jitter amplitude in units of h; 0 is the "
+                   f"uniform grid (default {default['perturb']})")
+    p.add_argument("--seed", type=int, help=f"key of the jitter draw (default {default['seed']})")
     p.add_argument("--strict-vh", action="store_true",
                    help="drop the dilatation constraints from the quadrature")
     p.add_argument("--out", type=Path, required=True,

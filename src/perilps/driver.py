@@ -141,7 +141,6 @@ class RunConfig:
 @dataclass
 class RunResult:
     config: RunConfig
-    case: AnalyticCase
     cloud: PointCloud
     u: np.ndarray
     theta: np.ndarray
@@ -175,7 +174,8 @@ def _inclusion_params(config: RunConfig) -> InclusionParams:
 
 
 def _build_case(config: RunConfig) -> tuple[AnalyticCase, Disk | None]:
-    """The analytic case of ``config`` and the hole it cuts, if any."""
+    """The analytic case of ``config`` and the hole it cuts, if any.
+    ``RunConfig`` has rejected any other case name."""
     if config.case == "patch":
         return analytic.make_patch_case(), None
     if config.case == "smooth":
@@ -189,9 +189,7 @@ def _build_case(config: RunConfig) -> tuple[AnalyticCase, Disk | None]:
         params = HoleParams(moduli=analytic.moduli_from_E_nu(1.0, config.material("nu")))
         disk = Disk(center=params.center, radius=params.radius)
         return analytic.make_hole_case(params), disk
-    if config.case == "inclusion":
-        return analytic.make_inclusion_case(_inclusion_params(config)), None
-    raise ConfigError(f"unknown case {config.case!r}")
+    return analytic.make_inclusion_case(_inclusion_params(config)), None
 
 
 def reference_errors(config: RunConfig) -> dict[str, float]:
@@ -261,7 +259,6 @@ def _run_physics(
     mask = disc.fronts.slots[:, 0] >= 0
     return RunResult(
         config=config,
-        case=case,
         cloud=cloud,
         u=u,
         theta=fields[:, 2],

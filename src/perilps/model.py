@@ -30,9 +30,9 @@ itself.  So the block system stores one 3x3 block per directed bond,
 aligned with the neighbor lists, plus one diagonal block per node; the
 rows of a block are a node's (x-momentum, y-momentum, dilatation)
 equations and its columns the other node's (ux, uy, theta).  The
-assembly forms each block entry once from per-bond factors, and in one
-pass sums it into the diagonal and the right-hand side and writes it
-into the blocks; a scalar sparse matrix exists only on request
+assembly sums each of a bond's eight block entries into the diagonal
+and the right-hand side, and writes it into the blocks, as it forms it
+from per-bond factors; a scalar sparse matrix exists only on request
 (``BlockSystem.matrix``).  Every bond is at most one horizon long, so
 the geometry also fixes a nested-dissection tree of the nodes
 (``dissection_order``) and the block pattern: the pairs whose blocks
@@ -309,9 +309,9 @@ def front_tree(
 class DilatationCorrection:
     """First-moment tensors of surviving bonds and their inverses.
 
-    ``invertible`` and ``computed`` mark the nodes whose tensor was
-    inverted and the nodes with weights; ``compute_moment_tensors``
-    rejects any computed node whose tensor is not invertible.
+    ``invertible`` marks the nodes whose tensor was inverted, and
+    ``computed``, the family's own mask, those with weights; any computed
+    node whose tensor is not invertible is rejected.
     """
 
     tensors: np.ndarray
@@ -374,9 +374,7 @@ def compute_moment_tensors(
     inv[ok, 0, 1] = -b[ok] / det[ok]
     inv[ok, 1, 0] = -b[ok] / det[ok]
 
-    return DilatationCorrection(
-        tensors=M, inverses=inv, invertible=invertible, computed=computed.copy()
-    )
+    return DilatationCorrection(tensors=M, inverses=inv, invertible=invertible, computed=computed)
 
 
 @dataclass
@@ -482,66 +480,6 @@ class BlockSystem:
         return sp.csr_matrix((vals[keep], (r[keep], c[keep])), shape=shape)
 
 
-def _pair_entries(disc: Discretization, material: MaterialField):
-    """The entries of the per-bond 3x3 blocks, one at a time, as ``(a, b, values)``.
-
-    Rows ``a`` are node ``i``'s x-momentum, y-momentum and dilatation;
-    columns ``b`` the neighbor's (ux, uy, theta).  With ``B`` the block
-    of bond (i, j), the momentum of ``i`` sums ``B[:2, :2] (u_j - u_i)``
-    (the bond force, ``s z (x) z``) and ``B[:2, 2] (theta_i + theta_j)``
-    (the dilatation force), and ``theta_i`` sums ``-B[2, :2] . (u_j - u_i)``
-    (the corrected dilatation).  ``B[2, 2]`` is zero and not yielded.
-
-    Each ``values`` is a new per-bond array.  Beside it the generator
-    keeps at most three per-bond factors, so a caller that drops each
-    entry before taking the next never holds all eight.  Within a row,
-    column 0 comes before column 1.
-    """
-    nbrs = disc.nbrs
-    i_pair, wt, r = nbrs.row_index, disc.weights, nbrs.distances
-    z = (nbrs.offsets[:, 0], nbrs.offsets[:, 1])
-    m = weighted_volume(disc.cloud.delta)
-
-    # The factors (C_ALPHA / m) ((lam_p - mu_p) k w), (C_BETA / m) mu_p k w
-    # / r^2 and -(DIM / m) k w, with the kernel k = 1 / r, are formed in
-    # place, one product at a time in that order.
-    a_fac = _pair_mean(material.lam, i_pair, nbrs.indices)
-    s_fac = _pair_mean(material.mu, i_pair, nbrs.indices)
-    kernel = 1.0 / r
-    a_fac -= s_fac
-    a_fac *= kernel
-    a_fac *= wt
-    a_fac *= C_ALPHA / m
-    for a in range(2):
-        yield a, 2, a_fac * z[a]
-    del a_fac
-
-    s_fac *= C_BETA / m
-    s_fac *= kernel
-    s_fac *= wt
-    s_fac /= r**2
-    for a in range(2):
-        for b in range(2):
-            yield a, b, s_fac * z[a] * z[b]
-    del s_fac
-
-    c_fac = kernel
-    c_fac *= DIM / m
-    c_fac *= wt
-    np.negative(c_fac, out=c_fac)
-    inverses = disc.correction.inverses
-    for b in range(2):
-        values = np.take(inverses[:, b, 0], i_pair)
-        values *= z[0]
-        other = np.take(inverses[:, b, 1], i_pair)
-        other *= z[1]
-        values += other
-        del other
-        values *= c_fac
-        yield 2, b, values
-        del values
-
-
 def assemble_system(
     disc: Discretization,
     material: MaterialField,
@@ -570,36 +508,80 @@ def assemble_system(
     if np.any(live & u_unknown[i_pair] & ~theta_mask[j_pair]):
         raise AssemblyError("a momentum row references a node with no dilatation")
 
-    # One pass per entry: it is summed into the diagonal and into the
-    # collar data, then written masked into the blocks.  A node's own
-    # terms are the sums of its bonds' terms: minus for the displacement
-    # columns of both row kinds, plus for the dilatation column of the
-    # momentum rows.  The displacement columns of nodes without
-    # displacement unknowns hold data, which moves to the RHS.  Only
-    # interior nodes have momentum rows: the blocks keep no other, and the
-    # other nodes' sums are dropped below.
+    # Each entry is summed into the diagonal and into the collar data as it
+    # is formed, then written masked into the blocks.  A node's own terms
+    # are the sums of its bonds' terms: minus for the displacement columns
+    # of both row kinds, plus for the dilatation column of the momentum
+    # rows.  The displacement columns of nodes without displacement
+    # unknowns hold data, which moves to the RHS.  Only interior nodes have
+    # momentum rows: the blocks keep no other, and the other nodes' sums
+    # are dropped below.
     u_row, u_col = u_unknown[i_pair], u_unknown[j_pair]
     u_both = u_row & u_col
     data = np.flatnonzero(live & ~u_col)
     data_u = np.take(dirichlet, j_pair[data], axis=0)
-    moved = np.empty((data.size, 3))
+    moved = np.zeros((data.size, 3))
     blocks = np.empty((nbrs.n_pairs, 3, 3))
     blocks[:, 2, 2] = 0.0
     diag = np.zeros((n, 3, 3))
-    for a, b, values in _pair_entries(disc, material):
+
+    def add(a: int, b: int, values: np.ndarray) -> None:
         total = np.bincount(i_pair, weights=values, minlength=n)
         if b == 2:
             diag[:, a, b] = total
         else:
             diag[:, a, b] = -total
-            term = values[data] * data_u[:, b]
-            if b == 0:
-                moved[:, a] = term
-            else:
-                moved[:, a] += term
+            moved[:, a] += values[data] * data_u[:, b]
         kept = u_col if a == 2 else u_row if b == 2 else u_both
         np.multiply(values, kept, out=blocks[:, a, b])
-        # Dropped before the generator makes the next entry.
+
+    # Rows a of a block are node i's x-momentum, y-momentum and dilatation,
+    # columns b the neighbor's (ux, uy, theta).  With B the block of bond
+    # (i, j), the momentum of i sums B[:2, :2] (u_j - u_i) (the bond force,
+    # s z (x) z) and B[:2, 2] (theta_i + theta_j) (the dilatation force),
+    # and theta_i sums -B[2, :2] . (u_j - u_i) (the corrected dilatation);
+    # B[2, 2] is zero.  The factors (C_ALPHA / m) ((lam_p - mu_p) k w),
+    # (C_BETA / m) mu_p k w / r^2 and -(DIM / m) k w, with the kernel
+    # k = 1 / r, are formed in place, one product at a time in that order,
+    # and each is dropped after its last entry, so that at most three
+    # per-bond factors and one entry are alive at a time.
+    wt, r = disc.weights, nbrs.distances
+    z = (nbrs.offsets[:, 0], nbrs.offsets[:, 1])
+    m = weighted_volume(disc.cloud.delta)
+    a_fac = _pair_mean(material.lam, i_pair, j_pair)
+    s_fac = _pair_mean(material.mu, i_pair, j_pair)
+    kernel = 1.0 / r
+    a_fac -= s_fac
+    a_fac *= kernel
+    a_fac *= wt
+    a_fac *= C_ALPHA / m
+    for a in range(2):
+        add(a, 2, a_fac * z[a])
+    del a_fac
+
+    s_fac *= C_BETA / m
+    s_fac *= kernel
+    s_fac *= wt
+    s_fac /= r**2
+    for a in range(2):
+        for b in range(2):
+            add(a, b, s_fac * z[a] * z[b])
+    del s_fac
+
+    c_fac = kernel
+    c_fac *= DIM / m
+    c_fac *= wt
+    np.negative(c_fac, out=c_fac)
+    inverses = disc.correction.inverses
+    for b in range(2):
+        values = np.take(inverses[:, b, 0], i_pair)
+        values *= z[0]
+        other = np.take(inverses[:, b, 1], i_pair)
+        other *= z[1]
+        values += other
+        del other
+        values *= c_fac
+        add(2, b, values)
         del values
     diag[theta_mask, 2, 2] = 1.0
 

@@ -114,11 +114,9 @@ class ConstraintBasis:
     row's group follows from ``s``: 0 for ``P``, 3 for ``S``, 1 for ``D``.
     """
 
-    delta: float
     functions: tuple[tuple[int, int, int], ...]
     function_moments: np.ndarray
     rows: np.ndarray
-    include_dilatation: bool
 
     @property
     def moments(self) -> np.ndarray:
@@ -155,11 +153,9 @@ def exact_ball_moments(delta: float, include_dilatation: bool = True) -> Constra
         ]
     functions = tuple(dict.fromkeys(rows))
     return ConstraintBasis(
-        delta=delta,
         functions=functions,
         function_moments=np.array([ball_monomial_moment(*f, delta) for f in functions]),
         rows=np.array([functions.index(f) for f in rows]),
-        include_dilatation=include_dilatation,
     )
 
 
@@ -381,6 +377,11 @@ def compute_family(
 
     blocks = [nodes[k:k + _BLOCK_NODES] for k in range(0, nodes.size, _BLOCK_NODES)]
     lanes = min(_lanes(), len(blocks)) or 1
+    # Lane 0 runs in the calling thread rather than in one more worker,
+    # because every thread that allocates keeps its own malloc arena.  A
+    # pool map over all the blocks gave the same weights at the same wall
+    # time, but a peak RSS 4-6 MB higher on every benchmark workload
+    # (2 CPUs).
     with ThreadPoolExecutor(lanes) as pool:
         others = [pool.submit(solve_lane, blocks[k::lanes]) for k in range(1, lanes)]
         failed = solve_lane(blocks[::lanes])

@@ -478,6 +478,38 @@ def test_readme_names_every_cli_flag():
     assert documented == flags - {"-h", "--help"}
 
 
+class _Built(Exception):
+    """Stops a command once it has built its config, and carries it."""
+
+
+@pytest.mark.parametrize("argv, case, n", [
+    (["run", "--case", "hole", "--n", "12"], "hole", 12),
+    (["converge", "--case", "smooth", "--n-list", "12,16"], "smooth", 12),
+    (["check-quadrature", "--n", "12"], "patch", 12),
+    (["sweep"], "inclusion", 64),
+])
+def test_cli_geometry_defaults_are_the_configs(argv, case, n, tmp_path, monkeypatch):
+    """A command given no geometry flag builds ``RunConfig(case, n)``, and
+    each geometry flag's help quotes that config's default: the defaults
+    are set in one place."""
+    config_from = cli._config_from
+
+    def built(*args):
+        raise _Built(config_from(*args))
+
+    monkeypatch.setattr(cli, "_config_from", built)
+    with pytest.raises(_Built) as exc:
+        main([*argv, "--out", str(tmp_path)])
+    config = RunConfig(case=case, n=n)
+    assert exc.value.args[0] == config
+
+    [commands] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = {a.dest: a for a in commands.choices[argv[0]]._actions}
+    for name in ("delta_factor", "perturb", "seed"):
+        assert actions[name].default is None
+        assert f"(default {getattr(config, name)})" in actions[name].help
+
+
 @pytest.mark.parametrize(
     "argv",
     [

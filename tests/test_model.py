@@ -2,6 +2,8 @@
 the moment-tensor dilatation correction, and operator/assembly agreement.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -578,6 +580,37 @@ def test_block_product_matches_scalar_matrix(nu):
     np.testing.assert_allclose(
         system.apply(x) - system.rhs, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max()
     )
+
+
+#: How many per-bond float64 arrays the assembly may hold beside the
+#: system it returns: three factors, one entry and the temporaries of
+#: summing it.  Holding all eight entries at once needs about 12.6.
+ASSEMBLY_SCRATCH_ARRAYS = 7.5
+
+
+@pytest.mark.parametrize("config", [
+    RunConfig(case="hole", n=32, nu=0.495, seed=7),
+    RunConfig(case="inclusion", n=32, seed=7),
+], ids=["hole", "inclusion"])
+def test_assembly_holds_each_entry_alone(config):
+    """The assembly's allocation peak exceeds the system it returns by at
+    most ``ASSEMBLY_SCRATCH_ARRAYS`` per-bond arrays: each block entry is
+    summed and written before the next is formed."""
+    analytic_case, hole = _build_case(config)
+    disc = build_discretization(config, hole)
+    pos = disc.cloud.positions
+    mat = MaterialField.from_case(analytic_case, disc.cloud)
+    u, f = analytic_case.displacement(pos), analytic_case.forcing(pos)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        system = assemble_system(disc, mat, dirichlet=u, forcing=f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = system.blocks.nbytes + system.diag.nbytes + system.rhs.nbytes
+    scratch = (peak - before - returned) / (8 * disc.nbrs.n_pairs)
+    assert scratch <= ASSEMBLY_SCRATCH_ARRAYS, scratch
 
 
 def test_ill_conditioned_moment_tensor_is_rejected(uniform16):
