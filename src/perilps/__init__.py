@@ -62,11 +62,9 @@ from .pointcloud import (
 from .quadrature import (
     ConstraintBasis,
     QuadratureFamily,
-    assemble_constraints,
     ball_monomial_moment,
     compute_family,
     exact_ball_moments,
-    least_norm_weights,
     weighted_volume,
 )
 from .solver import SolveReport, rms_norm, solve

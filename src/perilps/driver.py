@@ -279,10 +279,7 @@ def run_case(config: RunConfig, out: Path | str | None = None) -> RunResult:
     case, hole = _build_case(config)
     result = _run_physics(config, case, build_discretization(config, hole))
     if out is not None:
-        out = Path(out)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_fields(out / "fields.csv", result)
-        _write_summary(out / "summary.json", result)
+        _write_run(Path(out), result)
     return result
 
 
@@ -293,20 +290,16 @@ def convergence_ladder(
 
     Each rung is an ordinary :func:`run_case` with the same seed (the
     jitter pattern is resolution-dependent but reproducible).  With
-    ``out`` set, per-rung artifacts land in ``out/n{n}/`` and the
-    ladder writes ``convergence.csv`` and an aggregate ``summary.json``.
+    ``out`` set and every rung solved, per-rung artifacts land in
+    ``out/n{n}/`` and the ladder writes ``convergence.csv`` and an
+    aggregate ``summary.json``.
     """
     if len(n_values) < 2:
         raise ConfigError("a convergence ladder needs at least two resolutions")
     if any(a >= b for a, b in zip(n_values, n_values[1:])):
         raise ConfigError("resolutions must be listed in strictly increasing order")
 
-    out_path = Path(out) if out is not None else None
-    runs: list[RunResult] = []
-    for n in n_values:
-        cfg = replace(config, n=n)
-        sub = out_path / f"n{n:03d}" if out_path is not None else None
-        runs.append(run_case(cfg, out=sub))
+    runs = [run_case(replace(config, n=n)) for n in n_values]
 
     hs = [r.cloud.h for r in runs]
     errs = [r.rms_error for r in runs]
@@ -330,8 +323,10 @@ def convergence_ladder(
         pair_orders=pair_orders,
         runs=runs,
     )
-    if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
+    if out is not None:
+        out_path = Path(out)
+        for run in runs:
+            _write_run(out_path / f"n{run.config.n:03d}", run)
         _write_convergence(out_path / "convergence.csv", report)
         _write_summary(out_path / "summary.json", runs[-1], slope=slope)
     return report
@@ -348,7 +343,8 @@ def sweep_contrast(
     nu = 1/4 in both), so it is the shear contrast mu2/mu1.  For each
     ratio the inclusion case is solved at the configured resolution and
     the x-displacement along the lattice row nearest the horizontal
-    centerline is extracted next to its analytic overlay.
+    centerline is extracted next to its analytic overlay.  Nothing is
+    written to ``out`` before every ratio has solved.
 
     Returns a dict with per-ratio profile arrays and summary numbers.
     """
@@ -361,9 +357,6 @@ def sweep_contrast(
     configs = [replace(config, case="inclusion", k2=2.0 * r) for r in ratios]
     cases = [_build_case(cfg)[0] for cfg in configs]
     disc = build_discretization(config)
-    out_path = Path(out) if out is not None else None
-    if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
 
     entries = []
     for ratio, cfg, case in zip(ratios, configs, cases):
@@ -380,10 +373,6 @@ def sweep_contrast(
                 "rms_error": result.rms_error,
             }
         )
-        if out_path is not None:
-            name = f"profile_ratio_{ratio!r}.csv"
-            columns = [profile[c] for c in ("x", "y", "ux", "ux_exact")]
-            write_csv(out_path / name, "x,y,ux,ux_exact", columns)
 
     summary = {
         "case": "inclusion-sweep",
@@ -393,7 +382,12 @@ def sweep_contrast(
         "max_abs_u": [e["max_abs_u"] for e in entries],
         "rms_error": [e["rms_error"] for e in entries],
     }
-    if out_path is not None:
+    if out is not None:
+        out_path = Path(out)
+        out_path.mkdir(parents=True, exist_ok=True)
+        for e in entries:
+            columns = [e["profile"][c] for c in ("x", "y", "ux", "ux_exact")]
+            write_csv(out_path / f"profile_ratio_{e['ratio']!r}.csv", "x,y,ux,ux_exact", columns)
         with open(out_path / "sweep.json", "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -434,6 +428,12 @@ def write_csv(path: Path, header: str, columns) -> None:
     cells = [map(repr, np.asarray(col).tolist()) for col in columns]
     lines = [header, *map(",".join, zip(*cells))]
     path.write_text("\n".join(lines) + "\n")
+
+
+def _write_run(out: Path, result: RunResult) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    _write_fields(out / "fields.csv", result)
+    _write_summary(out / "summary.json", result)
 
 
 def _write_fields(path: Path, result: RunResult) -> None:

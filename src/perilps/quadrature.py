@@ -12,23 +12,24 @@ solution is selected.
 function of each of its 36 constraint rows (26 without dilatation).
 The rows name 22 distinct functions (15), three of which are sums of
 others, so 19 of them (all 15) span the same row space and give the
-same least-norm solution.  One evaluator, ``_evaluate_functions``,
-serves the batched solve, the per-node fallback and the full-set
-certificate.  The 19 are solved for blocks of nodes at once, through a
-batched Gram system on bond vectors scaled by the horizon.  A block is
-held functions-major, (functions, nodes, neighbors): each node's bonds
-are padded to the widest neighborhood by repeating a real bond, the
-functions are evaluated once on the padded bonds, and one multiply by
-the live mask zeroes the padded slots.  The blocks are dealt
-round-robin into one lane per CPU the process may use; lane 0 runs in
-the calling thread and the others on threads that live only for the
-call, each block writing only its own nodes' entries.  numpy releases
-the GIL in the batched products and solves, so the lanes run side by
-side.  Every node is certified against the full constraint set; the
-nodes whose batched weights fail that certificate are gathered from all
-lanes and solved again, lowest node first, by a rank-truncated least
-squares solve (``least_norm_weights``) and counted in
-``QuadratureFamily.fallback``.
+same least-norm solution.  The 19 are solved for blocks of nodes at
+once, through a batched Gram system on bond vectors scaled by the
+horizon.  A block is held functions-major, (functions, nodes,
+neighbors): each node's bonds are padded to the widest neighborhood by
+repeating a real bond, the functions are evaluated once on the padded
+bonds by the one evaluator, ``_evaluate_functions``, and one multiply
+by the live mask zeroes the padded slots.  That one array serves the
+batched solve, the rescue and the certificate.  Every node of a block
+is certified against the full constraint set.  A node whose batched
+weights fail is solved again inside its block, by a rank-truncated
+least squares solve on its own unscaled rows of the full set, counted
+in ``QuadratureFamily.fallback``, and certified again by the same
+lines.  The blocks are dealt round-robin into one lane per CPU the
+process may use; lane 0 runs in the calling thread and the others on
+threads that live only for the call, each block writing only its own
+nodes' entries.  numpy releases the GIL in the batched products and
+solves, so the lanes run side by side.  Once every lane is done, the
+lowest node that still fails is reported.
 
 All reproducing functions have the form ``z1**a * z2**b / |z|**s``, so
 their ball integrals reduce to a radial power times a trigonometric
@@ -53,8 +54,6 @@ __all__ = [
     "QuadratureFamily",
     "ball_monomial_moment",
     "exact_ball_moments",
-    "assemble_constraints",
-    "least_norm_weights",
     "compute_family",
 ]
 
@@ -180,38 +179,6 @@ def _evaluate_functions(
     return out
 
 
-def assemble_constraints(
-    basis: ConstraintBasis, offsets: np.ndarray, distances: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the constraint matrix for one neighborhood.
-
-    Row ``r``, column ``j`` holds the ``r``-th reproducing function at
-    the bond vector ``z_j``; the right-hand side is the vector of exact
-    ball moments.
-    """
-    B = _evaluate_functions(basis.functions, offsets, distances)[basis.rows]
-    return B, basis.moments
-
-
-def least_norm_weights(B: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Minimum-norm solution of ``B w = g`` with singular value truncation.
-
-    Singular values below ``RANK_TOL`` times the largest are dropped;
-    the residual of the returned solution certifies whether the dropped
-    directions actually carried right-hand side content.
-
-    Returns
-    -------
-    w : (n,) array
-    diag : dict
-        ``rank`` and ``residual`` (relative to ``|g|``).
-    """
-    w, _, rank, _ = np.linalg.lstsq(B, g, rcond=RANK_TOL)
-    scale = np.linalg.norm(g)
-    residual = np.linalg.norm(B @ w - g) / (scale if scale > 0.0 else 1.0)
-    return w, {"rank": int(rank), "residual": float(residual)}
-
-
 @dataclass
 class QuadratureFamily:
     """Per-node quadrature weights, pair-aligned with a Neighborhoods.
@@ -219,8 +186,8 @@ class QuadratureFamily:
     ``weights`` matches ``nbrs.indices`` entry for entry; nodes outside
     the computed set hold NaN there.  ``residual``, ``rank`` and
     ``fallback`` are indexed by node; ``fallback`` marks the nodes whose
-    weights came from the per-node ``least_norm_weights`` solve instead
-    of the batched one.
+    weights came from the per-node rescue, a rank-truncated least
+    squares solve, instead of the batched one.
     """
 
     weights: np.ndarray
@@ -299,12 +266,14 @@ def compute_family(
     functions-major array whose padded slots are zero (zero columns
     leave the least-norm solution unchanged).  Every block is padded to
     the widest neighborhood of all needed nodes, so a node's weights do
-    not depend on which nodes share its block.  Block ``k`` runs in lane ``k % _lanes()``; lane 0 is the
-    calling thread.  When every lane is done, the nodes whose batched
-    weights fail the full-set certificate are solved again by
-    ``least_norm_weights`` in ascending order, which then supplies their
-    rank and residual, so the result and the node an error names do not
-    depend on the number of lanes.
+    not depend on which nodes share its block.  A block certifies its
+    nodes against the full constraint set and solves each that fails
+    again, by ``np.linalg.lstsq`` at ``RANK_TOL`` on the node's slice of
+    its unscaled array; its certificate then gives every residual.
+    Block ``k`` runs in lane ``k % _lanes()``, lane 0 in the calling
+    thread.  The lowest node that still fails is named once every lane
+    is done, so neither it nor the result depends on the lane count or
+    the block size.
 
     Parameters
     ----------
@@ -342,8 +311,8 @@ def compute_family(
     g_solve = basis.function_moments[solve] * row_scale
     width = counts[nodes].max(initial=0)
 
-    def solve_block(block: np.ndarray) -> list[int]:
-        """Solve one block; return its nodes that fail the certificate.
+    def solve_block(block: np.ndarray) -> None:
+        """Solve and certify one block, rescuing the nodes that fail.
 
         Its arrays are freed on return, before the lane's next block.
         """
@@ -360,20 +329,29 @@ def compute_family(
         S = A[solve]
         S *= row_scale[:, None, None]
         w = _gram_weights(S.transpose(1, 0, 2), g_solve)
-
-        fit = (A.transpose(1, 0, 2) @ w[:, :, None])[:, :, 0].take(basis.rows, axis=1)
-        # take keeps each node's row contiguous (a fancy index would not),
-        # so the norm sums it in the same order at every block size.
-        res = np.linalg.norm(fit - g, axis=1) / g_norm
-        weights[pairs[live.ravel()]] = w[live]
-        residual[block] = res
         rank[block] = solve.size
-        # Non-finite weights give a NaN residual, which fails this test too.
-        return block[~(res <= RESIDUAL_TOL)].tolist()
 
-    def solve_lane(blocks: list[np.ndarray]) -> list[int]:
-        """Solve ``blocks`` in turn; return the nodes that fail the certificate."""
-        return [i for block in blocks for i in solve_block(block)]
+        def certify() -> np.ndarray:
+            fit = (A.transpose(1, 0, 2) @ w[:, :, None])[:, :, 0].take(basis.rows, axis=1)
+            # take keeps each node's row contiguous (a fancy index would not),
+            # so the norm sums it in the same order at every block size.
+            return np.linalg.norm(fit - g, axis=1) / g_norm
+
+        res = certify()
+        # Non-finite weights give a NaN residual, which fails this test too.
+        failed = np.nonzero(~(res <= RESIDUAL_TOL))[0]
+        for k in failed:
+            # The rows as certified: a rescue on the scaled S flips nodes near the bound.
+            m = counts[block[k]]
+            w[k] = 0.0
+            w[k, :m], _, rank[block[k]], _ = np.linalg.lstsq(A[basis.rows, k, :m], g, rcond=RANK_TOL)
+        fallback[block[failed]] = True
+        residual[block] = certify() if failed.size else res
+        weights[pairs[live.ravel()]] = w[live]
+
+    def solve_lane(blocks: list[np.ndarray]) -> None:
+        for block in blocks:
+            solve_block(block)
 
     blocks = [nodes[k:k + _BLOCK_NODES] for k in range(0, nodes.size, _BLOCK_NODES)]
     lanes = min(_lanes(), len(blocks)) or 1
@@ -384,24 +362,18 @@ def compute_family(
     # (2 CPUs).
     with ThreadPoolExecutor(lanes) as pool:
         others = [pool.submit(solve_lane, blocks[k::lanes]) for k in range(1, lanes)]
-        failed = solve_lane(blocks[::lanes])
+        solve_lane(blocks[::lanes])
         for lane in others:
-            failed += lane.result()
+            lane.result()
 
-    for i in sorted(failed):
-        sl = nbrs.pair_slice(i)
-        B, gi = assemble_constraints(basis, nbrs.offsets[sl], nbrs.distances[sl])
-        wi, diag = least_norm_weights(B, gi)
-        if diag["residual"] > RESIDUAL_TOL:
-            raise QuadratureError(
-                f"node {i} failed the exactness certificate: relative residual "
-                f"{diag['residual']:.3e} exceeds {RESIDUAL_TOL:g} "
-                f"({sl.stop - sl.start} neighbors, rank {diag['rank']})"
-            )
-        weights[sl] = wi
-        residual[i] = diag["residual"]
-        rank[i] = diag["rank"]
-        fallback[i] = True
+    failed = nodes[~(residual[nodes] <= RESIDUAL_TOL)]
+    if failed.size:
+        i = failed[0]
+        raise QuadratureError(
+            f"node {i} failed the exactness certificate: relative residual "
+            f"{residual[i]:.3e} exceeds {RESIDUAL_TOL:g} "
+            f"({counts[i]} neighbors, rank {rank[i]})"
+        )
 
     return QuadratureFamily(
         weights=weights,

@@ -3,7 +3,10 @@
 ``build_neighborhoods`` keeps the rows of the nodes that can carry a
 dilatation only.  The neighbor oracles find every pair by brute force,
 state that rule on their own, and build full-row neighborhoods for the
-tests that need the rows the search drops.  ``quadratic_field_probes``
+tests that need the rows the search drops.  ``assemble_constraints``
+and ``least_norm_weights`` solve one node's weight problem on its own,
+by a rank-truncated least squares solve, for the batched solve to be
+compared against.  ``quadratic_field_probes``
 checks the quadrature weights on random quadratic fields against ball
 integrals by polar quadrature.  ``unknown_layout`` states
 the scalar layout of the unknowns node by node, and ``apply_operator``
@@ -17,10 +20,10 @@ import math
 
 import numpy as np
 
-from perilps import Discretization, MaterialField, Neighborhoods
+from perilps import Discretization, MaterialField, Neighborhoods, quadrature
 from perilps.analytic import AnalyticCase
 from perilps.model import C_ALPHA, C_BETA, DIM
-from perilps.quadrature import weighted_volume
+from perilps.quadrature import RANK_TOL, weighted_volume
 
 
 def brute_force_pairs(positions, radius):
@@ -77,6 +80,31 @@ def full_neighborhoods(cloud):
         kept=dilatation_rule(cloud, i, j),
         delta=cloud.delta,
     )
+
+
+def assemble_constraints(basis, offsets, distances):
+    """The constraint matrix of one neighborhood and its right-hand side.
+
+    Row ``r``, column ``j`` holds the ``r``-th reproducing function at
+    the bond vector ``z_j``; the right-hand side is the vector of exact
+    ball moments.
+    """
+    B = quadrature._evaluate_functions(basis.functions, offsets, distances)[basis.rows]
+    return B, basis.moments
+
+
+def least_norm_weights(B, g):
+    """Minimum-norm solution of ``B w = g`` with singular value truncation.
+
+    Singular values below ``RANK_TOL`` times the largest are dropped;
+    the residual of the returned solution certifies whether the dropped
+    directions actually carried right-hand side content.  Returns ``w``
+    and a dict of ``rank`` and ``residual`` (relative to ``|g|``).
+    """
+    w, _, rank, _ = np.linalg.lstsq(B, g, rcond=RANK_TOL)
+    scale = np.linalg.norm(g)
+    residual = np.linalg.norm(B @ w - g) / (scale if scale > 0.0 else 1.0)
+    return w, {"rank": int(rank), "residual": float(residual)}
 
 
 def _probe_integrands(z, du):

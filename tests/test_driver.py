@@ -611,6 +611,36 @@ def test_cli_check_quadrature(tmp_path, capsys):
     assert "fallbacks: 0" in out
 
 
+def test_cli_rescued_node_passes(tmp_path, capsys):
+    """At a horizon of 2.5h the batched solve fails one node of this cloud;
+    its per-node rescue passes the certificate, so both commands succeed."""
+    flags = ["--n", "12", "--seed", "3", "--perturb", "0.3", "--delta-factor", "2.5",
+             "--strict-vh"]
+    assert main(["check-quadrature", *flags, "--out", str(tmp_path / "q")]) == 0
+    assert "fallbacks: 1" in capsys.readouterr().out
+    assert main(["run", "--case", "smooth", *flags, "--out", str(tmp_path / "r")]) == 0
+
+
+def test_cli_failed_sweep_writes_nothing(tmp_path, capsys):
+    """The second ratio's solve fails after the first has solved: no
+    profile is left behind, as ``run`` leaves nothing."""
+    out = tmp_path / "d"
+    assert main(["sweep", "--n", "16", "--ratios", "1,1e-300", "--out", str(out)]) == 5
+    assert "error [solve]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_failed_ladder_writes_nothing(tmp_path, capsys):
+    """The second rung fails the quadrature certificate after the first
+    has solved: no rung directory is left behind."""
+    out = tmp_path / "d"
+    rc = main(["converge", "--case", "smooth", "--n-list", "12,24", "--seed", "5",
+               "--perturb", "0.45", "--delta-factor", "2.5", "--strict-vh", "--out", str(out)])
+    assert rc == 3
+    assert "error [quadrature]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_sweep(tmp_path, capsys):
     rc = main(["sweep", "--ratios", "1.0", "--n", "12", "--out", str(tmp_path)])
     assert rc == 0
