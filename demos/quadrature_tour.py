@@ -12,7 +12,8 @@ import argparse
 
 import numpy as np
 
-from perilps import build_neighborhoods, compute_family, generate_perturbed_lattice
+from perilps.pointcloud import build_neighborhoods, generate_perturbed_lattice
+from perilps.quadrature import compute_family
 
 
 def main() -> None:

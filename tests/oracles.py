@@ -20,9 +20,10 @@ import math
 
 import numpy as np
 
-from perilps import Discretization, MaterialField, Neighborhoods, quadrature
+from perilps import quadrature
 from perilps.analytic import AnalyticCase
-from perilps.model import C_ALPHA, C_BETA, DIM
+from perilps.model import C_ALPHA, C_BETA, DIM, Discretization, MaterialField
+from perilps.pointcloud import Neighborhoods
 from perilps.quadrature import RANK_TOL, weighted_volume
 
 

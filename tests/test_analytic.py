@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from perilps import (
-    ConfigError,
+from perilps.analytic import (
+    PATCH_MODULI,
     ElasticModuli,
     HoleParams,
     InclusionParams,
@@ -22,7 +22,7 @@ from perilps import (
     moduli_from_E_nu,
     moduli_from_K_nu,
 )
-from perilps.analytic import PATCH_MODULI
+from perilps.errors import ConfigError
 
 
 def fd_div_sigma(displacement, moduli, points, step=1e-5):

@@ -1,9 +1,13 @@
 """The public names: every module's ``__all__`` names what it holds, and
-the package re-exports only names that its modules declare public."""
+is the only place that declares them. The package binds no names, so a
+layer is imported from its own module and loads only the layers below it."""
 
 import importlib
+import json
 import pkgutil
-import types
+import subprocess
+import sys
+from pathlib import Path
 
 import perilps
 
@@ -22,19 +26,34 @@ def test_every_module_all_names_exist():
         assert [k for k in names if not hasattr(module, k)] == [], name
 
 
-def test_package_reexports_only_declared_names():
-    exported = [
-        k
-        for k, obj in vars(perilps).items()
-        if not k.startswith("_") and not isinstance(obj, types.ModuleType)
-    ]
-    assert exported
-    undeclared = [
-        k
-        for k in exported
-        if not any(
-            k in getattr(module, "__all__", ()) and getattr(module, k) is getattr(perilps, k)
-            for module in MODULES.values()
-        )
-    ]
-    assert undeclared == []
+_LAYER_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import perilps
+
+package = {
+    "names": sorted(k for k in vars(perilps) if not k.startswith("_")),
+    "submodules": sorted(m for m in sys.modules if m.startswith("perilps.")),
+}
+import perilps.pointcloud, perilps.quadrature, perilps.model, perilps.analytic
+
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"package": package, "scipy": scipy}))
+"""
+
+
+def test_package_binds_nothing_and_layers_load_no_scipy():
+    """In a fresh process, ``import perilps`` binds no public name and loads
+    no submodule, and the cloud, quadrature, model and analytic layers load
+    no scipy module: only the solve needs scipy."""
+    src = Path(perilps.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", _LAYER_PROBE, str(src)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded["package"] == {"names": [], "submodules": []}
+    assert loaded["scipy"] == []

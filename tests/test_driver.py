@@ -17,15 +17,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from perilps import (
-    ConfigError,
-    build_neighborhoods,
-    cli,
-    compute_family,
-    driver,
-    generate_perturbed_lattice,
-    solver,
-)
+from perilps import cli, driver, solver
 from perilps.cli import main
 from perilps.driver import (
     CONVERGENCE_HEADER,
@@ -37,6 +29,9 @@ from perilps.driver import (
     run_case,
     sweep_contrast,
 )
+from perilps.errors import ConfigError
+from perilps.pointcloud import build_neighborhoods, generate_perturbed_lattice
+from perilps.quadrature import compute_family
 
 from oracles import full_neighborhoods
 
@@ -424,6 +419,21 @@ def test_cli_perturb_outside_range_exits_2(command, perturb, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error [config]" in err and "perturb (--perturb)" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("under", ["", "x"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_out_through_a_file_exits_2(command, under, tmp_path, capsys):
+    """An ``--out`` that names a file, or a path under one, is a
+    configuration error raised before any work: the file is unchanged and
+    nothing else is written."""
+    afile = tmp_path / "afile"
+    afile.write_bytes(b"kept")
+    assert main([*command, "--out", str(afile / under)]) == 2
+    err = capsys.readouterr().err
+    assert "error [config]" in err and "--out" in err
+    assert afile.read_bytes() == b"kept"
+    assert list(tmp_path.iterdir()) == [afile]
 
 
 @pytest.mark.parametrize(

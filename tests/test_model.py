@@ -9,36 +9,38 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from perilps import (
-    BondSet,
-    ConfigError,
-    Disk,
-    Discretization,
+from perilps.analytic import (
     InclusionParams,
-    MaterialField,
-    Neighborhoods,
-    PointCloud,
-    RunConfig,
-    assemble_system,
-    break_bonds_crossing_circle,
-    build_discretization,
-    build_neighborhoods,
-    compute_family,
-    compute_moment_tensors,
-    damage_field,
-    front_tree,
-    generate_perturbed_lattice,
-    hole_removal_mask,
     make_inclusion_case,
     make_patch_case,
     make_smooth_case,
     moduli_from_K_nu,
-    solve,
-    weighted_volume,
 )
-from perilps.driver import _build_case
-from perilps.errors import AssemblyError
-from perilps.model import C_ALPHA, C_BETA, DIM
+from perilps.driver import RunConfig, _build_case, build_discretization
+from perilps.errors import AssemblyError, ConfigError
+from perilps.model import (
+    C_ALPHA,
+    C_BETA,
+    DIM,
+    BondSet,
+    Discretization,
+    MaterialField,
+    assemble_system,
+    break_bonds_crossing_circle,
+    compute_moment_tensors,
+    damage_field,
+    front_tree,
+    hole_removal_mask,
+)
+from perilps.pointcloud import (
+    Disk,
+    Neighborhoods,
+    PointCloud,
+    build_neighborhoods,
+    generate_perturbed_lattice,
+)
+from perilps.quadrature import compute_family, weighted_volume
+from perilps.solver import solve
 
 from oracles import apply_operator, kept_pairs, unknown_layout
 

@@ -7,13 +7,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from perilps import (
-    ConfigError,
-    Disk,
-    build_neighborhoods,
-    generate_perturbed_lattice,
-    hole_removal_mask,
-)
+from perilps.errors import ConfigError
+from perilps.model import hole_removal_mask
+from perilps.pointcloud import Disk, build_neighborhoods, generate_perturbed_lattice
 from oracles import dilatation_rule, kept_pairs, neighborhood_arrays
 
 

@@ -9,21 +9,18 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import integrate
 
-from perilps import (
-    Disk,
-    Neighborhoods,
-    QuadratureError,
-    build_neighborhoods,
-    compute_family,
-    exact_ball_moments,
-    generate_perturbed_lattice,
-    hole_removal_mask,
-    weighted_volume,
-)
 from perilps import quadrature
 from perilps.driver import RunConfig, run_case
-from perilps.errors import EXIT_QUADRATURE
-from perilps.quadrature import RESIDUAL_TOL, ball_monomial_moment
+from perilps.errors import EXIT_QUADRATURE, QuadratureError
+from perilps.model import hole_removal_mask
+from perilps.pointcloud import Disk, Neighborhoods, build_neighborhoods, generate_perturbed_lattice
+from perilps.quadrature import (
+    RESIDUAL_TOL,
+    ball_monomial_moment,
+    compute_family,
+    exact_ball_moments,
+    weighted_volume,
+)
 
 from oracles import (
     assemble_constraints,

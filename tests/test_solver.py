@@ -9,24 +9,12 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from perilps import (
-    FrontTree,
-    MaterialField,
-    RunConfig,
-    SolveError,
-    assemble_system,
-    build_discretization,
-    dissection_order,
-    make_patch_case,
-    rms_norm,
-    run_case,
-    solve,
-)
 from perilps import solver
-from perilps.analytic import moduli_from_E_nu
-from perilps.driver import _build_case, _run_physics
-from perilps.model import BlockSystem
-from perilps.solver import RESIDUAL_CERT
+from perilps.analytic import make_patch_case, moduli_from_E_nu
+from perilps.driver import RunConfig, _build_case, _run_physics, build_discretization, run_case
+from perilps.errors import SolveError
+from perilps.model import BlockSystem, FrontTree, MaterialField, assemble_system, dissection_order
+from perilps.solver import RESIDUAL_CERT, rms_norm, solve
 
 from oracles import divergence_free_case
 
