@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import driver
-from .errors import EXIT_OK, ConfigError, PerilpsError
+from .errors import EXIT_OK, PerilpsError
 from .pointcloud import build_neighborhoods, generate_perturbed_lattice
 from .quadrature import compute_family
 
@@ -202,8 +202,7 @@ def main(argv: list[str] | None = None) -> int:
         "sweep": _cmd_sweep,
     }
     try:
-        if not next(p for p in (args.out, *args.out.parents) if p.exists()).is_dir():
-            raise ConfigError(f"--out {args.out} is a file or lies under one")
+        driver.check_out(args.out)
         return handlers[args.command](args)
     except PerilpsError as exc:
         print(f"error [{exc.stage}]: {exc}", file=sys.stderr)

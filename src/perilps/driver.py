@@ -50,6 +50,7 @@ __all__ = [
     "RunResult",
     "ConvergenceReport",
     "build_discretization",
+    "check_out",
     "run_case",
     "convergence_ladder",
     "sweep_contrast",
@@ -200,6 +201,16 @@ def reference_errors(config: RunConfig) -> dict[str, float]:
     return {str(n): v for n, v in sorted(table.items())}
 
 
+def check_out(out: Path | str | None) -> None:
+    """Raise ``ConfigError`` if the output directory ``out`` is a file or
+    lies under one, so that a run can reject it before any work."""
+    if out is None:
+        return
+    out = Path(out)
+    if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
+        raise ConfigError(f"--out {out} is a file or lies under one")
+
+
 def build_discretization(
     config: RunConfig, hole: Disk | None = None
 ) -> Discretization:
@@ -276,6 +287,7 @@ def run_case(config: RunConfig, out: Path | str | None = None) -> RunResult:
     With ``out`` set, writes ``fields.csv`` (interior nodes) and
     ``summary.json`` into that directory.
     """
+    check_out(out)
     case, hole = _build_case(config)
     result = _run_physics(config, case, build_discretization(config, hole))
     if out is not None:
@@ -294,6 +306,7 @@ def convergence_ladder(
     ``out/n{n}/`` and the ladder writes ``convergence.csv`` and an
     aggregate ``summary.json``.
     """
+    check_out(out)
     if len(n_values) < 2:
         raise ConfigError("a convergence ladder needs at least two resolutions")
     if any(a >= b for a, b in zip(n_values, n_values[1:])):
@@ -348,6 +361,7 @@ def sweep_contrast(
 
     Returns a dict with per-ratio profile arrays and summary numbers.
     """
+    check_out(out)
     ratios = [float(r) for r in ratios]
     if not ratios or not all(r > 0.0 for r in ratios):
         raise ConfigError(f"sweep needs one or more positive contrast ratios, got {ratios}")

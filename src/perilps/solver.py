@@ -9,21 +9,26 @@ pass goes from that tree straight to the plan the front loop reads.
 Each part (a leaf or a separator) is one dense front over its own nodes
 (the pivots) and the later nodes that its pairs and its children's
 updates reach (its boundary).  A node's unknowns sit together in every
-front, so whole bond blocks are scattered in, and a child's update is
-added run by run, where a run is a stretch of its boundary that lies
-consecutive in the parent's front.  The pass depends on the geometry
+front, so whole bond blocks are scattered in, and a child's update goes
+in run by run, where a run is a stretch of its boundary that lies
+consecutive in the parent's front.  The largest update is assigned into
+the zeroed front, which spares it the gather and the add; the blocks,
+then the other updates, are added to it.  The pass depends on the geometry
 alone: the first solve on a tree makes it and keeps it there
 (``FrontTree.plans``), once per number of unknown kinds solved for, so
 every later solve, for any material, only moves numbers.  The pivot
 block is factored by LAPACK with partial pivoting inside it, and the
-Schur complement of the boundary is added into the parent's front.  The
+Schur complement of the boundary goes into the parent's front.  The
 system has one right-hand side, so it rides as one more column of each
 front: the forward substitution runs during the factorization and each
 front keeps only ``[X | w] = F11^-1 [F12 | y_p]`` for the back
-substitution.  A solve holds nothing else per front: every front is a
-prefix of one workspace, and the updates that wait for their parents
-sit on one stack.  The symbolic pass sizes both and places every update
-on the stack, so the front loop only reads and writes at its offsets.
+substitution.  ``dgetrs`` forms it from the LU factors, except on the
+uncoupled solve below, where a front with a wide boundary multiplies by
+the inverse of its pivot block (``INVERSE_SHAPE``).  A solve holds
+nothing else per front: every front is a prefix of one workspace, and
+the updates that wait for their parents sit on one stack.  The symbolic
+pass sizes both and places every update on the stack, so the front loop
+only reads and writes at its offsets.
 
 Where no momentum row has a dilatation column (lambda = mu on every
 live bond), the displacement block is solved alone over the same tree,
@@ -48,7 +53,7 @@ import numpy as np
 # numpy call before or inside the front loop left the other pool's
 # threads competing with the dense kernels, up to several times slower.
 from scipy.linalg.blas import dgemm, dgemv
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg.lapack import dgetrf, dgetri, dgetrs
 
 from .errors import SolveError
 from .model import BlockSystem
@@ -57,6 +62,25 @@ __all__ = ["SolveReport", "solve", "rms_norm"]
 
 #: Acceptable relative residual |A x - b| / |b| of a certified solution.
 RESIDUAL_CERT = 1e-10
+
+#: On the uncoupled solve, a front whose boundary holds at least this
+#: many times its pivots forms [X | w] by the inverse of its pivot block,
+#: ``dgemm(dgetri(lu), [F12 | y_p])``, in place of ``dgetrs``.  The
+#: inverse costs 4 p^3 / 3 more flops but runs them as one matrix
+#: product.  On a 2-vCPU VM (OpenBLAS) it took 0.3-0.8x the time of
+#: dgetrs over the fronts of the inclusion at n = 32 and 64 and the hole
+#: at n = 128, almost all of which have nb >= 2 p; on random pivot blocks
+#: of p = 100-600 it took 0.6-0.9x at nb = 2 p and 0.9-1.6x at nb = p.
+#: The coupled (u, theta) solve keeps dgetrs on every front: near
+#: nu = 1/2 the inverse raised the residual of the hole at n = 64,
+#: nu = 0.4999, from 1.25e-13 to 5.2e-11, against the 1e-10 certificate
+#: (Du Croz & Higham, IMA J. Numer. Anal. 12, 1992, on when such an
+#: inverse is safe).
+INVERSE_SHAPE = 2
+
+#: dgetri's workspace per pivot, its block size: with the default of 3
+#: the inversion of p = 300 ran 1.3x slower.
+INVERSE_LWORK = 64
 
 
 @dataclass
@@ -140,11 +164,15 @@ class _Plan:
     rows of the ordered diagonal blocks and the buffer index of each of
     their entries; its pairs and the buffer index of each entry of their
     blocks; its pivots' slice of the right-hand side; the slots of its
-    boundary unknowns; the offset of its own update on the stack; and,
-    for each child that pushes an update, that update's offset and the
-    child's ``nb``, this front's column of each of the child's boundary
-    unknowns, and the child's runs: the update's rows ``a0:a1``, whether
-    they go to this front's pivot rows, and the first of those rows.
+    boundary unknowns; the offset of its own update on the stack; whether
+    it forms [X | w] by the inverse of its pivot block (``INVERSE_SHAPE``);
+    and, for each child that pushes an update, the largest update first,
+    that update's offset and the child's ``nb``, this front's column of
+    each of the child's boundary unknowns, and the child's runs: the
+    update's rows ``a0:a1``, whether they go to this front's pivot rows,
+    and the first of those rows.  The diagonal and pair entries of a
+    front all differ but for its dummies, so they may be added as well as
+    assigned.
 
     ``work`` is the largest front buffer, ``m * (m + 2) + 1`` entries.
     The offsets replay the postorder: each front pops its children's
@@ -319,10 +347,11 @@ def _plan(system: BlockSystem, kinds: int) -> _Plan:
     to_column = np.repeat(to - r0 - nb_start[run_part], r1 - r0) + np.arange(nb_start[-1])
     run_start = [0, *run_end[:-1]]
     nbs = nb.tolist()
+    # The largest update first: the front loop assigns it, and adds the rest.
     updates = [
         [
             (offsets[c], nbs[c], to_column[nb_start[c] : nb_start[c + 1]], spans[run_start[c] : run_end[c]])
-            for c in kids
+            for c in sorted(kids, key=lambda c: -nbs[c])
             if nbs[c]
         ]
         for kids in children
@@ -335,7 +364,7 @@ def _plan(system: BlockSystem, kinds: int) -> _Plan:
             slice(d0, d1), diag_at[d0:d1].ravel(),
             pairs[q0:q1], pair_at[q0:q1].ravel(),
             slice(y0, y0 + p_k), slot[a0 + p_k : a0 + m_k],
-            offsets[k], updates[k],
+            offsets[k], kinds == 2 and 0 < INVERSE_SHAPE * p_k <= nb_k, updates[k],
         )
         for k, (m_k, p_k, nb_k, d0, d1, q0, q1, y0, a0) in enumerate(zip(*(v.tolist() for v in ends)))
         if m_k
@@ -364,14 +393,21 @@ def _multifrontal(system: BlockSystem, kinds: int, y: np.ndarray) -> tuple[np.nd
     # parent on ``stack``, F-ordered from the offset the plan gives it.
     work, stack = np.empty(plan.work), np.empty(plan.stack)
     xws = []
-    for k, m_k, p_k, nb_k, piv, diag_at, pairs, pair_at, y_at, bnd, at, children in plan.fronts:
+    for k, m_k, p_k, nb_k, piv, diag_at, pairs, pair_at, y_at, bnd, at, by_inverse, children in plan.fronts:
         buf = work[: m_k * (m_k + 2) + 1]
         buf.fill(0.0)
         upper = buf[: p_k * (m_k + 2)].reshape((p_k, m_k + 2), order="F")
         lower = buf[p_k * (m_k + 2) : -1].reshape((nb_k, m_k + 2), order="F")
-        buf[diag_at] = diag[piv].ravel()
-        buf[pair_at] = blocks[pairs].ravel()
-        for c_at, c_nb, cols, spans in children:
+        # The largest update is assigned; the blocks and the other updates
+        # are added to it.
+        if children:
+            c_at, c_nb, cols, spans = children[0]
+            update = stack[c_at : c_at + c_nb * c_nb].reshape((c_nb, c_nb), order="F")
+            for a0, a1, in_upper, row in spans:
+                (upper if in_upper else lower)[row : row + a1 - a0, cols] = update[a0:a1]
+        buf[diag_at] += diag[piv].ravel()
+        buf[pair_at] += blocks[pairs].ravel()
+        for c_at, c_nb, cols, spans in children[1:]:
             update = stack[c_at : c_at + c_nb * c_nb].reshape((c_nb, c_nb), order="F")
             for a0, a1, in_upper, row in spans:
                 (upper if in_upper else lower)[row : row + a1 - a0, cols] += update[a0:a1]
@@ -385,8 +421,12 @@ def _multifrontal(system: BlockSystem, kinds: int, y: np.ndarray) -> tuple[np.nd
             raise SolveError(f"pivot block of part {k} is singular (LAPACK info {info})")
         # [X | w] = F11^-1 [F12 | y_p], then [F22 | 0] -= F21 [X | w]:
         # the Schur update for the parent and -F21 w for y on the boundary.
-        xw = upper[:, p_k : m_k + 1]
-        dgetrs(lu, ipiv, xw, overwrite_b=True)
+        if by_inverse:
+            inverse, _ = dgetri(lu, ipiv, lwork=INVERSE_LWORK * p_k, overwrite_lu=True)
+            xw = dgemm(1.0, inverse, upper[:, p_k : m_k + 1])
+        else:
+            xw = upper[:, p_k : m_k + 1]
+            dgetrs(lu, ipiv, xw, overwrite_b=True)
         ys[:] = xw[:, nb_k]
         if nb_k:
             # The update leaves the front for the stack, where the next
@@ -398,7 +438,7 @@ def _multifrontal(system: BlockSystem, kinds: int, y: np.ndarray) -> tuple[np.nd
             # Each front keeps its own [X | w]: small arrays fit the holes
             # of the heap the assembly has just freed, where one buffer for
             # all of them needs one hole that large.
-            xws.append((np.array(xw, order="F"), y_at, bnd))
+            xws.append((xw if by_inverse else np.array(xw, order="F"), y_at, bnd))
             y[bnd] += update[:, nb_k]
 
     # Back substitution, root first: y_p = w - X y_bnd.

@@ -200,9 +200,12 @@ def _check_plan(system, kinds, plan):
     ordered = solved[tree.order]
     elim[tree.order] = np.where(ordered, np.cumsum(ordered).reshape(ordered.shape) - 1, -1)
     written, pivots, taken = {}, [], []
-    for k, m, p, nb, piv, diag_at, pairs, pair_at, y_at, bnd, at, children in plan.fronts:
+    for k, m, p, nb, piv, diag_at, pairs, pair_at, y_at, bnd, at, by_inverse, children in plan.fronts:
         unknowns = np.r_[y_at.start : y_at.stop, bnd]
         assert unknowns.size == m and y_at.stop - y_at.start == p
+        assert by_inverse == (kinds == 2 and 0 < solver.INVERSE_SHAPE * p <= nb)
+        sizes = [c_nb for _, c_nb, _, _ in children]
+        assert sizes == sorted(sizes, reverse=True)
         assert np.all(np.diff(unknowns) > 0)
         pivots.append(unknowns[:p])
         taken.append(pairs)
@@ -312,14 +315,15 @@ def _replay_stack(plan, part_parent):
     order they were pushed.  Each front takes its children's updates,
     which must be the top of the stack, then pushes its own where the
     first of them began.  Asserts that the plan places every update where
-    the replay does, that each front reads each child's update at the
-    offset where the child wrote it, and that no two pending updates
-    overlap."""
+    the replay does and lists a front's children largest first, that each
+    front reads each child's update at the offset where the child wrote
+    it, and that no two pending updates overlap."""
     pending, deepest = {}, 0
-    for k, m, p, nb, *_, at, children in plan.fronts:
+    for k, m, p, nb, *_, at, _, children in plan.fronts:
         kids = [c for c in pending if part_parent[c] == k]
         assert list(pending)[len(pending) - len(kids) :] == kids
-        assert [(c_at, c_nb) for c_at, c_nb, *_ in children] == [pending[c][:2] for c in kids]
+        largest_first = sorted(kids, key=lambda c: -pending[c][1])
+        assert [(c_at, c_nb) for c_at, c_nb, *_ in children] == [pending[c][:2] for c in largest_first]
         for c in kids:
             del pending[c]
         if nb:
@@ -394,6 +398,47 @@ def test_coupled_system_factors_all_unknowns(monkeypatch):
     report = solve(system)
     assert sizes == [system.n_unknowns]
     assert report.residual <= RESIDUAL_CERT
+
+
+@pytest.mark.parametrize("nu", [0.495, 0.4999])
+def test_coupled_solve_never_inverts_a_pivot_block(nu, monkeypatch):
+    """The coupled (u, theta) solve forms every [X | w] by dgetrs: near
+    nu = 1/2 the inverse of a pivot block raised the residual of the hole
+    at n = 64 from 1.25e-13 to 5.2e-11.  It certifies without refinement."""
+
+    def no_inverse(*args, **kwargs):
+        raise AssertionError("dgetri called on the coupled solve")
+
+    monkeypatch.setattr(solver, "dgetri", no_inverse)
+    _, system = _case_system(RunConfig(case="hole", n=24, nu=nu))
+    report = solve(system)
+    [kinds] = system.fronts.plans
+    assert kinds == 3
+    assert report.refinement_steps == 0 and report.residual <= RESIDUAL_CERT
+
+
+#: The contrast sweep's ratios mu2 / mu1 and two beyond them.
+CONTRASTS = [1e-3, 1 / 64, 1 / 8, 1.0, 8.0, 64.0, 1e3]
+
+
+def test_uncoupled_solve_takes_both_paths_to_x():
+    """On the inclusion of every contrast the uncoupled solve forms [X | w]
+    by the inverse on the fronts whose boundary is at least
+    ``INVERSE_SHAPE`` times their pivots, and by dgetrs on the others, the
+    root among them.  Each solution agrees with SuperLU's without
+    refinement."""
+    base = RunConfig(case="inclusion", n=24)
+    disc, _ = _case_system(base)
+    for ratio in CONTRASTS:
+        _, system = _case_system(replace(base, k2=2.0 * ratio), disc)
+        report = solve(system)
+        reference = spla.splu(system.matrix.tocsc()).solve(system.rhs)
+        assert np.linalg.norm(report.x - reference) <= 1e-10 * np.linalg.norm(reference)
+        assert report.refinement_steps == 0 and report.residual <= RESIDUAL_CERT
+    [(kinds, plan)] = disc.fronts.plans.items()
+    assert kinds == 2
+    paths = {by_inverse for _, _, p, _, *_, by_inverse, _ in plan.fronts if p}
+    assert paths == {True, False}
 
 
 def test_solves_on_one_geometry_match_solves_on_fresh_ones():
