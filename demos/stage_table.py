@@ -1,26 +1,49 @@
-"""Per-stage wall time and peak memory over a fixed matrix of runs.
+"""Per-stage wall time and peak memory of CLI calls, and their solves by
+kernel and by front-tree depth.
 
 Every run is one CLI call in a fresh Python process, so that its peak
 RSS is its own.  The stages are the library functions through which
-``perilps.driver`` and ``perilps.cli`` reach each layer; for the call
-they are replaced by timing wrappers.  After each stage the process's
-peak RSS is read.  A stage called more than once (the sweep assembles
-and solves once per ratio) shows its summed time and the peak after its
-last call.  "total" is the whole CLI call, writers included.  With
-``--repeat k`` each run is made in k fresh processes, and the table
-shows the medians of the times and of the peaks.  Each process makes
-one untimed LU solve before its call, so that the stall of a fresh
+``perilps.driver`` and ``perilps.cli`` reach each layer; the kernels are
+the names that ``perilps.solver`` imports and calls: the LAPACK and BLAS
+kernels ``dgetrf``, ``dgetrs``, ``dgetri``, ``dgemm`` and ``dgemv``, the
+symbolic pass ``_plan`` and the front loop ``_multifrontal``.  For the
+call each is replaced by one timing wrapper.  After each stage the
+process's peak RSS is read.  A stage called more than once (the sweep
+assembles and solves once per ratio) shows its summed time and the peak
+after its last call.  "total" is the whole CLI call, writers included.
+With ``--repeat k`` each run is made in k fresh processes, and the
+tables show the medians of the times and of the peaks.  Each process
+makes one untimed LU solve before its call, so that the stall of a fresh
 process's first threaded BLAS calls stays out of the stage times.
 
-The matrix: the hole at nu = 0.495 at n = 64 and 128, the smooth field
-at n = 96, the n = 32 contrast sweep and the quadrature check at n = 96,
-which solves nothing (its total less its stages is mostly the CSV
-writer); ``--full`` adds the hole and the uniform inclusion at n = 256.
-The table goes to stdout only: the runs write their artifacts into a
-temporary directory, and no artifact gains a timing.  To compare two checkouts, run the script once with
-each one's ``src`` on ``PYTHONPATH``:
+A run that solves gets two more tables.  The table by kernel gives
+calls, seconds, GFlop and GFlop/s of each kernel, counted from the
+shapes it was called with; the symbolic pass; the rest of the front
+loop, which is numpy moving data (zeroing the fronts, the extend-add,
+the stack copies); and the rest of the solves (the residual and the
+dilatations of the uncoupled solve).  The table by depth in the front
+tree, the root at depth 0, is read from the plans the solves left in
+``FrontTree.plans``: the fronts with pivots and how many of them form
+[X | w] by the inverse of the pivot block or by ``dgetrs``, the bytes
+of the [X | w] that the fronts keep for the back substitution, and the
+flops of the fronts.  Its total row is measured from the calls instead:
+the flops of the kernel table, and the bytes of the [X | w] that the
+Schur products read.  A refined solve factors twice, so its fronts
+count twice.
+
+The default matrix: the hole at nu = 0.495 at n = 64 and 128, the smooth
+field at n = 96, the n = 32 contrast sweep and the quadrature check at
+n = 96, which solves nothing (its total less its stages is mostly the
+CSV writer); ``--full`` adds the hole and the uniform inclusion at
+n = 256.  ``--seed`` sets the seed of the matrix runs.  A CLI command
+given after the flags is run alone, exactly as given, in place of the
+matrix.  The tables go to stdout only: the runs write their artifacts
+into a temporary directory, and no artifact gains a timing.  To compare
+two checkouts, run the script once with each one's ``src`` on
+``PYTHONPATH``:
 
     PYTHONPATH=src python3 demos/stage_table.py [--full] [--seed 7] [--repeat 1]
+    PYTHONPATH=src python3 demos/stage_table.py --repeat 3 run --case hole --n 256 --nu 0.495
 """
 
 import argparse
@@ -34,6 +57,9 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import defaultdict
+
+import numpy as np
 
 RUNS = {
     "hole nu=0.495, n=64": ["run", "--case", "hole", "--n", "64", "--nu", "0.495"],
@@ -48,8 +74,8 @@ FULL_RUNS = {
     "inclusion uniform, n=256": ["run", "--case", "inclusion", "--perturb", "0", "--n", "256"],
 }
 
-#: Stage name of each function the driver and the CLI call.  The table
-#: lists the stages in the order of their first calls.
+#: Stage name of each function the driver calls; the CLI calls the first
+#: three too.  The table lists the stages in the order of their first calls.
 STAGES = {
     "generate_perturbed_lattice": "cloud",
     "build_neighborhoods": "neighbors",
@@ -63,6 +89,17 @@ STAGES = {
     "solve": "solve",
 }
 
+#: Flops of each kernel from its arguments, as ``perilps.solver`` calls it;
+#: ``KERNELS`` are all the names of ``perilps.solver`` that are timed.
+FLOPS = {
+    "dgetrf": lambda a, *_, **__: 2.0 * a.shape[0] ** 3 / 3.0,
+    "dgetri": lambda lu, *_, **__: 4.0 * lu.shape[0] ** 3 / 3.0,
+    "dgetrs": lambda lu, ipiv, b, **__: 2.0 * lu.shape[0] ** 2 * b.shape[1],
+    "dgemm": lambda alpha, a, b, *_, **__: 2.0 * a.shape[0] * a.shape[1] * b.shape[1],
+    "dgemv": lambda alpha, a, *_, **__: 2.0 * a.shape[0] * a.shape[1],
+}
+KERNELS = (*FLOPS, "_plan", "_multifrontal")
+
 
 def _peak_mb() -> float:
     # ru_maxrss is in KiB on Linux.
@@ -73,85 +110,152 @@ def warm_up_blas() -> None:
     """One untimed LU solve, large enough to wake the threaded BLAS: the
     first threaded calls of a fresh process can stall, and a stall would
     land in whichever stage called BLAS first."""
-    import numpy as np
     from scipy.linalg import lu_factor, lu_solve
 
     a = np.random.default_rng(0).random((512, 512)) + 512.0 * np.eye(512)
     lu_solve(lu_factor(a), a)
 
 
+def front_flops(p: int, nb: int, by_inverse: bool) -> float:
+    """The flops of one front of ``p`` pivots and ``nb`` boundary unknowns:
+    the pivot block's LU, [X | w], the Schur product and, with a boundary,
+    its share of the back substitution."""
+    flops = 2.0 * p**3 / 3.0 + 2.0 * p * p * (nb + 1)
+    if by_inverse:
+        flops += 4.0 * p**3 / 3.0
+    if nb:
+        flops += 2.0 * nb * p * (nb + 1) + 2.0 * p * nb
+    return flops
+
+
+def depth_table(loops: list) -> dict:
+    """Per depth: [fronts, by inverse, by dgetrs, kept bytes, flops]."""
+    table = defaultdict(lambda: [0, 0, 0, 0, 0.0])
+    for tree, kinds in loops:
+        parent = tree.part_parent
+        depth = np.zeros(parent.size, dtype=np.int64)
+        for k in range(parent.size - 1, -1, -1):
+            depth[k] = depth[parent[k]] + 1 if parent[k] >= 0 else 0
+        for k, m, p, nb, *_, by_inverse, _ in tree.plans[kinds].fronts:
+            if p:
+                row = table[int(depth[k])]
+                row[0] += 1
+                row[1 if by_inverse else 2] += 1
+                row[3] += 8 * p * (nb + 1) if nb else 0
+                row[4] += front_flops(p, nb, by_inverse)
+    return dict(sorted(table.items()))
+
+
 def run_one(argv: list[str]) -> dict:
-    """Make one CLI call with every stage timed; return its record."""
-    from perilps import cli, driver
+    """Make one CLI call with every stage and kernel timed; return its
+    record.  A name of ``STAGES`` missing from the driver, or of
+    ``KERNELS`` from the solver, raises ``AttributeError``."""
+    from perilps import cli, driver, solver
 
-    warm_up_blas()
-    rows: dict[str, list] = {}
-    counts: dict[str, int] = {}
+    stages, kernels = {}, {name: [0, 0.0, 0.0] for name in KERNELS}
+    record = {"counts": {}, "stages": stages, "kernels": kernels, "kept": 0}
+    loops = []
 
-    def timed(fn, stage):
+    def timed(fn, name):
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
             start = time.perf_counter()
             out = fn(*args, **kwargs)
-            seconds = time.perf_counter() - start
-            row = rows.setdefault(stage, [0, 0.0, 0.0])
+            row = kernels[name] if name in kernels else stages.setdefault(name, [0, 0.0, 0.0])
+            row[1] += time.perf_counter() - start
             row[0] += 1
-            row[1] += seconds
-            row[2] = _peak_mb()
-            if stage == "neighbors":
-                counts["pairs"] = out.n_pairs
-            elif stage == "assembly":
-                counts["unknowns"] = out.n_unknowns
+            if name in FLOPS:
+                row[2] += FLOPS[name](*args, **kwargs)
+            elif name not in kernels:
+                row[2] = _peak_mb()
+            if name == "neighbors":
+                record["counts"]["pairs"] = out.n_pairs
+            elif name == "assembly":
+                record["counts"]["unknowns"] = out.n_unknowns
+            elif name == "dgemm" and len(args) > 3:
+                record["kept"] += args[2].nbytes  # the Schur product's [X | w]
+            elif name == "_multifrontal":
+                loops.append((args[0].fronts, args[1]))
             return out
 
         return wrapper
 
-    for module in (driver, cli):
-        for name, stage in STAGES.items():
-            if hasattr(module, name):
-                setattr(module, name, timed(getattr(module, name), stage))
+    names = [(driver, name, STAGES[name]) for name in STAGES] + [(solver, name, name) for name in KERNELS]
+    names += [(cli, name, STAGES[name]) for name in STAGES if hasattr(cli, name)]
+    for module, name, key in names:
+        setattr(module, name, timed(getattr(module, name), key))
 
+    warm_up_blas()
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
         start = time.perf_counter()
         code = cli.main([*argv, "--out", out])
         total = time.perf_counter() - start
     if code != 0:
         sys.exit(code)
+    stages["total"] = ["", total, _peak_mb()]
+    record["depths"] = depth_table(loops)
+    return record
 
-    rows["total"] = ["", total, _peak_mb()]
-    return {"counts": counts, "rows": rows}
 
-
-def print_table(records: list[dict]) -> None:
+def print_tables(records: list[dict]) -> None:
     """Print the medians over the records of one run."""
-    print("  " + "  ".join(f"{k} {v:,}" for k, v in records[0]["counts"].items()))
+    first, kernels = records[0], records[0]["kernels"]
+
+    def median(table, name, column=1):
+        return statistics.median(r[table][name][column] for r in records)
+
+    print("  " + "  ".join(f"{k} {v:,}" for k, v in first["counts"].items()))
     print(f"  {'stage':<11}{'calls':>6}{'seconds':>10}{'peak RSS MB':>13}")
-    for stage, (calls, _, _) in records[0]["rows"].items():
-        seconds = statistics.median(r["rows"][stage][1] for r in records)
-        peak = statistics.median(r["rows"][stage][2] for r in records)
-        print(f"  {stage:<11}{calls:>6}{seconds:>10.3f}{peak:>13.1f}")
+    for name, (calls, _, _) in first["stages"].items():
+        print(f"  {name:<11}{calls:>6}{median('stages', name):>10.3f}{median('stages', name, 2):>13.1f}")
+    if "solve" not in first["stages"]:
+        return
+    for r in records:  # the rows of the kernel table derived from the timed ones
+        k, loop, solve = r["kernels"], r["kernels"]["_multifrontal"], r["stages"]["solve"]
+        k["numpy in front loop"] = [loop[0], loop[1] - sum(k[n][1] for n in (*FLOPS, "_plan"))]
+        k["rest of solve"] = [solve[0], solve[1] - loop[1]]
+        k["solve"] = solve
+    print(f"  {'operation':<22}{'calls':>7}{'seconds':>10}{'GFlop':>10}{'GFlop/s':>9}")
+    for name in (*FLOPS, "_plan", "numpy in front loop", "rest of solve", "solve"):
+        seconds = median("kernels", name)
+        line = f"  {name:<22}{kernels[name][0]:>7}{seconds:>10.4f}"
+        if name in FLOPS:
+            flops = kernels[name][2]
+            line += f"{flops / 1e9:>10.4f}{flops / seconds / 1e9 if seconds else 0.0:>9.2f}"
+        print(line)
+    print(f"  {'depth':<7}{'fronts':>7}{'inverse':>8}{'dgetrs':>7}{'[X | w] bytes':>15}{'flop':>16}")
+    for depth, (fronts, inverse, getrs, nbytes, flops) in first["depths"].items():
+        print(f"  {depth:<7}{fronts:>7}{inverse:>8}{getrs:>7}{nbytes:>15}{flops:>16.0f}")
+    fronts, inverse, getrs = (kernels[name][0] for name in ("dgetrf", "dgetri", "dgetrs"))
+    flops = sum(kernels[name][2] for name in FLOPS)
+    print(f"  {'total':<7}{fronts:>7}{inverse:>8}{getrs:>7}{first['kept']:>15}{flops:>16.0f}")
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--full", action="store_true", help="add the n = 256 runs")
-    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--full", action="store_true", help="add the n = 256 runs to the matrix")
+    parser.add_argument("--seed", type=int, help="seed of the matrix runs (default 7)")
     parser.add_argument("--repeat", type=int, default=1, help="fresh processes per run")
-    parser.add_argument("--one", nargs=argparse.REMAINDER, help=argparse.SUPPRESS)
+    parser.add_argument("--one", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("command", nargs=argparse.REMAINDER, help="a CLI command to run alone")
     args = parser.parse_args()
     if args.one:
-        print(json.dumps(run_one(args.one)))
+        print(json.dumps(run_one(args.command)))
         return
+    if args.command and (args.full or args.seed is not None):
+        parser.error("--full and --seed set the matrix; a command keeps its own --seed")
 
-    runs = {**RUNS, **FULL_RUNS} if args.full else RUNS
-    for label, argv in runs.items():
-        command = [sys.executable, __file__, "--one", *argv, "--seed", str(args.seed)]
+    seed = 7 if args.seed is None else args.seed
+    matrix = {**RUNS, **FULL_RUNS} if args.full else RUNS
+    runs = {f"{label}, seed {seed}": [*argv, "--seed", str(seed)] for label, argv in matrix.items()}
+    for label, argv in ({" ".join(args.command): args.command} if args.command else runs).items():
+        command = [sys.executable, __file__, "--one", *argv]
         records = [
-            json.loads(subprocess.run(command, check=True, capture_output=True, text=True).stdout)
+            json.loads(subprocess.run(command, check=True, stdout=subprocess.PIPE, text=True).stdout)
             for _ in range(args.repeat)
         ]
-        print(f"{label}, seed {args.seed}, {args.repeat} process(es)")
-        print_table(records)
+        print(f"{label}, {args.repeat} process(es)")
+        print_tables(records)
 
 
 if __name__ == "__main__":

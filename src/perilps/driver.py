@@ -202,13 +202,14 @@ def reference_errors(config: RunConfig) -> dict[str, float]:
 
 
 def check_out(out: Path | str | None) -> None:
-    """Raise ``ConfigError`` if the output directory ``out`` is a file or
-    lies under one, so that a run can reject it before any work."""
+    """Raise ``ConfigError`` if the output directory ``out`` is, or lies
+    under, a name that is not a directory (a file or a dangling link), so
+    that a run can reject it before any work."""
     if out is None:
         return
     out = Path(out)
-    if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
-        raise ConfigError(f"--out {out} is a file or lies under one")
+    if not next(p for p in (out, *out.parents) if p.exists() or p.is_symlink()).is_dir():
+        raise ConfigError(f"--out {out} is, or lies under, a name that is not a directory")
 
 
 def build_discretization(

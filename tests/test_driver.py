@@ -421,22 +421,41 @@ def test_cli_perturb_outside_range_exits_2(command, perturb, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("under", ["", "x"])
+#: Unusable ``--out`` paths under a directory that holds the file ``afile``
+#: and the dangling link ``link`` (see ``make_unusable_outs``).
+UNUSABLE_OUTS = [
+    pytest.param("afile", id=""),
+    pytest.param("afile/x", id="x"),
+    pytest.param("link", id="link"),
+    pytest.param("link/x", id="link-x"),
+]
+
+
+def make_unusable_outs(tmp_path):
+    (tmp_path / "afile").write_bytes(b"kept")
+    (tmp_path / "link").symlink_to("nowhere")
+
+
+def assert_unusable_outs_untouched(tmp_path):
+    assert (tmp_path / "afile").read_bytes() == b"kept"
+    assert (tmp_path / "link").readlink() == Path("nowhere")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "link"]
+
+
+@pytest.mark.parametrize("out", UNUSABLE_OUTS)
 @pytest.mark.parametrize("command", COMMANDS)
-def test_cli_out_through_a_file_exits_2(command, under, tmp_path, capsys):
-    """An ``--out`` that names a file, or a path under one, is a
-    configuration error raised before any work: the file is unchanged and
-    nothing else is written."""
-    afile = tmp_path / "afile"
-    afile.write_bytes(b"kept")
-    assert main([*command, "--out", str(afile / under)]) == 2
+def test_cli_out_through_a_file_exits_2(command, out, tmp_path, capsys):
+    """An ``--out`` that names a file or a dangling link, or a path under
+    one, is a configuration error raised before any work: the file and
+    the link are unchanged and nothing else is written."""
+    make_unusable_outs(tmp_path)
+    assert main([*command, "--out", str(tmp_path / out)]) == 2
     err = capsys.readouterr().err
     assert "error [config]" in err and "--out" in err
-    assert afile.read_bytes() == b"kept"
-    assert list(tmp_path.iterdir()) == [afile]
+    assert_unusable_outs_untouched(tmp_path)
 
 
-@pytest.mark.parametrize("under", ["", "x"])
+@pytest.mark.parametrize("out", UNUSABLE_OUTS)
 @pytest.mark.parametrize(
     "call",
     [
@@ -446,21 +465,20 @@ def test_cli_out_through_a_file_exits_2(command, under, tmp_path, capsys):
     ],
     ids=["run_case", "convergence_ladder", "sweep_contrast"],
 )
-def test_library_out_through_a_file_is_rejected_before_any_solve(call, under, tmp_path, monkeypatch):
-    """The library entry points reject an ``out`` that is a file or lies
-    under one with the CLI's configuration error, before they solve
-    anything, and leave the file as it was."""
+def test_library_out_through_a_file_is_rejected_before_any_solve(call, out, tmp_path, monkeypatch):
+    """The library entry points reject an ``out`` that is a file or a
+    dangling link, or lies under one, with the CLI's configuration error,
+    before they solve anything, and leave the file and the link as they
+    were."""
 
     def no_solve(system):
         raise AssertionError("solved before checking out")
 
     monkeypatch.setattr(driver, "solve", no_solve)
-    afile = tmp_path / "afile"
-    afile.write_bytes(b"kept")
-    with pytest.raises(ConfigError, match="--out .* is a file or lies under one"):
-        call(afile / under)
-    assert afile.read_bytes() == b"kept"
-    assert list(tmp_path.iterdir()) == [afile]
+    make_unusable_outs(tmp_path)
+    with pytest.raises(ConfigError, match="--out .* is, or lies under, a name that is not a directory"):
+        call(tmp_path / out)
+    assert_unusable_outs_untouched(tmp_path)
 
 
 @pytest.mark.parametrize(
