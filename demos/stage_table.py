@@ -5,31 +5,37 @@ Every run is one CLI call in a fresh Python process, so that its peak
 RSS is its own.  The stages are the library functions through which
 ``perilps.driver`` and ``perilps.cli`` reach each layer; the kernels are
 the names that ``perilps.solver`` imports and calls: the LAPACK and BLAS
-kernels ``dgetrf``, ``dgetrs``, ``dgetri``, ``dgemm`` and ``dgemv``, the
-symbolic pass ``_plan`` and the front loop ``_multifrontal``.  For the
-call each is replaced by one timing wrapper.  After each stage the
-process's peak RSS is read.  A stage called more than once (the sweep
-assembles and solves once per ratio) shows its summed time and the peak
-after its last call.  "total" is the whole CLI call, writers included.
+kernels ``dgetrf``, ``dgetrs``, ``dgetri``, ``dgemm`` and ``dgemv`` and
+their float32 forms ``sgetrf``, ``sgetrs``, ``sgemm`` and ``sgemv``, the
+symbolic pass ``_plan``, the front loop ``_multifrontal`` and the
+refinement's substitution through the kept float32 factors
+``_substitute``.  For the call each is replaced by one timing wrapper.
+After each stage the process's peak RSS is read.  A stage called more
+than once (the sweep assembles and solves once per ratio) shows its
+summed time and the peak after its last call.  "total" is the whole CLI
+call, writers included.
 With ``--repeat k`` each run is made in k fresh processes, and the
 tables show the medians of the times and of the peaks.  Each process
 makes one untimed LU solve before its call, so that the stall of a fresh
 process's first threaded BLAS calls stays out of the stage times.
 
 A run that solves gets two more tables.  The table by kernel gives
-calls, seconds, GFlop and GFlop/s of each kernel, counted from the
-shapes it was called with; the symbolic pass; the rest of the front
-loop, which is numpy moving data (zeroing the fronts, the extend-add,
-the stack copies); and the rest of the solves (the residual and the
-dilatations of the uncoupled solve).  The table by depth in the front
-tree, the root at depth 0, is read from the plans the solves left in
-``FrontTree.plans``: the fronts with pivots and how many of them form
-[X | w] by the inverse of the pivot block or by ``dgetrs``, the bytes
-of the [X | w] that the fronts keep for the back substitution, and the
-flops of the fronts.  Its total row is measured from the calls instead:
-the flops of the kernel table, and the bytes of the [X | w] that the
-Schur products read.  A refined solve factors twice, so its fronts
-count twice.
+calls, seconds, GFlop and GFlop/s of each kernel in the front loop,
+counted from the shapes it was called with; the symbolic pass; the
+substitutions, whose kernels count in their row alone; the rest of the
+front loop, which is numpy moving data (zeroing the fronts, the
+extend-add, the stack copies); and the rest of the solves (the
+residuals and the dilatations of the uncoupled solve).  The table by
+depth in the front tree, the root at depth 0, is read from the plans the
+solves left in ``FrontTree.plans``: the fronts with pivots and how many
+of them form [X | w] by the inverse of the pivot block or by ``getrs``,
+the bytes that the fronts keep, by precision, and the flops of the
+fronts.  A float64 front keeps its [X | w] for the back substitution, a
+float32 front its LU, X and F21 for the substitutions.  The total row is
+measured from the calls instead: the flops of the kernel table, and the
+bytes of the arrays that the front loop's kernels read and the fronts
+keep.  Each factorization counts its fronts: a float64 solve that
+refines, or a float32 solve that falls back to float64, factors twice.
 
 The default matrix: the hole at nu = 0.495 at n = 64 and 128, the smooth
 field at n = 96, the n = 32 contrast sweep and the quadrature check at
@@ -89,16 +95,22 @@ STAGES = {
     "solve": "solve",
 }
 
-#: Flops of each kernel from its arguments, as ``perilps.solver`` calls it;
+#: Flops of each kernel, float64 (d) and float32 (s), from its arguments,
+#: as ``perilps.solver`` calls it (the inverse in float64 only);
 #: ``KERNELS`` are all the names of ``perilps.solver`` that are timed.
-FLOPS = {
-    "dgetrf": lambda a, *_, **__: 2.0 * a.shape[0] ** 3 / 3.0,
-    "dgetri": lambda lu, *_, **__: 4.0 * lu.shape[0] ** 3 / 3.0,
-    "dgetrs": lambda lu, ipiv, b, **__: 2.0 * lu.shape[0] ** 2 * b.shape[1],
-    "dgemm": lambda alpha, a, b, *_, **__: 2.0 * a.shape[0] * a.shape[1] * b.shape[1],
-    "dgemv": lambda alpha, a, *_, **__: 2.0 * a.shape[0] * a.shape[1],
+_FLOPS = {
+    "getrf": lambda a, *_, **__: 2.0 * a.shape[0] ** 3 / 3.0,
+    "getri": lambda lu, *_, **__: 4.0 * lu.shape[0] ** 3 / 3.0,
+    "getrs": lambda lu, ipiv, b, **__: 2.0 * lu.shape[0] ** 2 * (b.shape[1] if b.ndim == 2 else 1),
+    "gemm": lambda alpha, a, b, *_, **__: 2.0 * a.shape[0] * a.shape[1] * b.shape[1],
+    "gemv": lambda alpha, a, *_, **__: 2.0 * a.shape[0] * a.shape[1],
 }
-KERNELS = (*FLOPS, "_plan", "_multifrontal")
+FLOPS = {kind + name: f for kind in "ds" for name, f in _FLOPS.items() if kind + name != "sgetri"}
+KERNELS = (*FLOPS, "_plan", "_multifrontal", "_substitute")
+
+#: The kernels whose calls the total row of the depth table counts as its
+#: fronts, its fronts by the inverse and its fronts by getrs.
+TOTALS = (("dgetrf", "sgetrf"), ("dgetri",), ("dgetrs", "sgetrs"))
 
 
 def _peak_mb() -> float:
@@ -129,9 +141,10 @@ def front_flops(p: int, nb: int, by_inverse: bool) -> float:
 
 
 def depth_table(loops: list) -> dict:
-    """Per depth: [fronts, by inverse, by dgetrs, kept bytes, flops]."""
-    table = defaultdict(lambda: [0, 0, 0, 0, 0.0])
-    for tree, kinds in loops:
+    """Per depth: [fronts, by inverse, by getrs, kept float64 bytes, kept
+    float32 bytes, flops]."""
+    table = defaultdict(lambda: [0, 0, 0, 0, 0, 0.0])
+    for tree, kinds, precision in loops:
         parent = tree.part_parent
         depth = np.zeros(parent.size, dtype=np.int64)
         for k in range(parent.size - 1, -1, -1):
@@ -141,8 +154,11 @@ def depth_table(loops: list) -> dict:
                 row = table[int(depth[k])]
                 row[0] += 1
                 row[1 if by_inverse else 2] += 1
-                row[3] += 8 * p * (nb + 1) if nb else 0
-                row[4] += front_flops(p, nb, by_inverse)
+                if precision == "float32":
+                    row[4] += 4 * (p * p + 2 * p * nb)  # LU, X and F21
+                elif nb:
+                    row[3] += 8 * p * (nb + 1)  # [X | w]
+                row[5] += front_flops(p, nb, by_inverse)
     return dict(sorted(table.items()))
 
 
@@ -153,14 +169,22 @@ def run_one(argv: list[str]) -> dict:
     from perilps import cli, driver, solver
 
     stages, kernels = {}, {name: [0, 0.0, 0.0] for name in KERNELS}
-    record = {"counts": {}, "stages": stages, "kernels": kernels, "kept": 0}
+    kept = {"float64": 0, "float32": 0}
+    record = {"counts": {}, "stages": stages, "kernels": kernels, "kept": kept}
     loops = []
+    substituting = False
 
     def timed(fn, name):
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
+            nonlocal substituting
+            if name in FLOPS and substituting:
+                kernels["_substitute"][2] += FLOPS[name](*args, **kwargs)
+                return fn(*args, **kwargs)
+            substituting = name == "_substitute"
             start = time.perf_counter()
             out = fn(*args, **kwargs)
+            substituting = False
             row = kernels[name] if name in kernels else stages.setdefault(name, [0, 0.0, 0.0])
             row[1] += time.perf_counter() - start
             row[0] += 1
@@ -173,9 +197,13 @@ def run_one(argv: list[str]) -> dict:
             elif name == "assembly":
                 record["counts"]["unknowns"] = out.n_unknowns
             elif name == "dgemm" and len(args) > 3:
-                record["kept"] += args[2].nbytes  # the Schur product's [X | w]
+                kept["float64"] += args[2].nbytes  # the Schur product's [X | w]
+            elif name == "sgemm":
+                kept["float32"] += args[1].nbytes + args[2][:, :-1].nbytes  # F21 and X
+            elif name == "sgetrf":
+                kept["float32"] += args[0].nbytes  # the pivot block's LU
             elif name == "_multifrontal":
-                loops.append((args[0].fronts, args[1]))
+                loops.append((args[0].fronts, args[1], args[2].dtype.name))
             return out
 
         return wrapper
@@ -213,22 +241,26 @@ def print_tables(records: list[dict]) -> None:
     for r in records:  # the rows of the kernel table derived from the timed ones
         k, loop, solve = r["kernels"], r["kernels"]["_multifrontal"], r["stages"]["solve"]
         k["numpy in front loop"] = [loop[0], loop[1] - sum(k[n][1] for n in (*FLOPS, "_plan"))]
-        k["rest of solve"] = [solve[0], solve[1] - loop[1]]
+        k["rest of solve"] = [solve[0], solve[1] - loop[1] - k["_substitute"][1]]
         k["solve"] = solve
     print(f"  {'operation':<22}{'calls':>7}{'seconds':>10}{'GFlop':>10}{'GFlop/s':>9}")
-    for name in (*FLOPS, "_plan", "numpy in front loop", "rest of solve", "solve"):
+    for name in (*FLOPS, "_plan", "_substitute", "numpy in front loop", "rest of solve", "solve"):
         seconds = median("kernels", name)
         line = f"  {name:<22}{kernels[name][0]:>7}{seconds:>10.4f}"
-        if name in FLOPS:
+        if name in FLOPS or name == "_substitute":
             flops = kernels[name][2]
             line += f"{flops / 1e9:>10.4f}{flops / seconds / 1e9 if seconds else 0.0:>9.2f}"
         print(line)
-    print(f"  {'depth':<7}{'fronts':>7}{'inverse':>8}{'dgetrs':>7}{'[X | w] bytes':>15}{'flop':>16}")
-    for depth, (fronts, inverse, getrs, nbytes, flops) in first["depths"].items():
-        print(f"  {depth:<7}{fronts:>7}{inverse:>8}{getrs:>7}{nbytes:>15}{flops:>16.0f}")
-    fronts, inverse, getrs = (kernels[name][0] for name in ("dgetrf", "dgetri", "dgetrs"))
+    print(
+        f"  {'depth':<7}{'fronts':>7}{'inverse':>8}{'getrs':>7}"
+        f"{'float64 bytes':>15}{'float32 bytes':>15}{'flop':>16}"
+    )
+    for depth, (fronts, inverse, getrs, bytes64, bytes32, flops) in first["depths"].items():
+        print(f"  {depth:<7}{fronts:>7}{inverse:>8}{getrs:>7}{bytes64:>15}{bytes32:>15}{flops:>16.0f}")
+    fronts, inverse, getrs = (sum(kernels[n][0] for n in names) for names in TOTALS)
     flops = sum(kernels[name][2] for name in FLOPS)
-    print(f"  {'total':<7}{fronts:>7}{inverse:>8}{getrs:>7}{first['kept']:>15}{flops:>16.0f}")
+    bytes64, bytes32 = first["kept"]["float64"], first["kept"]["float32"]
+    print(f"  {'total':<7}{fronts:>7}{inverse:>8}{getrs:>7}{bytes64:>15}{bytes32:>15}{flops:>16.0f}")
 
 
 def main() -> None:

@@ -20,26 +20,40 @@ every later solve, for any material, only moves numbers.  The pivot
 block is factored by LAPACK with partial pivoting inside it, and the
 Schur complement of the boundary goes into the parent's front.  The
 system has one right-hand side, so it rides as one more column of each
-front: the forward substitution runs during the factorization and each
-front keeps only ``[X | w] = F11^-1 [F12 | y_p]`` for the back
-substitution.  ``dgetrs`` forms it from the LU factors, except on the
+front: the forward substitution runs during the factorization, and a
+float64 front keeps only ``[X | w] = F11^-1 [F12 | y_p]`` for the back
+substitution.  ``getrs`` forms it from the LU factors, except on the
 uncoupled solve below, where a front with a wide boundary multiplies by
-the inverse of its pivot block (``INVERSE_SHAPE``).  A solve holds
-nothing else per front: every front is a prefix of one workspace, and
-the updates that wait for their parents sit on one stack.  The symbolic
-pass sizes both and places every update on the stack, so the front loop
-only reads and writes at its offsets.
+the inverse of its pivot block (``INVERSE_SHAPE``).  Every front is a
+prefix of one workspace, and the updates that wait for their parents
+sit on one stack.  The symbolic pass sizes both and places every update
+on the stack, so the front loop only reads and writes at its offsets.
+
+The front loop runs in the precision of the right-hand side it is given.
+Where a momentum row has a dilatation column, the coupled (u, theta)
+system is factored in float32 (``sgetrf``, ``sgetrs``, ``sgemm``), and
+each front keeps its factors: the LU of its pivot block with its pivots,
+its ``F21`` and its ``X``, ``lu_nnz`` entries in all.  The solution is
+then refined in float64 (Buttari et al., ACM TOMS 34(4), 2008; Carson &
+Higham, SISC 40(2), 2018): each step recomputes the residual of the full
+system and solves for the correction through the kept factors, a forward
+and a back substitution (``_substitute``), never a new factorization.
+The steps go on until the relative residual reaches ``REFINE_TARGET``,
+or until a step cuts it by less than ``REFINE_CONTRACTION``.  Where the
+float32 solve still misses the certificate (near nu = 1/2 its
+refinement stalls), or a pivot block is singular in float32 only, the
+system is factored again in float64, as the uncoupled solve is.
 
 Where no momentum row has a dilatation column (lambda = mu on every
 live bond), the displacement block is solved alone over the same tree,
-with the 2x2 displacement blocks, and the dilatations follow from their
-own rows, which hold an identity diagonal and displacement columns only
-(``BlockSystem.theta_rows``: no other row of the product is formed).
-Either way the relative residual of the solution is recomputed from the
-full system's blocks and right-hand side.  Where it misses the
-certificate, one step of iterative refinement solves for the residual
-through the same fronts; the refined solution must pass the same
-certificate before it is accepted.
+in float64, with the 2x2 displacement blocks, and the dilatations follow
+from their own rows, which hold an identity diagonal and displacement
+columns only (``BlockSystem.theta_rows``: no other row of the product is
+formed).  A float64 solve keeps only each front's ``[X | w]``.  Its
+relative residual is recomputed from the full system's blocks and
+right-hand side; where it misses the certificate, one step of iterative
+refinement solves for the residual by factoring the same fronts again.
+Every solution must pass the same certificate before it is accepted.
 """
 
 from __future__ import annotations
@@ -52,8 +66,8 @@ import numpy as np
 # dot, linalg.norm): the two load separate OpenBLAS thread pools, and a
 # numpy call before or inside the front loop left the other pool's
 # threads competing with the dense kernels, up to several times slower.
-from scipy.linalg.blas import dgemm, dgemv
-from scipy.linalg.lapack import dgetrf, dgetri, dgetrs
+from scipy.linalg.blas import dgemm, dgemv, sgemm, sgemv
+from scipy.linalg.lapack import dgetrf, dgetri, dgetrs, sgetrf, sgetrs
 
 from .errors import SolveError
 from .model import BlockSystem
@@ -82,18 +96,40 @@ INVERSE_SHAPE = 2
 #: the inversion of p = 300 ran 1.3x slower.
 INVERSE_LWORK = 64
 
+#: The float32 solve refines until its relative residual reaches this
+#: round-off target, well below the certificate.  On the hole at n = 64,
+#: nu = 0.495, seeds 1-12 (2-vCPU VM, OpenBLAS), the float32 first pass
+#: read 2.3-2.7e-6 and one step 3.6-6.3e-11, within 3x of the
+#: certificate, where rounding would decide whether a solve passes; the
+#: second step reached 1.6-1.8e-15, below the float64 solve's 4.9e-15
+#: (seed 7).  At nu = 0.4999 three steps went 6.1e-5, 1.9e-8, 8.9e-12,
+#: 4.9e-15.
+REFINE_TARGET = 1e-13
+
+#: A refinement step that cuts the residual by less than this factor
+#: ends the float32 refinement; the solve then keeps its best iterate,
+#: and factors in float64 if that misses the certificate.  The steps
+#: above cut it by 1,800-50,000x.  On the same hole at nu = 0.49999 the
+#: first step cut it by 4.7x only (4.7e-3 to 9.9e-4), and at nu =
+#: 0.499999 the residual grew (0.14 to 0.26), where the float32 pivot
+#: blocks lose too many digits.
+REFINE_CONTRACTION = 10.0
+
 
 @dataclass
 class SolveReport:
     """The certified solution, its residual, the LU fill (the entries of
     the dense fronts' factors, sum of ``p**2 + 2 p nb`` over fronts of
-    ``p`` pivots and ``nb`` boundary unknowns) and the refinement steps
-    taken to meet the certificate, 0 or 1."""
+    ``p`` pivots and ``nb`` boundary unknowns), the precision of the
+    factorization that certified it, ``"float32"`` or ``"float64"``, and
+    the refinement steps it took: the correction solves through the kept
+    float32 factors, or in float64 0 or 1 new factorizations."""
 
     x: np.ndarray
     residual: float
     lu_nnz: int
     refinement_steps: int
+    precision: str
 
 
 def solve(system: BlockSystem) -> SolveReport:
@@ -104,7 +140,7 @@ def solve(system: BlockSystem) -> SolveReport:
     SolveError
         On an empty row, a pair joining two sibling subtrees of the front
         tree, a singular pivot block, or a residual above the certificate
-        threshold after one refinement step.
+        threshold after the refinement of the float64 solve.
     """
     slots = system.fronts.slots
     has = slots >= 0
@@ -124,16 +160,24 @@ def solve(system: BlockSystem) -> SolveReport:
     unknowns = slots[order, :kinds][has[order, :kinds]]
     theta = slots[has[:, 2], 2]
 
+    b = system.rhs
+    bn = _norm(b)
+    bn = bn if bn > 0.0 else 1.0
+    if coupled:
+        try:
+            report = _solve_single(system, unknowns, bn)
+        except SolveError:  # a pivot block singular in float32 only
+            report = None
+        if report is not None and report.residual <= RESIDUAL_CERT:
+            return report
+
     def solve_for(b):
         x = np.zeros_like(b)
-        x[unknowns], lu_nnz = _multifrontal(system, kinds, b[unknowns])
+        x[unknowns], lu_nnz, _ = _multifrontal(system, kinds, b[unknowns])
         if not coupled:
             x[theta] = b[theta] - system.theta_rows(x)
         return x, lu_nnz
 
-    b = system.rhs
-    bn = _norm(b)
-    bn = bn if bn > 0.0 else 1.0
     x, lu_nnz = solve_for(b)
     r = b - system.apply(x)
     refined = not _norm(r) <= RESIDUAL_CERT * bn
@@ -146,7 +190,34 @@ def solve(system: BlockSystem) -> SolveReport:
             f"solution residual {residual:.3e} violates the certificate "
             f"({RESIDUAL_CERT:g}); the system is singular or badly scaled"
         )
-    return SolveReport(x=x, residual=residual, lu_nnz=lu_nnz, refinement_steps=int(refined))
+    return SolveReport(x=x, residual=residual, lu_nnz=lu_nnz, refinement_steps=int(refined), precision="float64")
+
+
+def _solve_single(system: BlockSystem, unknowns: np.ndarray, bn: float) -> SolveReport:
+    """The coupled system factored in float32 and refined in float64
+    through the kept factors; the report of the best iterate, which the
+    caller certifies.  ``unknowns`` are the slots in elimination order
+    and ``bn`` the norm of the right-hand side."""
+    b = system.rhs
+    x = np.zeros_like(b)
+    x[unknowns], lu_nnz, kept = _multifrontal(system, 3, b[unknowns].astype(np.float32))
+    r = b - system.apply(x)
+    rn = _norm(r)
+    steps = 0
+    while rn > REFINE_TARGET * bn:
+        # The residual goes to float32 at unit norm, far from underflow.
+        d = _substitute(kept, (r[unknowns] / rn).astype(np.float32))
+        x_next = x.copy()
+        x_next[unknowns] += d.astype(np.float64) * rn
+        r_next = b - system.apply(x_next)
+        rn_next = _norm(r_next)
+        steps += 1
+        stalled = not rn_next * REFINE_CONTRACTION <= rn
+        if rn_next < rn:
+            x, r, rn = x_next, r_next, rn_next
+        if stalled:
+            break
+    return SolveReport(x=x, residual=rn / bn, lu_nnz=lu_nnz, refinement_steps=steps, precision="float32")
 
 
 def _norm(v: np.ndarray) -> float:
@@ -373,26 +444,30 @@ def _plan(system: BlockSystem, kinds: int) -> _Plan:
     return _Plan(fronts=fronts, lu_nnz=int(np.sum(p * p + 2 * p * nb)), work=work, stack=stack)
 
 
-def _multifrontal(system: BlockSystem, kinds: int, y: np.ndarray) -> tuple[np.ndarray, int]:
+def _multifrontal(system: BlockSystem, kinds: int, y: np.ndarray) -> tuple[np.ndarray, int, list | None]:
     """Solve over the system's front tree for the first ``kinds`` of each
-    node's (ux, uy, theta).
+    node's (ux, uy, theta), in the precision of ``y``.
 
     ``y`` is the right-hand side in elimination order: part by part, node
     by node, each node's unknowns together.  Returns the solution in that
-    order and the fronts' LU entry count.  The tree's plan for ``kinds``
-    is made on the first call and read by every later one.
+    order, the fronts' LU entry count and, in float32, each front's kept
+    factors, with which ``_substitute`` solves again (``None`` in
+    float64).  The tree's plan for ``kinds`` is made on the first call and
+    read by every later one.
     """
     tree = system.fronts
     plan = tree.plans.get(kinds)
     if plan is None:
         plan = tree.plans[kinds] = _plan(system, kinds)
+    single = y.dtype == np.float32
+    getrf, getrs, gemm, gemv = (sgetrf, sgetrs, sgemm, sgemv) if single else (dgetrf, dgetrs, dgemm, dgemv)
     diag = system.diag[tree.order, :kinds, :kinds]
     blocks = system.blocks[:, :kinds, :kinds]
 
     # Every front is a prefix of ``work``; each update waits for its
     # parent on ``stack``, F-ordered from the offset the plan gives it.
-    work, stack = np.empty(plan.work), np.empty(plan.stack)
-    xws = []
+    work, stack = np.empty(plan.work, y.dtype), np.empty(plan.stack, y.dtype)
+    kept = []
     for k, m_k, p_k, nb_k, piv, diag_at, pairs, pair_at, y_at, bnd, at, by_inverse, children in plan.fronts:
         buf = work[: m_k * (m_k + 2) + 1]
         buf.fill(0.0)
@@ -416,7 +491,7 @@ def _multifrontal(system: BlockSystem, kinds: int, y: np.ndarray) -> tuple[np.nd
             continue
         ys = y[y_at]
         upper[:, m_k] = ys
-        lu, ipiv, info = dgetrf(upper[:, :p_k], overwrite_a=True)
+        lu, ipiv, info = getrf(upper[:, :p_k], overwrite_a=True)
         if info != 0:
             raise SolveError(f"pivot block of part {k} is singular (LAPACK info {info})")
         # [X | w] = F11^-1 [F12 | y_p], then [F22 | 0] -= F21 [X | w]:
@@ -426,26 +501,49 @@ def _multifrontal(system: BlockSystem, kinds: int, y: np.ndarray) -> tuple[np.nd
             xw = dgemm(1.0, inverse, upper[:, p_k : m_k + 1])
         else:
             xw = upper[:, p_k : m_k + 1]
-            dgetrs(lu, ipiv, xw, overwrite_b=True)
+            getrs(lu, ipiv, xw, overwrite_b=True)
         ys[:] = xw[:, nb_k]
         if nb_k:
             # The update leaves the front for the stack, where the next
-            # front cannot overwrite it; dgemm writes it in place only
+            # front cannot overwrite it; gemm writes it in place only
             # because the slice is F-contiguous.
             update = stack[at : at + nb_k * (nb_k + 1)].reshape((nb_k, nb_k + 1), order="F")
             update[:] = lower[:, p_k : m_k + 1]
-            dgemm(-1.0, lower[:, :p_k], xw, 1.0, update, overwrite_c=True)
-            # Each front keeps its own [X | w]: small arrays fit the holes
-            # of the heap the assembly has just freed, where one buffer for
-            # all of them needs one hole that large.
-            xws.append((xw if by_inverse else np.array(xw, order="F"), y_at, bnd))
+            gemm(-1.0, lower[:, :p_k], xw, 1.0, update, overwrite_c=True)
             y[bnd] += update[:, nb_k]
+        # Each front keeps its own arrays: small arrays fit the holes of
+        # the heap the assembly has just freed, where one buffer for all
+        # of them needs one hole that large.
+        if single:
+            # [LU | X] lie together at the front's start.
+            lux = buf[: p_k * m_k].copy()
+            factors = lux[: p_k * p_k].reshape((p_k, p_k), order="F"), ipiv, np.array(lower[:, :p_k], order="F")
+            kept.append((lux[p_k * p_k :].reshape((p_k, nb_k), order="F"), y_at, bnd, factors))
+        elif nb_k:
+            kept.append(((xw if by_inverse else np.array(xw, order="F"))[:, :nb_k], y_at, bnd, None))
+    _back_substitute(kept, y, gemv)
+    return y, plan.lu_nnz, kept if single else None
 
-    # Back substitution, root first: y_p = w - X y_bnd.
-    for xw, y_at, bnd in reversed(xws):
+
+def _back_substitute(kept: list, y: np.ndarray, gemv) -> None:
+    """Back substitution in place, root first: y_p = w - X y_bnd."""
+    for x, y_at, bnd, _ in reversed(kept):
+        if bnd.size:
+            ys = y[y_at]
+            ys[:] = gemv(-1.0, x, y[bnd], 1.0, ys)
+
+
+def _substitute(kept: list, y: np.ndarray) -> np.ndarray:
+    """Solve for the float32 right-hand side ``y``, in elimination order,
+    through the fronts' kept float32 factors, in place: forward, front by
+    front, w = F11^-1 y_p and y_bnd -= F21 w, then the back substitution."""
+    for _, y_at, bnd, (lu, ipiv, f21) in kept:
         ys = y[y_at]
-        ys[:] = dgemv(-1.0, xw[:, :-1], y[bnd], 1.0, ys)
-    return y, plan.lu_nnz
+        ys[:] = sgetrs(lu, ipiv, ys)[0]
+        if bnd.size:
+            y[bnd] = sgemv(-1.0, f21, ys, 1.0, y[bnd])
+    _back_substitute(kept, y, sgemv)
+    return y
 
 
 def rms_norm(values: np.ndarray) -> float:

@@ -59,21 +59,40 @@ def test_demo_runs(demo, tmp_path):
     run_demo(demo, tmp_path)
 
 
+#: A profiled command of each precision: the uncoupled inclusion factors
+#: in float64 (d), the coupled hole in float32 (s).
+PRECISION_COMMANDS = {
+    "d": ["run", "--case", "inclusion", "--n", "16"],
+    "s": ["run", "--case", "hole", "--n", "16", "--nu", "0.495"],
+}
+
+
 def test_stage_table_depths_add_up_to_the_calls(tmp_path):
-    """The record of one profiled call: its rows by depth, read from the
-    plans, add up to the totals measured from the kernel calls: the
-    fronts (dgetrf), the fronts on each path to [X | w] (dgetri and
-    dgetrs), the bytes of the kept [X | w] and the flops; both paths are
-    taken."""
-    record = json.loads(run_demo("stage_table.py", tmp_path, ["--one", "run", "--case", "inclusion", "--n", "16"]))
-    kernels, rows = record["kernels"], list(record["depths"].values())
-    assert rows
-    fronts, inverse, getrs, nbytes, flops = np.sum(rows, axis=0)
-    assert [fronts, inverse, getrs] == [kernels[k][0] for k in ("dgetrf", "dgetri", "dgetrs")]
-    assert nbytes == record["kept"]
-    kernel_flops = sum(kernels[k][2] for k in ("dgetrf", "dgetri", "dgetrs", "dgemm", "dgemv"))
-    assert flops == pytest.approx(kernel_flops, rel=1e-12, abs=len(rows))
-    assert inverse > 0 and getrs > 0
+    """The record of one profiled call of each precision, ``kind`` d or s:
+    its rows by depth, read from the plans, add up to the totals measured
+    from the kernel calls of that precision: the fronts (getrf), the
+    fronts on each path to [X | w] (dgetri and getrs), the kept bytes and
+    the flops.  The uncoupled inclusion takes both float64 paths and keeps
+    [X | w]; the coupled hole factors once in float32, keeps LU, X and
+    F21, and refines by substitutions whose kernels count in their own
+    row."""
+    for kind, command in PRECISION_COMMANDS.items():
+        record = json.loads(run_demo("stage_table.py", tmp_path, ["--one", *command]))
+        kernels, rows = record["kernels"], list(record["depths"].values())
+        assert rows
+        fronts, inverse, getrs, bytes64, bytes32, flops = np.sum(rows, axis=0)
+        assert [fronts, inverse, getrs] == [kernels[k][0] for k in (f"{kind}getrf", "dgetri", f"{kind}getrs")]
+        assert [bytes64, bytes32] == [record["kept"]["float64"], record["kept"]["float32"]]
+        assert (bytes32 if kind == "d" else bytes64) == 0
+        names = ("getrf", "getri", "getrs", "gemm", "gemv")
+        kernel_flops = sum(kernels[k][2] for k in kernels if k[1:] in names)
+        assert flops == pytest.approx(kernel_flops, rel=1e-12, abs=len(rows))
+        other = "s" if kind == "d" else "d"
+        assert all(kernels[other + k][0] == 0 for k in ("getrf", "getrs", "gemm", "gemv"))
+        if kind == "d":
+            assert inverse > 0 and getrs > 0 and kernels["_substitute"][0] == 0
+        else:
+            assert inverse == 0 and kernels["_substitute"][0] > 0 and kernels["_substitute"][2] > 0
 
 
 def test_stage_table_prints_every_table(tmp_path):

@@ -19,6 +19,7 @@ from perilps.analytic import (
 from perilps.driver import RunConfig, _build_case, build_discretization
 from perilps.errors import AssemblyError, ConfigError
 from perilps.model import (
+    APPLY_CHUNK,
     C_ALPHA,
     C_BETA,
     DIM,
@@ -582,6 +583,29 @@ def test_block_product_matches_scalar_matrix(nu):
     np.testing.assert_allclose(
         system.apply(x) - system.rhs, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max()
     )
+
+
+@pytest.mark.parametrize("nu", [0.25, 0.495])
+def test_chunked_block_product_is_the_one_pass_product_bit_for_bit(nu):
+    """``BlockSystem.apply`` forms the bond product over chunks of whole
+    rows; on a cloud of several chunks every bit of it equals the product
+    of one pass over all pairs."""
+    analytic_case, disc, mat = _case_discretization("hole", nu, nu, 40, 3, 0.3, 3.5)
+    pos = disc.cloud.positions
+    system = assemble_system(
+        disc, mat, dirichlet=analytic_case.displacement(pos), forcing=analytic_case.forcing(pos)
+    )
+    assert system.row_index.size > 4 * APPLY_CHUNK
+    x = np.random.default_rng(5).standard_normal(system.n_unknowns)
+    xs = system.extract(x, 0.0)
+    bonds = np.einsum("pab,pb->pa", system.blocks, np.take(xs, system.indices, axis=0))
+    y = np.einsum("iab,ib->ia", system.diag, xs)
+    for a in range(3):
+        y[:, a] += np.bincount(system.row_index, weights=bonds[:, a], minlength=xs.shape[0])
+    slots = system.fronts.slots
+    expected = np.empty(system.n_unknowns)
+    expected[slots[slots >= 0]] = y[slots >= 0]
+    np.testing.assert_array_equal(system.apply(x).view(np.int64), expected.view(np.int64))
 
 
 #: How many per-bond float64 arrays the assembly may hold beside the

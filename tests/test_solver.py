@@ -2,6 +2,7 @@
 dissection tree and both solve paths."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -402,19 +403,86 @@ def test_coupled_system_factors_all_unknowns(monkeypatch):
 
 @pytest.mark.parametrize("nu", [0.495, 0.4999])
 def test_coupled_solve_never_inverts_a_pivot_block(nu, monkeypatch):
-    """The coupled (u, theta) solve forms every [X | w] by dgetrs: near
+    """The coupled (u, theta) solve forms every [X | w] by getrs: near
     nu = 1/2 the inverse of a pivot block raised the residual of the hole
-    at n = 64 from 1.25e-13 to 5.2e-11.  It certifies without refinement."""
+    at n = 64 from 1.25e-13 to 5.2e-11.  It factors in float32 and
+    certifies there, after two correction solves through the kept
+    factors (7.5e-16 at nu = 0.495, 9.0e-14 at 0.4999)."""
 
     def no_inverse(*args, **kwargs):
-        raise AssertionError("dgetri called on the coupled solve")
+        raise AssertionError("getri called on the coupled solve")
 
     monkeypatch.setattr(solver, "dgetri", no_inverse)
+    # The solver imports no sgetri; this catches one that is added.
+    monkeypatch.setattr(solver, "sgetri", no_inverse, raising=False)
     _, system = _case_system(RunConfig(case="hole", n=24, nu=nu))
     report = solve(system)
     [kinds] = system.fronts.plans
     assert kinds == 3
-    assert report.refinement_steps == 0 and report.residual <= RESIDUAL_CERT
+    assert report.precision == "float32" and report.refinement_steps == 2
+    assert report.residual <= RESIDUAL_CERT
+
+
+def test_pivot_block_singular_in_float32_only_falls_back_to_float64():
+    """1 + 2^-30 rounds to 1 in float32, so the coupled pivot block below
+    is singular there; in float64 it is regular and the solve certifies."""
+    dense = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0 + 2.0**-30]])
+    report = solve(_toy_system(dense, u_index=[0], theta_index=[0]))
+    assert report.precision == "float64"
+    np.testing.assert_allclose(report.x, [1.0, 1.0, 0.0], atol=1e-15)
+
+
+#: The coupled solve's Poisson ratios, to lam / mu = 5e5.
+NEAR_HALF = [0.3, 0.495, 0.4999, 0.49999, 0.499999]
+
+
+@given(
+    case=st.sampled_from(["hole", "smooth-nearinc"]),
+    nu=st.sampled_from(NEAR_HALF),
+    n=st.integers(16, 24),
+    seed=st.integers(0, 2**32 - 1),
+    perturb=st.floats(0.0, 0.45, exclude_max=True),
+    delta_factor=st.floats(3.0, 5.0),
+)
+@example(case="hole", nu=0.499999, n=24, seed=3, perturb=0.3, delta_factor=3.5)
+@example(case="hole", nu=0.499999, n=20, seed=2, perturb=0.3, delta_factor=3.5)
+def test_coupled_solve_certifies_in_float32_wherever_its_refinement_does(
+    case, nu, n, seed, perturb, delta_factor
+):
+    """The coupled solve certifies, and it reports float32 exactly where
+    the float32 solve refined to the certificate.  Its solution agrees
+    with SuperLU's to 1e-10 relative, or at most twice as far off as the
+    float64 solve.  That float64 solve alone missed 1e-10 past
+    nu = 0.4999: it read up to 3.8e-9 (smooth-nearinc n = 24, nu =
+    0.499999), where the 1-norm condition number reached 1e11.  The first
+    example falls back to float64 and refines there, and the second
+    certifies in float32 after 8 steps."""
+    config = RunConfig(case=case, n=n, nu=nu, seed=seed, perturb=perturb, delta_factor=delta_factor)
+    _, system = _case_system(config)
+    singles = []
+
+    def single(*args):
+        singles.append(real(*args))
+        return singles[-1]
+
+    real = solver._solve_single
+    with mock.patch.object(solver, "_solve_single", single):
+        report = solve(system)
+    with mock.patch.object(solver, "_solve_single", side_effect=SolveError("float64 only")):
+        double = solve(system)
+    [first] = singles
+    assert first.precision == "float32" and double.precision == "float64"
+    assert report.residual <= RESIDUAL_CERT
+    if first.residual <= RESIDUAL_CERT:
+        assert report is first
+    else:
+        assert report.precision == "float64"
+    reference = spla.splu(system.matrix.tocsc()).solve(system.rhs)
+    distance = np.linalg.norm(report.x - reference)
+    bound = max(1e-10 * np.linalg.norm(reference), 2.0 * np.linalg.norm(double.x - reference))
+    assert distance <= bound
+    if nu <= 0.4999:
+        assert distance <= 1e-10 * np.linalg.norm(reference)
 
 
 #: The contrast sweep's ratios mu2 / mu1 and two beyond them.
@@ -434,7 +502,8 @@ def test_uncoupled_solve_takes_both_paths_to_x():
         report = solve(system)
         reference = spla.splu(system.matrix.tocsc()).solve(system.rhs)
         assert np.linalg.norm(report.x - reference) <= 1e-10 * np.linalg.norm(reference)
-        assert report.refinement_steps == 0 and report.residual <= RESIDUAL_CERT
+        assert report.precision == "float64" and report.refinement_steps == 0
+        assert report.residual <= RESIDUAL_CERT
     [(kinds, plan)] = disc.fronts.plans.items()
     assert kinds == 2
     paths = {by_inverse for _, _, p, _, *_, by_inverse, _ in plan.fronts if p}
@@ -462,16 +531,21 @@ def test_dissection_order_fills_less_than_default_lu():
     assert report.lu_nnz < spla.splu(system.matrix.tocsc()).nnz
 
 
-@pytest.mark.parametrize("nu", [0.495, 0.4999, 0.49999, 0.499999])
+#: The precision that certifies the hole at n = 64, seed 7, and its
+#: refinement steps: float32 correction solves, or float64 factorizations
+#: after the float32 refinement stalled.  At nu = 0.49999 the float64
+#: first pass reads 8.0e-11, within 1.25x of the certificate.
+NEAR_HALF_HOLE_64 = {0.495: ("float32", 2), 0.4999: ("float32", 3), 0.49999: ("float64", 0), 0.499999: ("float64", 1)}
+
+
+@pytest.mark.parametrize("nu", sorted(NEAR_HALF_HOLE_64))
 def test_near_incompressible_hole_is_certified(nu):
     """The hole at n = 64 solves within the unchanged certificate up to
-    lambda / mu = 5e5; at nu = 0.499999 the first pass alone missed it
-    and one refinement step mended it, at nu = 0.495 none was taken."""
+    lambda / mu = 5e5, in the precision and with the refinement steps of
+    ``NEAR_HALF_HOLE_64``."""
     report = run_case(RunConfig(case="hole", n=64, nu=nu)).solve_report
     assert report.residual <= RESIDUAL_CERT
-    steps = {0.495: 0, 0.499999: 1}
-    if nu in steps:
-        assert report.refinement_steps == steps[nu]
+    assert (report.precision, report.refinement_steps) == NEAR_HALF_HOLE_64[nu]
 
 
 @pytest.mark.parametrize("n", [24, 48])
@@ -490,20 +564,20 @@ def test_divergence_free_field_is_certified_towards_incompressibility(n):
 
 
 def test_refinement_step_mends_an_inexact_first_solve(monkeypatch, patch_system):
-    """A first solution off by a relative 1e-8 misses the certificate; one
-    refinement step through the same fronts brings it back to round-off."""
+    """A first float64 solution off by a relative 1e-8 misses the
+    certificate; one refinement step, which factors the same fronts
+    again, brings it back to round-off."""
     _, system, _ = patch_system
     calls = []
     factor = solver._multifrontal
 
-    def spy(system, solved, y):
-        y, lu_nnz = factor(system, solved, y)
+    def spy(system, kinds, y):
+        y, lu_nnz, kept = factor(system, kinds, y)
         calls.append(y.size)
-        return (y * (1.0 + 1e-8) if len(calls) == 1 else y), lu_nnz
+        return (y * (1.0 + 1e-8) if len(calls) == 1 else y), lu_nnz, kept
 
     monkeypatch.setattr(solver, "_multifrontal", spy)
     report = solve(system)
     assert len(calls) == 2
     assert report.residual <= 1e-13
-    assert report.refinement_steps == 1
-
+    assert report.precision == "float64" and report.refinement_steps == 1
